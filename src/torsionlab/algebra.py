@@ -26,13 +26,14 @@ from .expr import (
     add,
     as_point,
     const,
-    diff,
     eval_at,
     eval_many,
     mul,
     sample_points,
 )
 from .fields import (
+    SIGMA,
+    Jet,
     OperatorAtPoint,
     OperatorBase,
     OperatorField,
@@ -40,9 +41,10 @@ from .fields import (
     TorsionTensor,
     VanishingReport,
     identity_operator,
-    is_vanishing,
-    residuals_from_jets,
-    torsion_many,
+    rep_apply_many,
+    scalar_jet,
+    tower_from_jets,
+    vanishing_report,
 )
 from .spectral import minimal_poly_degree_at, numeric_rank
 
@@ -100,17 +102,10 @@ class TriPoly:
     @classmethod
     def sigma(cls) -> "TriPoly":
         """(z - lambda)(z - mu); applying it raises the tower level by one."""
-        return cls({(2, 0, 0): const(1), (1, 1, 0): const(-1),
-                    (1, 0, 1): const(-1), (0, 1, 1): const(1)})
+        return cls({key: const(c) for key, c in SIGMA.items()})
 
     def __mul__(self, other: "TriPoly") -> "TriPoly":
-        out: dict[tuple[int, int, int], Expr] = {}
-        for (i1, j1, k1), c1 in self.terms.items():
-            for (i2, j2, k2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2, k1 + k2)
-                term = mul(c1, c2)
-                out[key] = add(out[key], term) if key in out else term
-        return TriPoly(out)
+        return TriPoly(_poly_mul(self.terms, other.terms))
 
     def __add__(self, other: "TriPoly") -> "TriPoly":
         out = dict(self.terms)
@@ -139,47 +134,6 @@ class BivarPoly:
 # representation on pointwise tensors
 # ---------------------------------------------------------------------------
 
-def _rep_apply_batched(terms: Mapping[tuple[int, int, int], np.ndarray],
-                       tensors: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """Apply sum_ijk s_ijk(p) A^i T(A^j ., A^k .) pointwise over a batch.
-
-    ``terms`` maps exponent keys to per-point coefficient arrays of shape
-    (N,); ``tensors`` has shape (N, n, n, n) and ``vals`` (N, n, n).
-    """
-    if not terms:
-        return np.zeros_like(tensors)
-    n_pts, n = vals.shape[0], vals.shape[1]
-    top = max(max(key) for key in terms)
-    powers = [np.broadcast_to(np.eye(n), (n_pts, n, n)).copy()]
-    for _ in range(top):
-        powers.append(powers[-1] @ vals)
-
-    # cache T(A^j ., A^k .) per argument-exponent pair, then group the value
-    # powers: out = sum_i A^i (sum_(j,k) s_ijk W_jk)
-    arg_cache: dict[tuple[int, int], np.ndarray] = {}
-    grouped: dict[int, np.ndarray] = {}
-    for (i, j, k), coeff in terms.items():
-        pair = (j, k)
-        if pair not in arg_cache:
-            half = np.einsum("piab,paj->pijb", tensors, powers[j])
-            arg_cache[pair] = np.einsum("pijb,pbk->pijk", half, powers[k])
-        weighted = np.asarray(coeff)[:, None, None, None] * arg_cache[pair]
-        if i in grouped:
-            grouped[i] += weighted
-        else:
-            grouped[i] = weighted
-    out = np.zeros_like(tensors)
-    for i, inner in grouped.items():
-        out += np.einsum("pia,pajk->pijk", powers[i], inner)
-    return out
-
-
-def _rep_apply_numeric(terms: Mapping[tuple[int, int, int], float],
-                       tensor: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    batched = {key: np.array([float(c)]) for key, c in terms.items() if c != 0.0}
-    return _rep_apply_batched(batched, tensor[None], mat[None])[0]
-
-
 def rep_apply(s: TriPoly, torsion: TorsionTensor, ap: OperatorAtPoint) -> TorsionTensor:
     """Apply the trivariate-polynomial representation of ``s`` at one point.
 
@@ -191,7 +145,7 @@ def rep_apply(s: TriPoly, torsion: TorsionTensor, ap: OperatorAtPoint) -> Torsio
     if not np.array_equal(torsion.point, ap.point):
         raise PreconditionError("tensor and operator must sit at the same point")
     terms = s.eval_coeffs(ap.point)
-    comps = _rep_apply_numeric(terms, torsion.components, ap.matrix)
+    comps = rep_apply_many(terms, torsion.components[None], ap.matrix[None])[0]
     return TorsionTensor(torsion.level, torsion.point, comps)
 
 
@@ -218,35 +172,14 @@ def bezout_quotient(p: PolySpec) -> BivarPoly:
     return BivarPoly(terms)
 
 
-def _bivar_mul_num(d1: Mapping[tuple[int, int], np.ndarray],
-                   d2: Mapping[tuple[int, int], np.ndarray]) -> dict:
-    """Multiply bivariate polynomials whose coefficients are per-point arrays."""
-    out: dict[tuple[int, int], np.ndarray] = {}
-    for (a1, b1), c1 in d1.items():
-        for (a2, b2), c2 in d2.items():
-            key = (a1 + a2, b1 + b2)
-            prod = c1 * c2
-            out[key] = out[key] + prod if key in out else prod
-    return out
-
-
-def _bivar_pow_num(d: Mapping[tuple[int, int], np.ndarray], m: int,
-                   n_pts: int) -> dict:
-    out = {(0, 0): np.ones(n_pts)}
-    for _ in range(m):
-        out = _bivar_mul_num(out, d)
-    return out
-
-
-def _tri_from_bivars(in_lambda: Mapping[tuple[int, int], np.ndarray],
-                     in_mu: Mapping[tuple[int, int], np.ndarray]) -> dict:
-    """Product of a poly in (z, lambda) and a poly in (z, mu)."""
-    out: dict[tuple[int, int, int], np.ndarray] = {}
-    for (a1, b1), c1 in in_lambda.items():
-        for (a2, b2), c2 in in_mu.items():
-            key = (a1 + a2, b1, b2)
-            prod = c1 * c2
-            out[key] = out[key] + prod if key in out else prod
+def _poly_mul(d1: Mapping[tuple, object], d2: Mapping[tuple, object]) -> dict:
+    """Product of sparse polynomials ``{exponents: coefficient}``; coefficients
+    are expressions or per-point arrays."""
+    out: dict = {}
+    for e1, c1 in d1.items():
+        for e2, c2 in d2.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out[key] + c1 * c2 if key in out else c1 * c2
     return out
 
 
@@ -305,21 +238,27 @@ class PreservationReport:
         return self.vanishing_preserved and self.identity_ok
 
 
+def _quotient_image(p: PolySpec, m: int, pts: np.ndarray, t_base: np.ndarray,
+                    vals: np.ndarray) -> tuple[np.ndarray, dict]:
+    """R_S T^(m)_A with S = Q_P(z,l)^m Q_P(z,mu)^m at every point, and S's terms."""
+    q = bezout_quotient(p).eval_coeffs_many(pts)
+    q_m = {(0, 0): np.ones(pts.shape[0])}
+    for _ in range(m):
+        q_m = _poly_mul(q_m, q)
+    terms = _poly_mul({(a, b, 0): c for (a, b), c in q_m.items()},
+                      {(a, 0, b): c for (a, b), c in q_m.items()})
+    return rep_apply_many(terms, t_base, vals), terms
+
+
 def bezout_identity_residual(a: OperatorBase, p: PolySpec, m: int,
                              pts: np.ndarray) -> float:
     """Max relative deviation of T^(m)_{P(A)} from the quotient representation
     R_{Q_P(z,l)^m Q_P(z,mu)^m} T^(m)_A over the given points."""
     if m < 2:
         raise ValueError("the quotient identity applies for levels m >= 2")
-    pa = PolyOperator(a, p.coeffs)
-    t_base = torsion_many(a, m, pts)
-    t_poly = torsion_many(pa, m, pts)
-    vals = a.values_many(pts)
-    quotient = bezout_quotient(p)
-    q_num = quotient.eval_coeffs_many(pts)
-    q_m = _bivar_pow_num(q_num, m, pts.shape[0])
-    terms = _tri_from_bivars(q_m, q_m)
-    rhs = _rep_apply_batched(terms, t_base, vals)
+    vals, derivs = a.jet_many(pts)
+    rhs, _ = _quotient_image(p, m, pts, tower_from_jets(vals, derivs, m), vals)
+    t_poly = tower_from_jets(*PolyOperator(a, p.coeffs).jet_many(pts), m)
     scale = np.maximum(1.0, np.maximum(
         np.max(np.abs(t_poly), axis=(1, 2, 3)), np.max(np.abs(rhs), axis=(1, 2, 3))))
     return float(np.max(np.max(np.abs(t_poly - rhs), axis=(1, 2, 3)) / scale))
@@ -334,22 +273,18 @@ def check_polynomial_preservation(a: OperatorBase, p: PolySpec, m: int,
     the pointwise identity through the Bezout quotient, normalized by the
     representation's amplification bound (see :class:`PreservationReport`).
     """
-    base = is_vanishing(a, m, domain, n_pts, tol)
+    pts = sample_points(domain, n_pts)
+    vals, derivs = a.jet_many(pts)
+    t_base = tower_from_jets(vals, derivs, m)
+    base = vanishing_report(t_base, vals, m, pts, domain.seed, tol)
     if not base.vanishing:
         raise PreconditionError(
             f"operator is not level-{m} vanishing (residual {base.max_residual:.3e})")
-    pa = PolyOperator(a, p.coeffs)
-    poly_rep = is_vanishing(pa, m, domain, n_pts, tol)
+    poly_vals, poly_derivs = PolyOperator(a, p.coeffs).jet_many(pts)
+    t_poly = tower_from_jets(poly_vals, poly_derivs, m)
+    poly_rep = vanishing_report(t_poly, poly_vals, m, pts, domain.seed, tol)
 
-    pts = sample_points(domain, n_pts)
-    t_base = torsion_many(a, m, pts)
-    t_poly = torsion_many(pa, m, pts)
-    vals = a.values_many(pts)
-    q_num = bezout_quotient(p).eval_coeffs_many(pts)
-    q_m = _bivar_pow_num(q_num, m, pts.shape[0])
-    terms = _tri_from_bivars(q_m, q_m)
-    rhs = _rep_apply_batched(terms, t_base, vals)
-
+    rhs, terms = _quotient_image(p, m, pts, t_base, vals)
     beta = np.maximum(1.0, np.max(np.sum(np.abs(vals), axis=2), axis=1))
     amplification = np.zeros(pts.shape[0])
     for (i, j, k), coeff in terms.items():
@@ -426,7 +361,7 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
     chart = ops[0].chart
     pts = sample_points(domain, n_pts)
     jets = [op.jet_many(pts) for op in ops]
-    vals = [j[0] for j in jets]
+    vals = [j.vals for j in jets]
 
     k = len(ops)
     commute = [[True] * k for _ in range(k)]
@@ -440,6 +375,10 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
             ok = rel <= tol
             commute[ia][ib] = commute[ib][ia] = ok
 
+    def verdict(jet: Jet) -> VanishingReport:
+        return vanishing_report(tower_from_jets(jet.vals, jet.derivs, m), jet.vals, m,
+                                pts, domain.seed, tol)
+
     if combo_seed is None:
         combo_seed = (domain.seed * 2654435761 + 0x5EED) % (2 ** 63)
     rng = np.random.default_rng(combo_seed)
@@ -447,32 +386,17 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
     ring_worst = 0.0
     module_closed = True
     ring_closed = True
-    n = chart.dim
     for _ in range(n_random_combos):
         ia = int(rng.integers(0, k))
         ib = int(rng.integers(0, k))
         f = _random_combo_poly(chart, rng)
         g = _random_combo_poly(chart, rng)
-        # assemble the 1-jet of f K_a + g K_b from the cached basis jets
-        va, da = jets[ia]
-        vb, db = jets[ib]
-        fv, gv = eval_many(f, pts), eval_many(g, pts)
-        df = np.stack([eval_many(diff(f, l), pts) for l in range(n)], axis=1)
-        dg = np.stack([eval_many(diff(g, l), pts) for l in range(n)], axis=1)
-        combo_vals = fv[:, None, None] * va + gv[:, None, None] * vb
-        combo_derivs = (fv[:, None, None, None] * da + gv[:, None, None, None] * db
-                        + df[:, :, None, None] * va[:, None, :, :]
-                        + dg[:, :, None, None] * vb[:, None, :, :])
-        res = float(np.max(residuals_from_jets(combo_vals, combo_derivs, m)))
-        module_worst = max(module_worst, res)
-        module_closed = module_closed and res <= tol
-        # product jet: d(K_a K_b) = dK_a K_b + K_a dK_b
-        prod_vals = va @ vb
-        prod_derivs = np.einsum("plij,pjk->plik", da, vb) \
-            + np.einsum("pij,pljk->plik", va, db)
-        res = float(np.max(residuals_from_jets(prod_vals, prod_derivs, m)))
-        ring_worst = max(ring_worst, res)
-        ring_closed = ring_closed and res <= tol
+        module = verdict(scalar_jet(f, pts) * jets[ia] + scalar_jet(g, pts) * jets[ib])
+        module_worst = max(module_worst, module.max_residual)
+        module_closed = module_closed and module.vanishing
+        ring = verdict(jets[ia] @ jets[ib])
+        ring_worst = max(ring_worst, ring.max_residual)
+        ring_closed = ring_closed and ring.vanishing
 
     return AlgebraCheckReport(
         level=m,

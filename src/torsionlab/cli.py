@@ -8,7 +8,9 @@ chart and verifies the block partition.
 
 Reports are printed as markdown; ``--json OUT`` writes a machine-readable
 report that is byte-identical across reruns with the same inputs (timing is
-reported on stdout only).
+reported on stdout only) and never holds NaN or Infinity.  An evaluation
+that leaves the domain, a non-finite value included, exits 2 and names the
+point.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from . import algebra as alg
 from . import charts as ch
 from . import fields as fl
 from . import spectral as sp
-from .errors import TorsionLabError
+from .errors import EvalDomainError, TorsionLabError
 from .expr import SampleDomain, eval_many, format_expr, sample_points
 from .manifest import DEFAULT_SAMPLES, Manifest, load_manifest
 
@@ -161,6 +163,8 @@ def cmd_spectrum(args) -> Report:
             spec = sp.spectrum_at(op, pts[0], cluster, rank_tol)
             degree = sp.minimal_poly_degree_at(op, pts[0], cluster, rank_tol)
             reg = sp.regularity_check(op, domain, n_pts, cluster, rank_tol)
+        except EvalDomainError:
+            raise
         except TorsionLabError as exc:
             report.add(f"{name} spectrum", False, error=str(exc))
             continue
@@ -190,6 +194,8 @@ def cmd_algebra(args) -> Report:
                      "samples": n_pts, "tol": tol})
     try:
         rep = alg.check_algebra(ops, level, domain, n_pts, args.combos, tol)
+    except EvalDomainError:
+        raise
     except TorsionLabError as exc:
         report.add("algebra closure", False, error=str(exc))
         return report
@@ -312,7 +318,12 @@ def main(argv: list[str] | None = None) -> int:
     report.elapsed_seconds = time.perf_counter() - t0
     print(report.to_markdown())
     if args.json_out:
-        payload = json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        try:
+            payload = json.dumps(report.to_json_dict(), indent=2, sort_keys=True,
+                                 allow_nan=False) + "\n"
+        except ValueError as exc:  # NaN or Infinity: not valid JSON (RFC 8259)
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         with open(args.json_out, "w", encoding="utf-8") as fh:
             fh.write(payload)
     return 0 if report.passed else 1

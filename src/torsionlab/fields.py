@@ -1,19 +1,23 @@
 """Vector fields, operator fields and the generalized torsion tower.
 
-The level-1 torsion of an operator field ``A`` is computed from the
-coordinate expansion
+Operator fields are evaluated as 1-jets: a :class:`Jet` holds the entry
+values and the exact (symbolic) entry derivatives at a batch of points.
+Composite operators (linear combinations with scalar-field coefficients,
+products, polynomials, powers) build their jets by ``Jet`` arithmetic, whose
+``@`` holds the one copy of the product rule.
+
+The level-1 torsion comes from the coordinate expansion
 
     T^i_jk = sum_l [ A^l_j d_l A^i_k - A^l_k d_l A^i_j
                      - A^i_l (d_j A^l_k - d_k A^l_j) ]
 
-and every higher level is obtained by the pointwise quadratic recursion
+and every higher level from the pointwise recursion
 
-    T'^i_jk = (A^2)^i_a T^a_jk + T^i_ab A^a_j A^b_k
-              - A^i_a (T^a_jb A^b_k + T^a_bk A^b_j)
+    T' = A^2 T(X,Y) + T(AX,AY) - A(T(X,AY) + T(AX,Y)) = R_sigma T,
 
-which is the index form of  A^2 T(X,Y) + T(AX,AY) - A(T(X,AY) + T(AX,Y)).
-Entry derivatives are exact (symbolic); all contractions are numeric and
-batched over sample points.
+the polynomial representation R_S of sigma = (z - lambda)(z - mu).  All
+contractions, the level-up step included, go through one kernel,
+:func:`rep_apply_many`, built from batched ``matmul`` over sample points.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +33,7 @@ from .errors import (
     ChainConditionError,
     ChartMismatchError,
     DimensionMismatchError,
+    EvalDomainError,
     PreconditionError,
 )
 from .expr import (
@@ -49,6 +54,7 @@ from .expr import (
 __all__ = [
     "VectorFieldExpr",
     "OperatorBase",
+    "Jet",
     "OperatorField",
     "LinCombOperator",
     "ProductOperator",
@@ -125,24 +131,88 @@ def apply(a: "OperatorField", x: VectorFieldExpr) -> VectorFieldExpr:
 
 
 # ---------------------------------------------------------------------------
-# operator fields and their 1-jets
+# 1-jets and operator fields
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class Jet:
+    """Values and first derivatives of a matrix field over a batch of points.
+
+    ``vals[p, i, j] = A^i_j`` and ``derivs[p, l, i, j] = d_l A^i_j``.  A scalar
+    field is the jet with ``vals`` of shape (N, 1, 1) and ``derivs`` of shape
+    (N, n, 1, 1), so ``*`` scales a matrix jet by it.  ``derivs`` is None for
+    a value-only jet.  A jet unpacks as ``vals, derivs``.
+    """
+
+    vals: np.ndarray
+    derivs: np.ndarray | None = None
+
+    def __iter__(self):
+        return iter((self.vals, self.derivs))
+
+    def __add__(self, other: "Jet") -> "Jet":
+        derivs = None if self.derivs is None else self.derivs + other.derivs
+        return Jet(self.vals + other.vals, derivs)
+
+    def __mul__(self, other: "Jet") -> "Jet":
+        return self._leibniz(np.multiply, other)
+
+    def __matmul__(self, other: "Jet") -> "Jet":
+        return self._leibniz(np.matmul, other)
+
+    def _leibniz(self, product, other: "Jet") -> "Jet":
+        # the product rule d(ab) = da b + a db, for entrywise and matrix products
+        vals = product(self.vals, other.vals)
+        if self.derivs is None:
+            return Jet(vals)
+        return Jet(vals, product(self.derivs, other.vals[:, None])
+                   + product(self.vals[:, None], other.derivs))
+
+
+def scalar_jet(coeff: Expr, pts: np.ndarray, derivs: bool = True) -> Jet:
+    """Value and gradient of a scalar field at ``pts``, shaped to scale a matrix jet."""
+    vals = eval_many(coeff, pts)[:, None, None]
+    if not derivs:
+        return Jet(vals)
+    grad = np.stack([eval_many(diff(coeff, l), pts) for l in range(pts.shape[1])], axis=1)
+    return Jet(vals, grad[:, :, None, None])
+
+
+def _require_finite(pts: np.ndarray, what: str, *arrays) -> None:
+    """Raise :class:`EvalDomainError` naming the first point where an array,
+    indexed by point along axis 0, holds a NaN or an infinity."""
+    for arr in arrays:
+        if arr is None or np.isfinite(arr).all():
+            continue
+        bad = ~np.isfinite(arr.reshape(arr.shape[0], -1)).all(axis=1)
+        point = tuple(pts[int(np.argmax(bad))].tolist())
+        raise EvalDomainError(f"{what} is not finite at point {point}")
+
 
 class OperatorBase:
     """Anything that can produce entry values and entry derivatives at points.
 
-    ``jet_many(pts)`` returns ``(A, dA)`` with ``A[p, i, j] = A^i_j`` and
-    ``dA[p, l, i, j] = d_l A^i_j`` for every sample point; that 1-jet is all
-    the torsion tower needs.
+    ``jet_many(pts)`` returns the :class:`Jet` ``(A, dA)`` with
+    ``A[p, i, j] = A^i_j`` and ``dA[p, l, i, j] = d_l A^i_j`` for every sample
+    point; that 1-jet is all the torsion tower needs.  Both it and
+    ``values_many`` raise :class:`EvalDomainError` at the first point with a
+    non-finite value.  Subclasses implement ``_jet(pts, derivs)``.
     """
 
     chart: Chart
 
-    def values_many(self, pts: np.ndarray) -> np.ndarray:
+    def _jet(self, pts: np.ndarray, derivs: bool) -> Jet:
         raise NotImplementedError
 
-    def jet_many(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
+    def values_many(self, pts: np.ndarray) -> np.ndarray:
+        vals = self._jet(pts, False).vals
+        _require_finite(pts, "operator value", vals)
+        return vals
+
+    def jet_many(self, pts: np.ndarray) -> Jet:
+        jet = self._jet(pts, True)
+        _require_finite(pts, "operator 1-jet", jet.vals, jet.derivs)
+        return jet
 
     def at(self, point) -> "OperatorAtPoint":
         p = as_point(self.chart, point)
@@ -174,24 +244,21 @@ class OperatorField(OperatorBase):
             for l in range(n)
         )
 
-    def values_many(self, pts: np.ndarray) -> np.ndarray:
+    def _jet(self, pts, derivs):
         n = self.chart.dim
-        m = np.empty((pts.shape[0], n, n))
+        vals = np.empty((pts.shape[0], n, n))
         for i in range(n):
             for j in range(n):
-                m[:, i, j] = eval_many(self.entries[i][j], pts)
-        return m
-
-    def jet_many(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n = self.chart.dim
-        vals = self.values_many(pts)
-        derivs = np.empty((pts.shape[0], n, n, n))
+                vals[:, i, j] = eval_many(self.entries[i][j], pts)
+        if not derivs:
+            return Jet(vals)
+        grads = np.empty((pts.shape[0], n, n, n))
         dmat = self._entry_derivatives
         for l in range(n):
             for i in range(n):
                 for j in range(n):
-                    derivs[:, l, i, j] = eval_many(dmat[l][i][j], pts)
-        return vals, derivs
+                    grads[:, l, i, j] = eval_many(dmat[l][i][j], pts)
+        return Jet(vals, grads)
 
 
 def identity_operator(chart: Chart) -> OperatorField:
@@ -204,41 +271,29 @@ def identity_operator(chart: Chart) -> OperatorField:
 
 @dataclass(frozen=True)
 class LinCombOperator(OperatorBase):
-    """f_1 K_1 + ... + f_r K_r with scalar fields f_k; jets by the product rule."""
+    """f_1 K_1 + ... + f_r K_r with scalar fields f_k."""
 
     chart: Chart
     terms: tuple[tuple[Expr, OperatorBase], ...]
 
     def __post_init__(self):
+        if not self.terms:
+            raise ValueError("need at least one term")
         for _, op in self.terms:
             if op.chart != self.chart:
                 raise ChartMismatchError("all terms must share one chart")
 
-    def values_many(self, pts):
+    def _jet(self, pts, derivs):
         out = None
         for coeff, op in self.terms:
-            c = eval_many(coeff, pts)[:, None, None]
-            v = c * op.values_many(pts)
-            out = v if out is None else out + v
+            term = scalar_jet(coeff, pts, derivs) * op._jet(pts, derivs)
+            out = term if out is None else out + term
         return out
-
-    def jet_many(self, pts):
-        n = self.chart.dim
-        vals = np.zeros((pts.shape[0], n, n))
-        derivs = np.zeros((pts.shape[0], n, n, n))
-        for coeff, op in self.terms:
-            c = eval_many(coeff, pts)
-            dc = np.stack([eval_many(diff(coeff, l), pts) for l in range(n)], axis=1)
-            v, dv = op.jet_many(pts)
-            vals += c[:, None, None] * v
-            derivs += c[:, None, None, None] * dv
-            derivs += dc[:, :, None, None] * v[:, None, :, :]
-        return vals, derivs
 
 
 @dataclass(frozen=True)
 class ProductOperator(OperatorBase):
-    """Composition (left . right); d(LR) = dL R + L dR."""
+    """Composition (left . right)."""
 
     left: OperatorBase
     right: OperatorBase
@@ -250,50 +305,8 @@ class ProductOperator(OperatorBase):
 
     chart: Chart = None  # set in __post_init__
 
-    def values_many(self, pts):
-        return self.left.values_many(pts) @ self.right.values_many(pts)
-
-    def jet_many(self, pts):
-        lv, ld = self.left.jet_many(pts)
-        rv, rd = self.right.jet_many(pts)
-        vals = lv @ rv
-        derivs = np.einsum("plij,pjk->plik", ld, rv) + np.einsum("pij,pljk->plik", lv, rd)
-        return vals, derivs
-
-
-@dataclass(frozen=True)
-class PowerOperator(OperatorBase):
-    """A^k for k >= 0 (A^0 is the identity)."""
-
-    base: OperatorBase
-    exponent: int
-
-    def __post_init__(self):
-        if self.exponent < 0:
-            raise ValueError("exponent must be >= 0")
-        object.__setattr__(self, "chart", self.base.chart)
-
-    chart: Chart = None
-
-    def values_many(self, pts):
-        n = self.chart.dim
-        out = np.broadcast_to(np.eye(n), (pts.shape[0], n, n)).copy()
-        v = self.base.values_many(pts)
-        for _ in range(self.exponent):
-            out = out @ v
-        return out
-
-    def jet_many(self, pts):
-        n = self.chart.dim
-        v, dv = self.base.jet_many(pts)
-        vals = np.broadcast_to(np.eye(n), (pts.shape[0], n, n)).copy()
-        derivs = np.zeros((pts.shape[0], n, n, n))
-        # d(A^k) = d(A^(k-1)) A + A^(k-1) dA
-        for _ in range(self.exponent):
-            derivs = np.einsum("plij,pjk->plik", derivs, v) \
-                + np.einsum("pij,pljk->plik", vals, dv)
-            vals = vals @ v
-        return vals, derivs
+    def _jet(self, pts, derivs):
+        return self.left._jet(pts, derivs) @ self.right._jet(pts, derivs)
 
 
 @dataclass(frozen=True)
@@ -310,36 +323,24 @@ class PolyOperator(OperatorBase):
 
     chart: Chart = None
 
-    def values_many(self, pts):
-        n = self.chart.dim
-        v = self.base.values_many(pts)
-        power = np.broadcast_to(np.eye(n), (pts.shape[0], n, n)).copy()
-        out = np.zeros_like(power)
-        for k, c in enumerate(self.coeffs):
-            cv = eval_many(c, pts)[:, None, None]
-            out += cv * power
-            if k + 1 < len(self.coeffs):
-                power = power @ v
+    def _jet(self, pts, derivs):
+        # Horner: P(A) = (..(c_N A + c_(N-1)) A + ..) A + c_0
+        base = self.base._jet(pts, derivs)
+        eye = Jet(np.broadcast_to(np.eye(self.chart.dim), base.vals.shape),
+                  None if base.derivs is None else np.zeros_like(base.derivs))
+        out = scalar_jet(self.coeffs[-1], pts, derivs) * eye
+        for c in reversed(self.coeffs[:-1]):
+            out = out @ base + scalar_jet(c, pts, derivs) * eye
         return out
 
-    def jet_many(self, pts):
-        n = self.chart.dim
-        v, dv = self.base.jet_many(pts)
-        power = np.broadcast_to(np.eye(n), (pts.shape[0], n, n)).copy()
-        dpower = np.zeros((pts.shape[0], n, n, n))
-        vals = np.zeros_like(power)
-        derivs = np.zeros_like(dpower)
-        for k, c in enumerate(self.coeffs):
-            cv = eval_many(c, pts)
-            dc = np.stack([eval_many(diff(c, l), pts) for l in range(n)], axis=1)
-            vals += cv[:, None, None] * power
-            derivs += cv[:, None, None, None] * dpower
-            derivs += dc[:, :, None, None] * power[:, None, :, :]
-            if k + 1 < len(self.coeffs):
-                dpower = np.einsum("plij,pjk->plik", dpower, v) \
-                    + np.einsum("pij,pljk->plik", power, dv)
-                power = power @ v
-        return vals, derivs
+
+class PowerOperator(PolyOperator):
+    """A^k for k >= 0 (A^0 is the identity): the polynomial z^k."""
+
+    def __init__(self, base: OperatorBase, exponent: int):
+        if exponent < 0:
+            raise ValueError("exponent must be >= 0")
+        super().__init__(base, (const(0),) * exponent + (const(1),))
 
 
 # ---------------------------------------------------------------------------
@@ -387,37 +388,82 @@ class TorsionTensor:
         return float(np.max(np.abs(self.components)))
 
 
+# ---------------------------------------------------------------------------
+# the contraction kernel and the tower
+# ---------------------------------------------------------------------------
+
+# sigma = (z - lambda)(z - mu) as exponents (i, j, k) -> coefficient
+SIGMA = {(2, 0, 0): 1, (1, 1, 0): -1, (1, 0, 1): -1, (0, 1, 1): 1}
+
+
+def rep_apply_many(terms: Mapping[tuple[int, int, int], object],
+                   tensors: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """R_S T = sum_(i,j,k) s_ijk A^i T(A^j ., A^k .) at every point of a batch.
+
+    ``terms`` maps exponents to coefficients, each a scalar or an array of
+    shape (N,); ``tensors`` has shape (N, n, n, n) and ``vals`` (N, n, n).
+    z acts on the tensor value, lambda on the first argument and mu on the
+    second.  Every contraction is a batched ``matmul`` over one index.
+    """
+    n_pts, n = vals.shape[0], vals.shape[-1]
+    out = np.zeros(tensors.shape)
+    if not terms:
+        return out
+    powers = [np.broadcast_to(np.eye(n), vals.shape), vals]
+    while len(powers) <= max(max(key) for key in terms):
+        powers.append(powers[-1] @ vals)
+    # T(A^j X, Y): (A^j)^T contracted into the first argument slot
+    firsts = {j: powers[j].swapaxes(1, 2)[:, None] @ tensors
+              for j in {key[1] for key in terms} if j}
+    firsts[0] = tensors
+    # C-contiguous, so that their flat reshapes below are views
+    inner = np.empty(tensors.shape)
+    term = np.empty(tensors.shape)
+    flat = (n_pts, n, n * n)
+    for i in sorted({key[0] for key in terms}):
+        # the i = 0 group needs no value matmul; it comes first, while out is zero
+        acc = inner if i else out
+        acc.fill(0.0)
+        for (ti, j, k), coeff in terms.items():
+            if ti != i:
+                continue
+            # s_ijk T(A^j X, A^k Y)
+            weight = np.reshape(coeff, (-1, 1, 1, 1))
+            if k:
+                np.matmul(firsts[j], powers[k][:, None], out=term)
+                term *= weight
+            else:
+                np.multiply(firsts[j], weight, out=term)
+            acc += term
+        if i:
+            np.matmul(powers[i], inner.reshape(flat), out=term.reshape(flat))
+            out += term
+    return out
+
+
 def _skew(arr: np.ndarray) -> np.ndarray:
     # exact in IEEE arithmetic: out[..., j, k] = -out[..., k, j]
-    return 0.5 * (arr - arr.swapaxes(-1, -2))
+    out = arr - arr.swapaxes(-1, -2)
+    out *= 0.5
+    return out
 
 
 def nijenhuis_from_jets(vals: np.ndarray, derivs: np.ndarray) -> np.ndarray:
-    t1 = np.einsum("plj,plik->pijk", vals, derivs)
-    t2 = np.einsum("plk,plij->pijk", vals, derivs)
-    t3 = np.einsum("pil,pjlk->pijk", vals, derivs)
-    t4 = np.einsum("pil,pklj->pijk", vals, derivs)
-    return _skew(t1 - t2 - t3 + t4)
-
-
-def nijenhuis_many(a: OperatorBase, pts: np.ndarray) -> np.ndarray:
-    vals, derivs = a.jet_many(pts)
-    return nijenhuis_from_jets(vals, derivs)
+    """T^i_jk = D^i_jk - D^i_kj with D^i_jk = A^l_j d_l A^i_k - A^i_l d_j A^l_k."""
+    n_pts, n = vals.shape[0], vals.shape[-1]
+    # both contractions come out indexed [p, j, i, k]
+    d = (vals.swapaxes(1, 2) @ derivs.reshape(n_pts, n, n * n)).reshape(derivs.shape)
+    d -= vals[:, None] @ derivs
+    d = d.swapaxes(1, 2)
+    # exactly skew, since fl(a - b) = -fl(b - a)
+    out = np.empty(derivs.shape)
+    np.subtract(d, d.swapaxes(2, 3), out=out)
+    return out
 
 
 def level_up_many(torsions: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    sq = vals @ vals
-    raw = np.einsum("pab,pbjk->pajk", sq, torsions)
-    # T(AX, AY): contract both arguments, one factor at a time
-    arg1 = np.einsum("piab,paj->pijb", torsions, vals)
-    raw += np.einsum("pijb,pbk->pijk", arg1, vals)
-    # A T(X, AY)
-    left = np.einsum("pia,pajb->pijb", vals, torsions)
-    raw -= np.einsum("pijb,pbk->pijk", left, vals)
-    # A T(AX, Y)
-    left = np.einsum("pia,pabk->pibk", vals, torsions)
-    raw -= np.einsum("pibk,pbj->pijk", left, vals)
-    return _skew(raw)
+    """A^2 T(X,Y) + T(AX,AY) - A(T(X,AY) + T(AX,Y)), i.e. R_sigma T, made skew."""
+    return _skew(rep_apply_many(SIGMA, torsions, vals))
 
 
 def tower_from_jets(vals: np.ndarray, derivs: np.ndarray, m: int) -> np.ndarray:
@@ -425,13 +471,6 @@ def tower_from_jets(vals: np.ndarray, derivs: np.ndarray, m: int) -> np.ndarray:
     for _ in range(m - 1):
         torsions = level_up_many(torsions, vals)
     return torsions
-
-
-def residuals_from_jets(vals: np.ndarray, derivs: np.ndarray, m: int) -> np.ndarray:
-    torsions = tower_from_jets(vals, derivs, m)
-    tor_norm = np.max(np.abs(torsions), axis=(1, 2, 3))
-    op_norm = np.max(np.abs(vals), axis=(1, 2))
-    return tor_norm / (1.0 + op_norm ** (2 * m - 1))
 
 
 def torsion_many(a: OperatorBase, m: int, pts: np.ndarray) -> np.ndarray:
@@ -444,9 +483,7 @@ def torsion_many(a: OperatorBase, m: int, pts: np.ndarray) -> np.ndarray:
 
 def nijenhuis_at(a: OperatorBase, point) -> TorsionTensor:
     """Level-1 (Nijenhuis) torsion of ``a`` at one point."""
-    p = as_point(a.chart, point)
-    comps = nijenhuis_many(a, p[None, :])[0]
-    return TorsionTensor(1, p, comps)
+    return torsion_at(a, 1, point)
 
 
 def level_up(torsion: TorsionTensor, ap: OperatorAtPoint) -> TorsionTensor:
@@ -483,10 +520,39 @@ class VanishingReport:
     worst_point: np.ndarray
 
 
+def _residuals(torsions: np.ndarray, vals: np.ndarray, m: int,
+               pts: np.ndarray) -> np.ndarray:
+    tor_norm = np.max(np.abs(torsions), axis=(1, 2, 3))
+    denom = 1.0 + np.max(np.abs(vals), axis=(1, 2)) ** (2 * m - 1)
+    _require_finite(pts, f"level-{m} torsion", tor_norm, denom)
+    return tor_norm / denom
+
+
 def torsion_residuals(a: OperatorBase, m: int, pts: np.ndarray) -> np.ndarray:
     """max |T^(m)| / (1 + max|A|^(2m-1)) per point; scale-free residuals."""
     vals, derivs = a.jet_many(pts)
-    return residuals_from_jets(vals, derivs, m)
+    return _residuals(tower_from_jets(vals, derivs, m), vals, m, pts)
+
+
+def vanishing_report(torsions: np.ndarray, vals: np.ndarray, m: int,
+                     pts: np.ndarray, seed: int, tol_rel: float) -> VanishingReport:
+    """Verdict on a level-m tower already built at ``pts`` from the values ``vals``.
+
+    Raises :class:`EvalDomainError` at the first point where the tower or its
+    normalization is not finite.
+    """
+    residuals = _residuals(torsions, vals, m, pts)
+    worst = int(np.argmax(residuals))
+    max_residual = float(residuals[worst])
+    return VanishingReport(
+        level=m,
+        n_points=pts.shape[0],
+        seed=seed,
+        tol_rel=tol_rel,
+        max_residual=max_residual,
+        vanishing=bool(max_residual <= tol_rel),
+        worst_point=pts[worst],
+    )
 
 
 def is_vanishing(a: OperatorBase, m: int, domain: SampleDomain,
@@ -495,18 +561,9 @@ def is_vanishing(a: OperatorBase, m: int, domain: SampleDomain,
     if n_pts < 1:
         raise ValueError("n_pts must be >= 1")
     pts = sample_points(domain, n_pts)
-    residuals = torsion_residuals(a, m, pts)
-    worst = int(np.argmax(residuals))
-    max_residual = float(residuals[worst])
-    return VanishingReport(
-        level=m,
-        n_points=n_pts,
-        seed=domain.seed,
-        tol_rel=tol_rel,
-        max_residual=max_residual,
-        vanishing=bool(max_residual <= tol_rel),
-        worst_point=pts[worst],
-    )
+    vals, derivs = a.jet_many(pts)
+    return vanishing_report(tower_from_jets(vals, derivs, m), vals, m, pts,
+                            domain.seed, tol_rel)
 
 
 # ---------------------------------------------------------------------------

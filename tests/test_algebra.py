@@ -19,6 +19,7 @@ from torsionlab.expr import Chart, SampleDomain, Var, const, eval_at, parse_expr
 from torsionlab.fields import (
     OperatorField,
     PowerOperator,
+    TorsionTensor,
     identity_operator,
     is_vanishing,
     torsion_at,
@@ -89,6 +90,22 @@ def test_rep_linearity():
     lhs = rep_apply(s1 + s2, t, ap).components
     rhs = rep_apply(s1, t, ap).components + rep_apply(s2, t, ap).components
     assert rel_err(lhs, rhs) <= 1e-12
+
+
+def test_rep_argument_slots():
+    # lambda acts on the first argument only and mu on the second; a tensor
+    # that is not skew tells the two slots apart
+    rng = np.random.default_rng(9)
+    a = random_operator(CH3, rng)
+    p = rng.uniform(0.5, 1.5, size=3)
+    ap = a.at(p)
+    t = TorsionTensor(1, p, rng.normal(size=(3, 3, 3)))
+    first = np.einsum("iak,aj->ijk", t.components, ap.matrix)   # T(AX, Y)
+    second = np.einsum("ijb,bk->ijk", t.components, ap.matrix)  # T(X, AY)
+    got_first = rep_apply(TriPoly({(0, 1, 0): const(1)}), t, ap).components
+    got_second = rep_apply(TriPoly({(0, 0, 1): const(1)}), t, ap).components
+    assert rel_err(got_first, first) <= 1e-13
+    assert rel_err(got_second, second) <= 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from torsionlab.cli import main
-from torsionlab.manifest import fixture_path
+from torsionlab.expr import sample_points
+from torsionlab.manifest import fixture_path, load_manifest
 
 
 def run_cli(args, capsys):
@@ -37,6 +40,16 @@ NONCOMMUTING_MANIFEST = {
         "A": [["1", "1"], ["0", "2"]],
         "B": [["1", "0"], ["1", "2"]],
     },
+}
+
+
+# the entry is zero, but x1^64 x2^64 overflows to inf on this box: inf - inf
+NONFINITE_MANIFEST = {
+    "schema": 1,
+    "chart": {"dim": 2},
+    "level": 1,
+    "domain": {"box": [[1e3, 2e3], [1e3, 2e3]], "seed": 7},
+    "operators": {"A": [["x1^64*x2^64 - x1^64*x2^64", "0"], ["0", "1"]]},
 }
 
 
@@ -172,6 +185,36 @@ def test_thread_cap_env(tmp_path, capsys, monkeypatch):
     code, _ = run_cli(["torsion", "--manifest", path, "--level", "1",
                        "--samples", "10"], capsys)
     assert code == 0
+    # the worker count must not change a byte of the reports
+    lfa1 = str(fixture_path("lfa1.json"))
+    for args in (["torsion", "--manifest", lfa1, "--level", "4", "--samples", "30"],
+                 ["blockdiag", "--manifest", lfa1, "--chart", "y",
+                  "--hint", "1,1,1,1,3", "--samples", "30"]):
+        reports = []
+        for threads in (None, "2"):
+            if threads is None:
+                monkeypatch.delenv("TORSIONLAB_THREADS")
+            else:
+                monkeypatch.setenv("TORSIONLAB_THREADS", threads)
+            out = tmp_path / f"{args[0]}-{threads}.json"
+            assert main(args + ["--json", str(out)]) == 0
+            reports.append(out.read_bytes())
+        capsys.readouterr()
+        assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("command", [["torsion"], ["algebra", "--combos", "2"], ["spectrum"]])
+def test_nonfinite_value_exits_2_naming_the_point(tmp_path, capsys, command):
+    path = write_manifest(tmp_path, NONFINITE_MANIFEST)
+    out_json = tmp_path / "report.json"
+    with pytest.warns(RuntimeWarning):
+        code = main(command + ["--manifest", path, "--samples", "10",
+                               "--json", str(out_json)])
+    err = capsys.readouterr().err
+    first = sample_points(load_manifest(path).domain, 1)[0]
+    assert code == 2
+    assert f"not finite at point {tuple(first.tolist())}" in err
+    assert not out_json.exists()
 
 
 def test_console_entry_point():

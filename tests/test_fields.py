@@ -11,7 +11,7 @@ from helpers import (
     random_poly_expr,
     rel_err,
 )
-from torsionlab.errors import ChainConditionError, ChartMismatchError
+from torsionlab.errors import ChainConditionError, ChartMismatchError, EvalDomainError
 from torsionlab.expr import Chart, SampleDomain, Var, const, parse_expr, sample_points
 from torsionlab.fields import (
     LinCombOperator,
@@ -179,6 +179,29 @@ def test_diagonal_operator_is_level2_vanishing():
         assert t2.max_abs <= 1e-12
         t3 = torsion_at(a, 3, p)
         assert t3.max_abs <= 1e-12
+
+
+def test_torsion_many_matches_oracles_pointwise():
+    # one batch of distinct points: a kernel that mixed up points fails here
+    rng = np.random.default_rng(37)
+    a = random_operator(CH3, rng)
+    pts = rng.uniform(0.5, 1.5, size=(6, 3))
+    for m, oracle in ((1, nijenhuis_oracle), (2, haantjes_oracle)):
+        batch = torsion_many(a, m, pts)
+        for p, got in zip(pts, batch):
+            assert rel_err(got, oracle(a, p)) <= 1e-10
+
+
+def test_tower_overflow_is_an_error():
+    # finite entries whose level-1 torsion c^2 (x2 - x1) overflows
+    c = const(10 ** 200)
+    a = OperatorField(CH2, ((c * Var(1), const(0)), (const(0), c * Var(0))))
+    dom = SampleDomain(box=((0.5, 1.5),) * 2, seed=3)
+    first = tuple(sample_points(dom, 1)[0].tolist())
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(EvalDomainError, match="torsion is not finite") as info:
+        is_vanishing(a, 1, dom, 5, 1e-8)
+    assert str(first) in str(info.value)
 
 
 def test_torsion_level_consistency_regression():

@@ -17,14 +17,13 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PreconditionError, RankAmbiguousError
+from .errors import DimensionMismatchError, PreconditionError
 from .expr import (
     Chart,
     Expr,
     SampleDomain,
     Var,
     add,
-    as_point,
     const,
     eval_at,
     eval_many,
@@ -46,7 +45,7 @@ from .fields import (
     tower_from_jets,
     vanishing_report,
 )
-from .spectral import minimal_poly_degree_at, numeric_rank
+from .spectral import minimal_poly_degree_at
 
 __all__ = [
     "PolySpec",
@@ -418,19 +417,8 @@ def cyclic_basis(a: OperatorBase, point, cluster_tol: float = 1e-4,
                  rank_tol: float = 1e-8) -> list[int]:
     """Exponents of the independent powers of A at a point: 0 .. d-1.
 
-    d is the minimal polynomial degree; independence of {A^0(p), ..,
-    A^(d-1)(p)} is verified through the numeric rank of the vectorized
-    powers.
+    d is the minimal polynomial degree.  :func:`minimal_poly_degree_at`
+    already finds {A^0(p), .., A^(d-1)(p)} numerically independent before it
+    returns d.
     """
-    degree = minimal_poly_degree_at(a, point, cluster_tol, rank_tol)
-    p = as_point(a.chart, point)
-    mat = a.values_many(p[None, :])[0]
-    rows = []
-    power = np.eye(mat.shape[0])
-    for _ in range(degree):
-        rows.append(power.ravel() / max(1.0, np.max(np.abs(power))))
-        power = power @ mat
-    if numeric_rank(np.array(rows), rank_tol) != degree:
-        raise RankAmbiguousError(
-            f"powers 0..{degree - 1} are not numerically independent at the point")
-    return list(range(degree))
+    return list(range(minimal_poly_degree_at(a, point, cluster_tol, rank_tol)))

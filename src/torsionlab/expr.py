@@ -614,8 +614,9 @@ def eval_many(e: Expr, pts: np.ndarray,
             return np.cbrt(walk(node.arg))
         raise TypeError(f"not an Expr node: {node!r}")
 
-    out = walk(e)
-    return np.broadcast_to(np.asarray(out, dtype=float), (n,)).copy()
+    out = np.empty(n)
+    out[...] = walk(e)
+    return out
 
 
 def _guard_divisor(value):

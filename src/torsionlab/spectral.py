@@ -2,8 +2,10 @@
 
 Distinct eigenvalues are obtained by clustering the numeric spectrum in the
 complex plane (clusters must average to real values), Riesz indices by rank
-stabilization of powers, and the generalized eigenspaces / characteristic
-spaces / annihilators from singular value decompositions of those powers.
+stabilization of powers.  The generalized eigenspace, characteristic space
+and annihilator of each eigenvalue are read off the one singular value
+decomposition of the stabilized power that the rank sequence already
+computed.
 """
 
 from __future__ import annotations
@@ -49,14 +51,13 @@ COMMUTE_TOL = 1e-8
 # numeric rank with an unambiguity requirement
 # ---------------------------------------------------------------------------
 
-def numeric_rank(mat: np.ndarray, rank_tol: float = RANK_TOL) -> int:
-    """Rank by singular value threshold ``rank_tol * s_max``.
+def _rank_cut(s: np.ndarray, rank_tol: float) -> int:
+    """Rank from descending singular values ``s`` by threshold ``rank_tol * s[0]``.
 
     The cut must be clean: the smallest retained singular value has to exceed
     the largest discarded one by ``RANK_GAP_FACTOR``, otherwise
     :class:`RankAmbiguousError` is raised.
     """
-    s = np.linalg.svd(mat, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     thresh = rank_tol * s[0]
@@ -70,24 +71,16 @@ def numeric_rank(mat: np.ndarray, rank_tol: float = RANK_TOL) -> int:
     return rank
 
 
-def _kernel_basis(mat: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis of the (right) null space, shape (n, n - rank)."""
-    _, s, vh = np.linalg.svd(mat)
-    rank = numeric_rank(mat, rank_tol)
-    return vh[rank:].T.conj().real
+def _rank_svd(mat: np.ndarray, rank_tol: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """Numeric rank of ``mat`` together with the factors ``u`` and ``vh`` of its SVD."""
+    u, s, vh = np.linalg.svd(mat)
+    return _rank_cut(s, rank_tol), u, vh
 
 
-def _image_basis(mat: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    u, s, _ = np.linalg.svd(mat)
-    rank = numeric_rank(mat, rank_tol)
-    return u[:, :rank].real
-
-
-def _coimage_basis(mat: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal covectors annihilating the image of ``mat``."""
-    u, s, _ = np.linalg.svd(mat)
-    rank = numeric_rank(mat, rank_tol)
-    return u[:, rank:].T.real
+def numeric_rank(mat: np.ndarray, rank_tol: float = RANK_TOL) -> int:
+    """Rank by singular value threshold ``rank_tol * s_max`` with a clean gap
+    (see :func:`_rank_cut`)."""
+    return _rank_cut(np.linalg.svd(mat, compute_uv=False), rank_tol)
 
 
 def max_principal_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
@@ -155,7 +148,16 @@ def spectrum_at(a: OperatorBase, point, cluster_tol: float = CLUSTER_TOL,
                 rank_tol: float = RANK_TOL) -> SpectrumAtPoint:
     """Distinct real eigenvalues, Riesz indices and subspace bases at a point."""
     p = as_point(a.chart, point)
-    mat = a.values_many(p[None, :])[0]
+    return _spectrum(a.values_many(p[None, :])[0], p, cluster_tol, rank_tol)
+
+
+def _spectrum(mat: np.ndarray, p: np.ndarray, cluster_tol: float,
+              rank_tol: float) -> SpectrumAtPoint:
+    """Spectrum of the value ``mat`` of an operator at the point ``p``.
+
+    Each eigenvalue costs rho + 1 SVDs: one per power of the rank sequence,
+    the last of which only confirms that the rank stopped changing.
+    """
     n = mat.shape[0]
     scale = 1.0 + float(np.max(np.abs(mat)))
 
@@ -174,28 +176,28 @@ def spectrum_at(a: OperatorBase, point, cluster_tol: float = CLUSTER_TOL,
     eig_bases, char_bases, annihilators = [], [], []
     for lam in lams:
         shifted = mat - lam * np.eye(n)
-        prev_rank = n
+        rank, u, vh = n, None, None  # rank and SVD of the last power whose rank dropped
         power = np.eye(n)
         rho = 0
         while True:
             power = power @ shifted
             rho += 1
-            rank = numeric_rank(power, rank_tol)
-            if rank == prev_rank:
+            cut = _rank_svd(power, rank_tol)
+            if cut[0] == rank:
                 rho -= 1
                 break
-            prev_rank = rank
+            rank, u, vh = cut
             if rho > n:
                 raise SpectralError("rank sequence failed to stabilize")
         if rho == 0:
             raise SpectralError(f"cluster value {lam:.6g} is not an eigenvalue")
-        stab = np.linalg.matrix_power(shifted, rho)
+        # u, vh now factor the stabilized power (A - lam I)^rho
         eigenvalues.append(lam)
         riesz.append(rho)
-        ranks.append(n - prev_rank)
-        eig_bases.append(_kernel_basis(stab, rank_tol))
-        char_bases.append(_image_basis(stab, rank_tol))
-        annihilators.append(_coimage_basis(stab, rank_tol))
+        ranks.append(n - rank)
+        eig_bases.append(vh[rank:].T)
+        char_bases.append(u[:, :rank])
+        annihilators.append(u[:, rank:].T)
 
     if sum(ranks) != n:
         raise SpectralError(
@@ -219,11 +221,9 @@ def minimal_poly_degree_at(a: OperatorBase, point,
     Cross-checked against the smallest d making {I, A, ..., A^d} linearly
     dependent (numeric rank of the vectorized powers).
     """
-    spec = spectrum_at(a, point, cluster_tol, rank_tol)
-    degree = int(sum(spec.riesz))
-
     p = as_point(a.chart, point)
     mat = a.values_many(p[None, :])[0]
+    degree = int(sum(_spectrum(mat, p, cluster_tol, rank_tol).riesz))
     n = mat.shape[0]
     rows = [np.eye(n).ravel()]
     power = np.eye(n)
@@ -266,11 +266,11 @@ def regularity_check(a: OperatorBase, domain: SampleDomain, n_pts: int,
         raise ValueError("regularity needs at least two sample points")
     pts = sample_points(domain, n_pts)
     digests = []
-    for idx in range(n_pts):
+    for p, mat in zip(pts, a.values_many(pts)):
         try:
-            digests.append(spectrum_at(a, pts[idx], cluster_tol, rank_tol).digest)
+            digests.append(_spectrum(mat, p, cluster_tol, rank_tol).digest)
         except (ComplexEigenvalueError, RankAmbiguousError, SpectralError) as exc:
-            raise type(exc)(f"{exc} (at sample point {pts[idx].tolist()})") from exc
+            raise type(exc)(f"{exc} (at sample point {p.tolist()})") from exc
     first = digests[0]
     details = ""
     constant = True
@@ -344,9 +344,8 @@ def _intersect(basis_a: np.ndarray, basis_b: np.ndarray,
     qa, _ = np.linalg.qr(basis_a)
     qb, _ = np.linalg.qr(basis_b)
     stacked = np.vstack([np.eye(n) - qa @ qa.T, np.eye(n) - qb @ qb.T])
-    _, s, vh = np.linalg.svd(stacked)
-    keep = s <= rank_tol * max(1.0, s[0])
-    return vh[keep].T
+    rank, _, vh = _rank_svd(stacked, rank_tol)
+    return vh[rank:].T
 
 
 def joint_refinement(ops: Sequence[OperatorBase], point,

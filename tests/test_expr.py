@@ -188,6 +188,16 @@ def test_eval_many_vectorized_matches_scalar():
         assert batch[k] == pytest.approx(eval_at(e, pts[k]), rel=1e-15)
 
 
+def test_eval_many_returns_fresh_float_arrays():
+    pts = np.arange(15.0).reshape(3, 5)
+    for e in (const(2), Var(0), parse_expr("x1 + x2", CH5)):
+        out = eval_many(e, pts)
+        assert out.shape == (3,) and out.dtype == np.float64
+        assert out.flags.writeable and not np.shares_memory(out, pts)
+    assert eval_many(const(2), pts).tolist() == [2.0, 2.0, 2.0]
+    assert eval_many(Var(0), pts).tolist() == pts[:, 0].tolist()
+
+
 # ---------------------------------------------------------------------------
 # guarded sampling
 # ---------------------------------------------------------------------------

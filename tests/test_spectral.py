@@ -8,11 +8,13 @@ from torsionlab.errors import (
     ComplexEigenvalueError,
     DependentSpanningSetError,
     NonCommutingError,
+    RankAmbiguousError,
     TorsionLabError,
 )
 from torsionlab.expr import Chart, SampleDomain, Var, const, eval_at, parse_expr, sample_points
 from torsionlab.fields import OperatorField, VectorFieldExpr, identity_operator
 from torsionlab.spectral import (
+    _intersect,
     involutivity_check,
     joint_refinement,
     max_principal_angle,
@@ -95,6 +97,29 @@ def test_rank_stabilization_invariant(lfa1):
         assert ranks[rho - 1] == 7 - r
 
 
+def count_svd_calls(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
+@pytest.mark.parametrize("fixture, name, expected", [("lfa1", "K1", 12), ("lta", "L1", 9)])
+def test_one_svd_per_power(request, monkeypatch, fixture, name, expected):
+    # rho + 1 powers per eigenvalue; the subspaces come from the SVD of the
+    # stabilized power that the rank sequence already made
+    man = request.getfixturevalue(fixture)
+    p = sample_points(man.domain, 1)[0]
+    calls = count_svd_calls(monkeypatch)
+    spec = spectrum_at(man.operators[name], p, man.tolerances["cluster"], man.tolerances["rank"])
+    assert len(calls) == sum(rho + 1 for rho in spec.riesz) == expected
+
+
 def test_annihilator_duality(lta):
     p = sample_points(lta.domain, 1)[0]
     for op in lta.operators.values():
@@ -171,6 +196,43 @@ def test_constant_matrix_regular():
     a = op_from_strings(CH2, [["1", "2"], ["0", "5"]])
     dom = SampleDomain(box=((0.0, 1.0), (0.0, 1.0)), seed=2)
     assert regularity_check(a, dom, 10).constant
+
+
+@pytest.mark.parametrize("fixture, name", [("lfa1", "K1"), ("lta", "L1")])
+def test_regularity_sweep_matches_pointwise(request, monkeypatch, fixture, name):
+    man = request.getfixturevalue(fixture)
+    op = man.operators[name]
+    cluster, rank_tol = man.tolerances["cluster"], man.tolerances["rank"]
+    pointwise = [spectrum_at(op, p, cluster, rank_tol).digest
+                 for p in sample_points(man.domain, 20)]
+    calls = []
+    values_many = type(op).values_many
+
+    def counting_values_many(self, pts):
+        calls.append(pts.shape[0])
+        return values_many(self, pts)
+
+    monkeypatch.setattr(type(op), "values_many", counting_values_many)
+    rep = regularity_check(op, man.domain, 20, cluster, rank_tol)
+    assert list(rep.digests) == pointwise
+    assert calls == [20]  # one evaluation for the whole sweep
+
+
+@pytest.mark.parametrize("rows", [[["x1", "0"], ["0", "-x1"]], [["x1", "-x2"], ["x2", "x1"]]])
+def test_regularity_error_names_first_failing_point(rows):
+    a = op_from_strings(CH2, rows)
+    dom = SampleDomain(box=((-2e-4, 2e-4), (0.0, 1.0)), seed=123)
+    first = None
+    for p in sample_points(dom, 40):
+        try:
+            spectrum_at(a, p)
+        except TorsionLabError as exc:
+            first = (type(exc), p.tolist())
+            break
+    assert first is not None
+    with pytest.raises(first[0]) as info:
+        regularity_check(a, dom, 40)
+    assert str(info.value).endswith(f"(at sample point {first[1]})")
 
 
 # ---------------------------------------------------------------------------
@@ -254,3 +316,16 @@ def test_joint_refinement_rejects_noncommuting():
     b = op_from_strings(CH2, [["1", "0"], ["1", "2"]])
     with pytest.raises(NonCommutingError):
         joint_refinement([a, b], (0.0, 0.0))
+
+
+def test_intersect_uses_the_shared_rank_rule():
+    # stacked singular values 2.83e-8 and 4.24e-9 straddle the cut 1.41e-8
+    # with a gap ratio below RANK_GAP_FACTOR: ambiguous, not a 1-dim answer
+    e = np.eye(4)
+    t1, t2 = 4e-8, 6e-9
+    a = e[:, :2]
+    b = np.stack([np.cos(t1) * e[0] + np.sin(t1) * e[2],
+                  np.cos(t2) * e[1] + np.sin(t2) * e[3]], axis=1)
+    with pytest.raises(RankAmbiguousError):
+        _intersect(a, b)
+    assert _intersect(a, a).shape == (4, 2)

@@ -28,6 +28,7 @@ from .expr import (
     eval_at,
     eval_many,
     mul,
+    poly_mul,
     sample_points,
 )
 from .fields import (
@@ -104,7 +105,7 @@ class TriPoly:
         return cls({key: const(c) for key, c in SIGMA.items()})
 
     def __mul__(self, other: "TriPoly") -> "TriPoly":
-        return TriPoly(_poly_mul(self.terms, other.terms))
+        return TriPoly(poly_mul(self.terms, other.terms))
 
     def __add__(self, other: "TriPoly") -> "TriPoly":
         out = dict(self.terms)
@@ -171,17 +172,6 @@ def bezout_quotient(p: PolySpec) -> BivarPoly:
     return BivarPoly(terms)
 
 
-def _poly_mul(d1: Mapping[tuple, object], d2: Mapping[tuple, object]) -> dict:
-    """Product of sparse polynomials ``{exponents: coefficient}``; coefficients
-    are expressions or per-point arrays."""
-    out: dict = {}
-    for e1, c1 in d1.items():
-        for e2, c2 in d2.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out[key] + c1 * c2 if key in out else c1 * c2
-    return out
-
-
 # ---------------------------------------------------------------------------
 # polynomials of operators
 # ---------------------------------------------------------------------------
@@ -243,9 +233,9 @@ def _quotient_image(p: PolySpec, m: int, pts: np.ndarray, t_base: np.ndarray,
     q = bezout_quotient(p).eval_coeffs_many(pts)
     q_m = {(0, 0): np.ones(pts.shape[0])}
     for _ in range(m):
-        q_m = _poly_mul(q_m, q)
-    terms = _poly_mul({(a, b, 0): c for (a, b), c in q_m.items()},
-                      {(a, 0, b): c for (a, b), c in q_m.items()})
+        q_m = poly_mul(q_m, q)
+    terms = poly_mul({(a, b, 0): c for (a, b), c in q_m.items()},
+                     {(a, 0, b): c for (a, b), c in q_m.items()})
     return rep_apply_many(terms, t_base, vals), terms
 
 

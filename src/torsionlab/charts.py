@@ -40,11 +40,12 @@ from .expr import (
     eval_many,
     mul,
     neg,
+    poly_mul,
     pow_int,
     sub,
     subst_vars,
 )
-from .fields import OperatorBase, OperatorField
+from .fields import OperatorBase, OperatorField, _require_finite
 
 __all__ = [
     "DiffeoChart",
@@ -174,6 +175,7 @@ def pushforward_many(a: OperatorBase, c: DiffeoChart, pts: np.ndarray) -> np.nda
     if a.chart != c.src:
         raise ChartMismatchError("operator must live on the source chart")
     jac = jacobian_many(c, pts)
+    _require_finite(pts, "chart Jacobian", jac)
     dets = np.linalg.det(jac)
     bad = np.abs(dets) <= JACOBIAN_DET_EPS
     if np.any(bad):
@@ -250,65 +252,37 @@ def pushforward_field(a: OperatorField, c: DiffeoChart) -> OperatorField:
 # exact one-form integration
 # ---------------------------------------------------------------------------
 
-def _to_monomials(e: Expr) -> dict[tuple[int, ...], Fraction]:
-    """Expand a polynomial expression into {exponent tuple: coefficient}."""
+def _to_monomials(e: Expr, n: int) -> dict[tuple[int, ...], Fraction]:
+    """Expand a polynomial expression into {exponent n-tuple: coefficient}.
+
+    Terms whose coefficients cancel are kept; the caller drops them once.
+    """
     if isinstance(e, Const):
-        return {(): e.value} if e.value != 0 else {}
+        return {(0,) * n: e.value}
     if isinstance(e, Var):
-        key = tuple(1 if i == e.index else 0 for i in range(e.index + 1))
-        return {key: Fraction(1)}
-    if isinstance(e, Add):
-        return _merge(_to_monomials(e.left), _to_monomials(e.right), 1)
-    if isinstance(e, Sub):
-        return _merge(_to_monomials(e.left), _to_monomials(e.right), -1)
-    if isinstance(e, Neg):
-        return {k: -v for k, v in _to_monomials(e.arg).items()}
-    if isinstance(e, Mul):
-        left, right = _to_monomials(e.left), _to_monomials(e.right)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ka, va in left.items():
-            for kb, vb in right.items():
-                key = _mul_keys(ka, kb)
-                out[key] = out.get(key, Fraction(0)) + va * vb
-                if out[key] == 0:
-                    del out[key]
+        return {tuple(int(i == e.index) for i in range(n)): Fraction(1)}
+    if isinstance(e, (Add, Sub)):
+        out = _to_monomials(e.left, n)
+        sign = 1 if isinstance(e, Add) else -1
+        for k, v in _to_monomials(e.right, n).items():
+            out[k] = out.get(k, 0) + sign * v
         return out
+    if isinstance(e, Neg):
+        return {k: -v for k, v in _to_monomials(e.arg, n).items()}
+    if isinstance(e, Mul):
+        return poly_mul(_to_monomials(e.left, n), _to_monomials(e.right, n))
     if isinstance(e, Pow):
         if e.exponent < 0:
             raise NonPolynomialError("negative power is not polynomial")
-        out = {(): Fraction(1)}
-        base = _to_monomials(e.base)
+        out = {(0,) * n: Fraction(1)}
+        base = _to_monomials(e.base, n)
         for _ in range(e.exponent):
-            nxt: dict[tuple[int, ...], Fraction] = {}
-            for ka, va in out.items():
-                for kb, vb in base.items():
-                    key = _mul_keys(ka, kb)
-                    nxt[key] = nxt.get(key, Fraction(0)) + va * vb
-            out = {k: v for k, v in nxt.items() if v != 0}
+            out = poly_mul(out, base)
         return out
     raise NonPolynomialError(f"{type(e).__name__} node is not polynomial")
 
 
-def _mul_keys(ka: tuple[int, ...], kb: tuple[int, ...]) -> tuple[int, ...]:
-    length = max(len(ka), len(kb))
-    ka = ka + (0,) * (length - len(ka))
-    kb = kb + (0,) * (length - len(kb))
-    key = tuple(a + b for a, b in zip(ka, kb))
-    while key and key[-1] == 0:
-        key = key[:-1]
-    return key
-
-
-def _merge(a: dict, b: dict, sign: int) -> dict:
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, Fraction(0)) + sign * v
-        if out[k] == 0:
-            del out[k]
-    return out
-
-
-def _monomials_to_expr(mono: dict[tuple[int, ...], Fraction], dim: int) -> Expr:
+def _monomials_to_expr(mono: dict[tuple[int, ...], Fraction]) -> Expr:
     if not mono:
         return const(0)
 
@@ -321,8 +295,7 @@ def _monomials_to_expr(mono: dict[tuple[int, ...], Fraction], dim: int) -> Expr:
         return term
 
     acc: Expr | None = None
-    order = sorted(mono, key=lambda k: k + (0,) * (dim - len(k)), reverse=True)
-    for key in order:
+    for key in sorted(mono, reverse=True):
         coeff = mono[key]
         if acc is None:
             acc = monomial(key, coeff) if coeff > 0 else neg(monomial(key, -coeff))
@@ -342,7 +315,7 @@ def integrate_exact_one_form(w: OneFormExpr, probe_seed: int = 7_0915) -> Expr:
     or :class:`NonPolynomialError`.
     """
     n = w.chart.dim
-    monos = [_to_monomials(c) for c in w.components]
+    monos = [_to_monomials(c, n) for c in w.components]
 
     rng = np.random.default_rng(probe_seed)
     probes = rng.uniform(-1.0, 1.0, size=(CLOSED_PROBES, n))
@@ -359,17 +332,11 @@ def integrate_exact_one_form(w: OneFormExpr, probe_seed: int = 7_0915) -> Expr:
     total: dict[tuple[int, ...], Fraction] = {}
     for i in range(n):
         for key, coeff in monos[i].items():
-            padded = key + (0,) * (n - len(key))
-            if any(padded[j] > 0 for j in range(i + 1, n)):
+            if any(key[i + 1:]):
                 continue  # vanishes on the segment where later coordinates are 0
-            lifted = list(padded)
-            lifted[i] += 1
-            new_coeff = coeff / lifted[i]
-            lifted_key = _mul_keys(tuple(lifted), ())
-            total[lifted_key] = total.get(lifted_key, Fraction(0)) + new_coeff
-            if total[lifted_key] == 0:
-                del total[lifted_key]
-    potential = _monomials_to_expr(total, n)
+            lifted = key[:i] + (key[i] + 1,) + key[i + 1:]
+            total[lifted] = total.get(lifted, 0) + coeff / lifted[i]
+    potential = _monomials_to_expr({k: v for k, v in total.items() if v != 0})
 
     for i in range(n):
         delta = eval_many(diff(potential, i), probes) - eval_many(w.components[i], probes)

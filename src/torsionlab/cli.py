@@ -21,7 +21,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from . import charts as ch
 from . import fields as fl
 from . import spectral as sp
 from .errors import EvalDomainError, TorsionLabError
-from .expr import SampleDomain, eval_many, format_expr, sample_points
+from .expr import SampleDomain, format_expr, sample_points
 from .manifest import DEFAULT_SAMPLES, Manifest, load_manifest
 
 SCHEMA_VERSION = 1
@@ -102,11 +102,16 @@ def _map_jobs(func, jobs):
 
 
 def _resolve_domain(man: Manifest, args) -> SampleDomain:
-    dom = man.domain
     if getattr(args, "seed", None) is not None:
-        dom = SampleDomain(box=dom.box, guards=dom.guards,
-                           guard_eps=dom.guard_eps, seed=args.seed)
-    return dom
+        return replace(man.domain, seed=args.seed)
+    return man.domain
+
+
+def _resolve_level(man: Manifest, args) -> int:
+    level = args.level or man.level
+    if level < 1:
+        raise TorsionLabError(f"torsion level must be >= 1, got {level}")
+    return level
 
 
 def _select_operators(man: Manifest, names: list[str]) -> list[str]:
@@ -126,7 +131,7 @@ def _select_operators(man: Manifest, names: list[str]) -> list[str]:
 def cmd_torsion(args) -> Report:
     man = load_manifest(args.manifest)
     domain = _resolve_domain(man, args)
-    level = args.level or man.level
+    level = _resolve_level(man, args)
     n_pts = args.samples or DEFAULT_SAMPLES
     tol = args.tol if args.tol is not None else man.tolerances["vanish_rel"]
     names = _select_operators(man, args.operator)
@@ -134,8 +139,9 @@ def cmd_torsion(args) -> Report:
                     {"operators": names, "level": level, "samples": n_pts, "tol": tol})
 
     def run(name):
-        op = man.operators[name]
-        return [fl.is_vanishing(op, m, domain, n_pts, tol) for m in range(1, level + 1)]
+        # one walk up the tower judges every level 1..level
+        top = fl.is_vanishing(man.operators[name], level, domain, n_pts, tol)
+        return (*top.lower, top)
 
     for name, reps in zip(names, _map_jobs(run, names)):
         first = next((r.level for r in reps if r.vanishing), None)
@@ -184,7 +190,7 @@ def cmd_spectrum(args) -> Report:
 def cmd_algebra(args) -> Report:
     man = load_manifest(args.manifest)
     domain = _resolve_domain(man, args)
-    level = args.level or man.level
+    level = _resolve_level(man, args)
     n_pts = args.samples or DEFAULT_SAMPLES
     tol = args.tol if args.tol is not None else man.tolerances["vanish_rel"]
     names = _select_operators(man, args.operator)
@@ -254,10 +260,7 @@ def cmd_blockdiag(args) -> Report:
                    partition="|".join(str(s) for s in part.sizes),
                    off_block_residual=residual)
         if name in golden:
-            expected = np.empty_like(mats)
-            for i in range(man.chart.dim):
-                for j in range(man.chart.dim):
-                    expected[:, i, j] = eval_many(golden[name][i][j], ys)
+            expected = fl.OperatorField(chart.dst, golden[name]).values_many(ys)
             scale = 1.0 + np.max(np.abs(expected))
             err = float(np.max(np.abs(mats - expected)) / scale)
             report.add(f"{name} matches printed matrix", err <= tol, residual=err)

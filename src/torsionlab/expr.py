@@ -562,6 +562,17 @@ def subst_vars(e: Expr, replacements: Sequence[Expr]) -> Expr:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
+def poly_mul(d1: Mapping[tuple, object], d2: Mapping[tuple, object]) -> dict:
+    """Product of sparse polynomials ``{exponents: coefficient}``; coefficients
+    are numbers, expressions or per-point arrays."""
+    out: dict = {}
+    for e1, c1 in d1.items():
+        for e2, c2 in d2.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out[key] + c1 * c2 if key in out else c1 * c2
+    return out
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ contractions, the level-up step included, go through one kernel,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -466,19 +466,31 @@ def level_up_many(torsions: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return _skew(rep_apply_many(SIGMA, torsions, vals))
 
 
-def tower_from_jets(vals: np.ndarray, derivs: np.ndarray, m: int) -> np.ndarray:
+def tower(vals: np.ndarray, derivs: np.ndarray, m: int) -> Iterator[np.ndarray]:
+    """Yield T^(1), .., T^(m) at every point of the 1-jet ``(vals, derivs)``.
+
+    The one walk up the tower: Nijenhuis first, then level-up steps.  Only
+    the level being built and the one before it are alive at a time.
+    """
+    if m < 1:
+        raise ValueError("torsion level must be >= 1")
     torsions = nijenhuis_from_jets(vals, derivs)
+    yield torsions
     for _ in range(m - 1):
         torsions = level_up_many(torsions, vals)
+        yield torsions
+
+
+def tower_from_jets(vals: np.ndarray, derivs: np.ndarray, m: int) -> np.ndarray:
+    """T^(m), the last level of :func:`tower`."""
+    for torsions in tower(vals, derivs, m):
+        pass
     return torsions
 
 
 def torsion_many(a: OperatorBase, m: int, pts: np.ndarray) -> np.ndarray:
     """Level-m torsion components at every row of ``pts``; shape (N, n, n, n)."""
-    if m < 1:
-        raise ValueError("torsion level must be >= 1")
-    vals, derivs = a.jet_many(pts)
-    return tower_from_jets(vals, derivs, m)
+    return tower_from_jets(*a.jet_many(pts), m)
 
 
 def nijenhuis_at(a: OperatorBase, point) -> TorsionTensor:
@@ -509,7 +521,11 @@ def torsion_at(a: OperatorBase, m: int, point) -> TorsionTensor:
 
 @dataclass(frozen=True, eq=False)
 class VanishingReport:
-    """Normalized residual sweep for one torsion level over a sample domain."""
+    """Normalized residual sweep for one torsion level over a sample domain.
+
+    ``lower`` holds the reports on levels 1..level-1 from the same points,
+    when the sweep walked the tower to get here (see :func:`is_vanishing`).
+    """
 
     level: int
     n_points: int
@@ -518,6 +534,7 @@ class VanishingReport:
     max_residual: float
     vanishing: bool
     worst_point: np.ndarray
+    lower: tuple[VanishingReport, ...] = ()
 
 
 def _residuals(torsions: np.ndarray, vals: np.ndarray, m: int,
@@ -557,13 +574,18 @@ def vanishing_report(torsions: np.ndarray, vals: np.ndarray, m: int,
 
 def is_vanishing(a: OperatorBase, m: int, domain: SampleDomain,
                  n_pts: int, tol_rel: float) -> VanishingReport:
-    """Probabilistic zero test for the level-m torsion over ``domain``."""
+    """Probabilistic zero test for the level-m torsion over ``domain``.
+
+    One sample, one 1-jet and one walk up the tower judge every level; the
+    level-m report carries the verdicts on levels 1..m-1 in ``lower``.
+    """
     if n_pts < 1:
         raise ValueError("n_pts must be >= 1")
     pts = sample_points(domain, n_pts)
     vals, derivs = a.jet_many(pts)
-    return vanishing_report(tower_from_jets(vals, derivs, m), vals, m, pts,
-                            domain.seed, tol_rel)
+    reports = [vanishing_report(torsions, vals, level, pts, domain.seed, tol_rel)
+               for level, torsions in enumerate(tower(vals, derivs, m), start=1)]
+    return replace(reports[-1], lower=tuple(reports[:-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import torsionlab.fields as fl
 from torsionlab.cli import main
 from torsionlab.expr import sample_points
 from torsionlab.manifest import fixture_path, load_manifest
@@ -169,6 +170,14 @@ def test_unknown_operator_is_an_error(capsys):
     assert "nope" in err
 
 
+@pytest.mark.parametrize("command", ["torsion", "algebra"])
+def test_level_below_one_is_an_error(capsys, command):
+    code = main([command, "--manifest", str(fixture_path("lta.json")), "--level", "-1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "torsion level must be >= 1" in err
+
+
 def test_manifest_parse_error_location(tmp_path, capsys):
     man = json.loads(json.dumps(IDENTITY_MANIFEST))
     man["operators"]["I"][0][1] = "x1 + + 3"
@@ -215,6 +224,68 @@ def test_nonfinite_value_exits_2_naming_the_point(tmp_path, capsys, command):
     assert code == 2
     assert f"not finite at point {tuple(first.tolist())}" in err
     assert not out_json.exists()
+
+
+# identity operator, but the chart Jacobian d/dx1 (x1 + x1^64 x2^64 - ...) is inf - inf
+NONFINITE_JACOBIAN_MANIFEST = {
+    **NONFINITE_MANIFEST,
+    "operators": {"A": [["1", "0"], ["0", "1"]]},
+    "charts": {"y": {"forward": ["x1 + x1^64*x2^64 - x1^64*x2^64", "x2"]}},
+}
+
+# identity chart, so the golden matrix is evaluated at the sample points themselves
+NONFINITE_GOLDEN_MANIFEST = {
+    **NONFINITE_MANIFEST,
+    "operators": {"A": [["1", "0"], ["0", "1"]]},
+    "charts": {"y": {"forward": ["x1", "x2"]}},
+    "pushforward_golden": {"y": {"A": [["x1^64*x2^64 - x1^64*x2^64 + 1", "0"],
+                                       ["0", "1"]]}},
+}
+
+
+@pytest.mark.parametrize("with_json", [False, True])
+@pytest.mark.parametrize("manifest, what", [
+    (NONFINITE_JACOBIAN_MANIFEST, "chart Jacobian"),
+    (NONFINITE_GOLDEN_MANIFEST, "operator value"),
+])
+def test_blockdiag_nonfinite_exits_2_naming_the_point(tmp_path, capsys, manifest, what,
+                                                      with_json):
+    path = write_manifest(tmp_path, manifest)
+    out_json = tmp_path / "report.json"
+    args = ["blockdiag", "--manifest", path, "--chart", "y", "--samples", "10"]
+    with pytest.warns(RuntimeWarning):
+        code = main(args + (["--json", str(out_json)] if with_json else []))
+    err = capsys.readouterr().err
+    first = sample_points(load_manifest(path).domain, 1)[0]
+    assert code == 2
+    assert f"{what} is not finite at point {tuple(first.tolist())}" in err
+    assert not out_json.exists()
+
+
+def test_torsion_walks_the_tower_once_per_operator(monkeypatch, capsys):
+    calls = {"sample": 0, "jet": 0, "nijenhuis": 0, "verdict": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fl, "sample_points", counted("sample", fl.sample_points))
+    monkeypatch.setattr(fl.OperatorBase, "jet_many",
+                        counted("jet", fl.OperatorBase.jet_many))
+    monkeypatch.setattr(fl, "nijenhuis_from_jets",
+                        counted("nijenhuis", fl.nijenhuis_from_jets))
+    monkeypatch.setattr(fl, "is_vanishing", counted("verdict", fl.is_vanishing))
+    man = load_manifest(fixture_path("lta.json"))
+    code, out = run_cli(["torsion", "--manifest", str(fixture_path("lta.json")),
+                         "--level", "3", "--samples", "40"], capsys)
+    assert code == 0
+    n_ops = len(man.operators)
+    assert calls == {"sample": n_ops, "jet": n_ops, "nijenhuis": n_ops, "verdict": n_ops}
+    for name in man.operators:
+        for m in (1, 2, 3):
+            assert f"| {name} tau^({m}) |" in out
 
 
 def test_console_entry_point():

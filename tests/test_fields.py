@@ -29,6 +29,7 @@ from torsionlab.fields import (
     nijenhuis_at,
     torsion_at,
     torsion_many,
+    tower,
 )
 
 CH2 = Chart(2)
@@ -202,6 +203,32 @@ def test_tower_overflow_is_an_error():
             pytest.raises(EvalDomainError, match="torsion is not finite") as info:
         is_vanishing(a, 1, dom, 5, 1e-8)
     assert str(first) in str(info.value)
+
+
+def test_tower_yields_every_level(lfa1):
+    k1 = lfa1.operators["K1"]
+    pts = sample_points(lfa1.domain, 12)
+    levels = list(tower(*k1.jet_many(pts), 4))
+    assert len(levels) == 4
+    for m, torsions in enumerate(levels, start=1):
+        assert np.array_equal(torsions, torsion_many(k1, m, pts))
+    with pytest.raises(ValueError):
+        torsion_many(k1, 0, pts)
+
+
+def test_one_walk_matches_separate_verdicts(lta):
+    # the lower levels of one walk are bitwise the reports of separate sweeps
+    for op in lta.operators.values():
+        top = is_vanishing(op, 3, lta.domain, 200, 1e-8)
+        reports = (*top.lower, top)
+        assert [r.level for r in reports] == [1, 2, 3]
+        for rep in reports:
+            alone = is_vanishing(op, rep.level, lta.domain, 200, 1e-8)
+            assert rep.max_residual == alone.max_residual
+            assert rep.vanishing == alone.vanishing
+            assert np.array_equal(rep.worst_point, alone.worst_point)
+            assert (rep.n_points, rep.seed) == (alone.n_points, alone.seed)
+            assert [r.level for r in alone.lower] == list(range(1, rep.level))
 
 
 def test_torsion_level_consistency_regression():

@@ -27,6 +27,7 @@ from .expr import (
     const,
     eval_at,
     eval_many,
+    mat_mul,
     mul,
     poly_mul,
     sample_points,
@@ -46,7 +47,7 @@ from .fields import (
     tower_from_jets,
     vanishing_report,
 )
-from .spectral import minimal_poly_degree_at
+from .spectral import CLUSTER_TOL, RANK_TOL, minimal_poly_degree_at
 
 __all__ = [
     "PolySpec",
@@ -123,9 +124,6 @@ class BivarPoly:
 
     terms: Mapping[tuple[int, int], Expr]
 
-    def eval_coeffs(self, point) -> dict[tuple[int, int], float]:
-        return {key: eval_at(coeff, point) for key, coeff in self.terms.items()}
-
     def eval_coeffs_many(self, pts: np.ndarray) -> dict[tuple[int, int], np.ndarray]:
         return {key: eval_many(coeff, pts) for key, coeff in self.terms.items()}
 
@@ -182,14 +180,7 @@ def poly_of_operator(a: OperatorField, p: PolySpec) -> OperatorField:
     power = identity_operator(a.chart).entries
     out = [[mul(p.coeffs[0], power[i][j]) for j in range(n)] for i in range(n)]
     for k in range(1, len(p.coeffs)):
-        nxt = [[const(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc: Expr = const(0)
-                for d in range(n):
-                    acc = add(acc, mul(power[i][d], a.entries[d][j]))
-                nxt[i][j] = acc
-        power = tuple(tuple(row) for row in nxt)
+        power = mat_mul(power, a.entries)
         for i in range(n):
             for j in range(n):
                 out[i][j] = add(out[i][j], mul(p.coeffs[k], power[i][j]))
@@ -297,7 +288,7 @@ def check_polynomial_preservation(a: OperatorBase, p: PolySpec, m: int,
 
 @dataclass(frozen=True, eq=False)
 class AlgebraCheckReport:
-    """Commutativity plus sampled module/ring closure for an operator family."""
+    """Commutativity plus module/ring closure for an operator family."""
 
     level: int
     n_points: int
@@ -341,9 +332,10 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
                   combo_seed: int | None = None) -> AlgebraCheckReport:
     """Sample the closure laws of a generalized torsion-free operator family.
 
-    Checks pairwise commutativity at sampled points, then draws random
-    function pairs (f, g) and operator pairs (K1, K2) and verifies level-m
-    vanishing of f K1 + g K2 (module law) and of K1 K2 (ring law).
+    Checks pairwise commutativity at sampled points and level-m vanishing of
+    K_a K_b for every ordered pair (a, b), K_a^2 included (ring law), then
+    draws random function pairs (f, g) and operator pairs (K_a, K_b) and
+    verifies level-m vanishing of f K_a + g K_b (module law).
     """
     if not ops:
         raise ValueError("need at least one operator")
@@ -352,29 +344,32 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
     jets = [op.jet_many(pts) for op in ops]
     vals = [j.vals for j in jets]
 
-    k = len(ops)
-    commute = [[True] * k for _ in range(k)]
-    commute_worst = 0.0
-    for ia in range(k):
-        for ib in range(ia + 1, k):
-            comm = vals[ia] @ vals[ib] - vals[ib] @ vals[ia]
-            scale = (1.0 + np.max(np.abs(vals[ia]))) * (1.0 + np.max(np.abs(vals[ib])))
-            rel = float(np.max(np.abs(comm)) / scale)
-            commute_worst = max(commute_worst, rel)
-            ok = rel <= tol
-            commute[ia][ib] = commute[ib][ia] = ok
-
     def verdict(jet: Jet) -> VanishingReport:
         return vanishing_report(tower_from_jets(jet.vals, jet.derivs, m), jet.vals, m,
                                 pts, domain.seed, tol)
+
+    k = len(ops)
+    commute = [[True] * k for _ in range(k)]
+    commute_worst = 0.0
+    ring_worst = 0.0
+    ring_closed = True
+    for ia in range(k):
+        for ib in range(k):
+            if ia < ib:
+                comm = vals[ia] @ vals[ib] - vals[ib] @ vals[ia]
+                scale = (1.0 + np.max(np.abs(vals[ia]))) * (1.0 + np.max(np.abs(vals[ib])))
+                rel = float(np.max(np.abs(comm)) / scale)
+                commute_worst = max(commute_worst, rel)
+                commute[ia][ib] = commute[ib][ia] = rel <= tol
+            ring = verdict(jets[ia] @ jets[ib])
+            ring_worst = max(ring_worst, ring.max_residual)
+            ring_closed = ring_closed and ring.vanishing
 
     if combo_seed is None:
         combo_seed = (domain.seed * 2654435761 + 0x5EED) % (2 ** 63)
     rng = np.random.default_rng(combo_seed)
     module_worst = 0.0
-    ring_worst = 0.0
     module_closed = True
-    ring_closed = True
     for _ in range(n_random_combos):
         ia = int(rng.integers(0, k))
         ib = int(rng.integers(0, k))
@@ -383,9 +378,6 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
         module = verdict(scalar_jet(f, pts) * jets[ia] + scalar_jet(g, pts) * jets[ib])
         module_worst = max(module_worst, module.max_residual)
         module_closed = module_closed and module.vanishing
-        ring = verdict(jets[ia] @ jets[ib])
-        ring_worst = max(ring_worst, ring.max_residual)
-        ring_closed = ring_closed and ring.vanishing
 
     return AlgebraCheckReport(
         level=m,
@@ -403,8 +395,8 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
     )
 
 
-def cyclic_basis(a: OperatorBase, point, cluster_tol: float = 1e-4,
-                 rank_tol: float = 1e-8) -> list[int]:
+def cyclic_basis(a: OperatorBase, point, cluster_tol: float = CLUSTER_TOL,
+                 rank_tol: float = RANK_TOL) -> list[int]:
     """Exponents of the independent powers of A at a point: 0 .. d-1.
 
     d is the minimal polynomial degree.  :func:`minimal_poly_degree_at`

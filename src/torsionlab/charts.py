@@ -38,6 +38,7 @@ from .expr import (
     diff,
     div,
     eval_many,
+    mat_mul,
     mul,
     neg,
     poly_mul,
@@ -57,6 +58,7 @@ __all__ = [
     "pushforward_at",
     "pushforward_many",
     "pushforward_field",
+    "values_at_image",
     "integrate_exact_one_form",
     "detect_blocks",
 ]
@@ -85,7 +87,9 @@ class DiffeoChart:
             object.__setattr__(self, "inverse", tuple(self.inverse))
 
     def forward_many(self, pts: np.ndarray) -> np.ndarray:
-        return np.stack([eval_many(f, pts) for f in self.forward], axis=1)
+        ys = np.stack([eval_many(f, pts) for f in self.forward], axis=1)
+        _require_finite(pts, "chart value", ys)
+        return ys
 
 
 @dataclass(frozen=True)
@@ -118,12 +122,7 @@ class BlockPartition:
 
     def block_of(self) -> np.ndarray:
         """Block index of each coordinate."""
-        out = np.empty(self.dim, dtype=int)
-        start = 0
-        for b, size in enumerate(self.sizes):
-            out[start:start + size] = b
-            start += size
-        return out
+        return np.repeat(np.arange(len(self.sizes)), self.sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +137,7 @@ def verify_diffeo(c: DiffeoChart, pts: np.ndarray, tol: float = 1e-8) -> float:
     ``tol``.  Returns the worst round-trip deviation (0.0 without an
     inverse); raises :class:`SingularJacobianError` on a degenerate Jacobian.
     """
-    jac = jacobian_many(c, pts)
-    dets = np.abs(np.linalg.det(jac))
-    if np.any(dets <= JACOBIAN_DET_EPS):
-        idx = int(np.argmin(dets))
-        raise SingularJacobianError(
-            f"|det J| = {dets[idx]:.3e} at point {pts[idx].tolist()}")
+    _checked_jacobian(c, pts)
     if c.inverse is None:
         return 0.0
     ys = c.forward_many(pts)
@@ -153,6 +147,19 @@ def verify_diffeo(c: DiffeoChart, pts: np.ndarray, tol: float = 1e-8) -> float:
         raise ChartMismatchError(
             f"inverse map fails the round trip by {worst:.3e}")
     return worst
+
+
+def _checked_jacobian(c: DiffeoChart, pts: np.ndarray) -> np.ndarray:
+    """Forward Jacobian at every point; raises at the first non-finite or singular one."""
+    jac = jacobian_many(c, pts)
+    _require_finite(pts, "chart Jacobian", jac)
+    dets = np.abs(np.linalg.det(jac))
+    bad = dets <= JACOBIAN_DET_EPS
+    if np.any(bad):
+        idx = int(np.argmax(bad))
+        raise SingularJacobianError(
+            f"|det J| = {dets[idx]:.3e} at point {pts[idx].tolist()}")
+    return jac
 
 
 def jacobian_many(c: DiffeoChart, pts: np.ndarray) -> np.ndarray:
@@ -174,16 +181,16 @@ def pushforward_many(a: OperatorBase, c: DiffeoChart, pts: np.ndarray) -> np.nda
     """J A J^(-1) at every source sample point (components in the y-frame)."""
     if a.chart != c.src:
         raise ChartMismatchError("operator must live on the source chart")
-    jac = jacobian_many(c, pts)
-    _require_finite(pts, "chart Jacobian", jac)
-    dets = np.linalg.det(jac)
-    bad = np.abs(dets) <= JACOBIAN_DET_EPS
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise SingularJacobianError(
-            f"|det J| = {abs(dets[idx]):.3e} at point {pts[idx].tolist()}")
+    jac = _checked_jacobian(c, pts)
     vals = a.values_many(pts)
     return jac @ vals @ np.linalg.inv(jac)
+
+
+def values_at_image(a: OperatorBase, c: DiffeoChart, pts: np.ndarray) -> np.ndarray:
+    """A(y(p)) at every source point p; a non-finite value names p, not y(p)."""
+    vals = a._jet(c.forward_many(pts), False).vals
+    _require_finite(pts, "operator value", vals)
+    return vals
 
 
 def pushforward_at(a: OperatorBase, c: DiffeoChart, point) -> np.ndarray:
@@ -230,22 +237,9 @@ def pushforward_field(a: OperatorField, c: DiffeoChart) -> OperatorField:
         raise ChartMismatchError("operator must live on the source chart")
     n = c.src.dim
     jac = [[diff(c.forward[r], i) for i in range(n)] for r in range(n)]
-    jinv = _symbolic_inverse(jac)
-    prod = [[const(0)] * n for _ in range(n)]
-    for r in range(n):
-        for j in range(n):
-            acc: Expr = const(0)
-            for i in range(n):
-                acc = add(acc, mul(jac[r][i], a.entries[i][j]))
-            prod[r][j] = acc
-    out = [[const(0)] * n for _ in range(n)]
-    for r in range(n):
-        for s in range(n):
-            acc = const(0)
-            for j in range(n):
-                acc = add(acc, mul(prod[r][j], jinv[j][s]))
-            out[r][s] = subst_vars(acc, tuple(c.inverse))
-    return OperatorField(c.dst, tuple(tuple(row) for row in out))
+    out = mat_mul(mat_mul(jac, a.entries), _symbolic_inverse(jac))
+    return OperatorField(c.dst, tuple(tuple(subst_vars(e, c.inverse) for e in row)
+                                      for row in out))
 
 
 # ---------------------------------------------------------------------------
@@ -369,29 +363,26 @@ def detect_blocks(mats: Sequence[np.ndarray], hint: BlockPartition | None = None
     if hint is not None:
         if hint.dim != n:
             raise DimensionMismatchError("hint sizes do not sum to the dimension")
-        block_of = hint.block_of()
-        off = block_of[:, None] != block_of[None, :]
-        residual = float(np.max(np.abs(stack[:, off]))) / scale if off.any() else 0.0
-        return hint, residual
-
-    coupled = np.max(np.abs(stack), axis=0) > tol * scale
-    reach = np.arange(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if coupled[i, j] or coupled[j, i]:
-                reach[i] = max(reach[i], j)
-    sizes = []
-    start = 0
-    end = reach[0]
-    for k in range(1, n + 1):
-        if k > end:
-            sizes.append(k - start)
-            if k < n:
-                start = k
-                end = reach[k]
-        elif k < n:
-            end = max(end, reach[k])
-    partition = BlockPartition(tuple(sizes))
+        partition = hint
+    else:
+        coupled = np.max(np.abs(stack), axis=0) > tol * scale
+        reach = np.arange(n)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if coupled[i, j] or coupled[j, i]:
+                    reach[i] = max(reach[i], j)
+        sizes = []
+        start = 0
+        end = reach[0]
+        for k in range(1, n + 1):
+            if k > end:
+                sizes.append(k - start)
+                if k < n:
+                    start = k
+                    end = reach[k]
+            elif k < n:
+                end = max(end, reach[k])
+        partition = BlockPartition(tuple(sizes))
     block_of = partition.block_of()
     off = block_of[:, None] != block_of[None, :]
     residual = float(np.max(np.abs(stack[:, off]))) / scale if off.any() else 0.0

@@ -10,7 +10,7 @@ Reports are printed as markdown; ``--json OUT`` writes a machine-readable
 report that is byte-identical across reruns with the same inputs (timing is
 reported on stdout only) and never holds NaN or Infinity.  An evaluation
 that leaves the domain, a non-finite value included, exits 2 and names the
-point.
+point; a constant outside the double range exits 2 and names the constant.
 """
 
 from __future__ import annotations
@@ -29,11 +29,12 @@ from . import algebra as alg
 from . import charts as ch
 from . import fields as fl
 from . import spectral as sp
-from .errors import EvalDomainError, TorsionLabError
+from .errors import ConstantRangeError, EvalDomainError, TorsionLabError
 from .expr import SampleDomain, format_expr, sample_points
 from .manifest import DEFAULT_SAMPLES, Manifest, load_manifest
 
 SCHEMA_VERSION = 1
+_INPUT_ERRORS = (EvalDomainError, ConstantRangeError)  # exit 2, never a failed check
 
 
 @dataclass
@@ -101,17 +102,26 @@ def _map_jobs(func, jobs):
         return list(pool.map(func, jobs))
 
 
-def _resolve_domain(man: Manifest, args) -> SampleDomain:
-    if getattr(args, "seed", None) is not None:
-        return replace(man.domain, seed=args.seed)
-    return man.domain
+def _inputs(args, min_samples: int = 1) -> tuple[Manifest, SampleDomain, int, list[str]]:
+    """The manifest, its domain under ``--seed``, the sample count and the operators."""
+    man = load_manifest(args.manifest)
+    domain = man.domain if args.seed is None else replace(man.domain, seed=args.seed)
+    n_pts = _at_least(args, "samples", min_samples)
+    return man, domain, n_pts, _select_operators(man, args.operator)
 
 
 def _resolve_level(man: Manifest, args) -> int:
-    level = args.level or man.level
+    level = man.level if args.level is None else args.level
     if level < 1:
         raise TorsionLabError(f"torsion level must be >= 1, got {level}")
     return level
+
+
+def _at_least(args, option: str, minimum: int = 1) -> int:
+    value = getattr(args, option)
+    if value < minimum:
+        raise TorsionLabError(f"--{option} must be >= {minimum}, got {value}")
+    return value
 
 
 def _select_operators(man: Manifest, names: list[str]) -> list[str]:
@@ -129,12 +139,9 @@ def _select_operators(man: Manifest, names: list[str]) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def cmd_torsion(args) -> Report:
-    man = load_manifest(args.manifest)
-    domain = _resolve_domain(man, args)
+    man, domain, n_pts, names = _inputs(args)
     level = _resolve_level(man, args)
-    n_pts = args.samples or DEFAULT_SAMPLES
     tol = args.tol if args.tol is not None else man.tolerances["vanish_rel"]
-    names = _select_operators(man, args.operator)
     report = Report("torsion", man.path, domain.seed,
                     {"operators": names, "level": level, "samples": n_pts, "tol": tol})
 
@@ -154,10 +161,7 @@ def cmd_torsion(args) -> Report:
 
 
 def cmd_spectrum(args) -> Report:
-    man = load_manifest(args.manifest)
-    domain = _resolve_domain(man, args)
-    n_pts = args.samples or DEFAULT_SAMPLES
-    names = _select_operators(man, args.operator)
+    man, domain, n_pts, names = _inputs(args, min_samples=2)  # regularity compares points
     cluster = man.tolerances["cluster"]
     rank_tol = man.tolerances["rank"]
     report = Report("spectrum", man.path, domain.seed,
@@ -169,7 +173,7 @@ def cmd_spectrum(args) -> Report:
             spec = sp.spectrum_at(op, pts[0], cluster, rank_tol)
             degree = sp.minimal_poly_degree_at(op, pts[0], cluster, rank_tol)
             reg = sp.regularity_check(op, domain, n_pts, cluster, rank_tol)
-        except EvalDomainError:
+        except _INPUT_ERRORS:
             raise
         except TorsionLabError as exc:
             report.add(f"{name} spectrum", False, error=str(exc))
@@ -188,19 +192,17 @@ def cmd_spectrum(args) -> Report:
 
 
 def cmd_algebra(args) -> Report:
-    man = load_manifest(args.manifest)
-    domain = _resolve_domain(man, args)
+    man, domain, n_pts, names = _inputs(args)
     level = _resolve_level(man, args)
-    n_pts = args.samples or DEFAULT_SAMPLES
     tol = args.tol if args.tol is not None else man.tolerances["vanish_rel"]
-    names = _select_operators(man, args.operator)
+    _at_least(args, "combos")
     ops = [man.operators[n] for n in names]
     report = Report("algebra", man.path, domain.seed,
                     {"operators": names, "level": level, "combos": args.combos,
                      "samples": n_pts, "tol": tol})
     try:
         rep = alg.check_algebra(ops, level, domain, n_pts, args.combos, tol)
-    except EvalDomainError:
+    except _INPUT_ERRORS:
         raise
     except TorsionLabError as exc:
         report.add("algebra closure", False, error=str(exc))
@@ -219,11 +221,8 @@ def cmd_algebra(args) -> Report:
 
 
 def cmd_blockdiag(args) -> Report:
-    man = load_manifest(args.manifest)
-    domain = _resolve_domain(man, args)
-    n_pts = args.samples or DEFAULT_SAMPLES
+    man, domain, n_pts, names = _inputs(args)
     tol = args.tol if args.tol is not None else man.tolerances["block"]
-    names = _select_operators(man, args.operator)
     if args.chart not in man.charts:
         raise TorsionLabError(
             f"chart {args.chart!r} not in manifest (have: {', '.join(sorted(man.charts))})")
@@ -241,26 +240,26 @@ def cmd_blockdiag(args) -> Report:
                 potential = ch.integrate_exact_one_form(form)
                 report.add(f"integrate {name}[{idx}]", True,
                            potential=format_expr(potential, man.chart))
+            except _INPUT_ERRORS:
+                raise
             except TorsionLabError as exc:
                 report.add(f"integrate {name}[{idx}]", False, error=str(exc))
 
     pts = sample_points(domain, n_pts)
     golden = man.pushforward_golden.get(args.chart, {})
-    ys = chart.forward_many(pts)
 
     def run(name):
         return ch.pushforward_many(man.operators[name], chart, pts)
 
-    pushed = dict(zip(names, _map_jobs(run, names)))
-    for name in names:
-        mats = pushed[name]
+    for name, mats in zip(names, _map_jobs(run, names)):
         part, residual = ch.detect_blocks(mats, hint, tol)
         ok = residual <= tol if hint is not None else True
         report.add(f"{name} blocks", ok,
                    partition="|".join(str(s) for s in part.sizes),
                    off_block_residual=residual)
         if name in golden:
-            expected = fl.OperatorField(chart.dst, golden[name]).values_many(ys)
+            expected = ch.values_at_image(fl.OperatorField(chart.dst, golden[name]),
+                                          chart, pts)
             scale = 1.0 + np.max(np.abs(expected))
             err = float(np.max(np.abs(mats - expected)) / scale)
             report.add(f"{name} matches printed matrix", err <= tol, residual=err)
@@ -281,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--manifest", required=True, help="manifest JSON file (or bundled fixture name)")
         p.add_argument("--operator", action="append", default=[],
                        help="operator name (repeatable; default: all)")
-        p.add_argument("--samples", type=int, default=None, help="sample point count")
+        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="sample point count")
         p.add_argument("--seed", type=int, default=None, help="override the domain seed")
         p.add_argument("--tol", type=float, default=None, help="override the check tolerance")
         p.add_argument("--json", dest="json_out", default=None, help="write JSON report here")
@@ -298,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("algebra", help="commutativity and module/ring closure")
     common(p)
     p.add_argument("--level", type=int, default=None)
-    p.add_argument("--combos", type=int, default=50, help="random combinations to draw")
+    p.add_argument("--combos", type=int, default=50, help="random combinations f K_a + g K_b "
+                   "to draw (module law; the ring law checks every product K_a K_b)")
     p.set_defaults(func=cmd_algebra)
 
     p = sub.add_parser("blockdiag", help="pushforward and block structure under a chart")

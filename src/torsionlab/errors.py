@@ -28,6 +28,10 @@ class EvalDomainError(TorsionLabError):
     """Evaluation left the real domain (e.g. square root of a negative)."""
 
 
+class ConstantRangeError(TorsionLabError):
+    """An exact constant has no double value: its magnitude overflows."""
+
+
 class UnboundParameterError(TorsionLabError):
     """A named parameter had no value bound at evaluation time."""
 

@@ -28,6 +28,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    ConstantRangeError,
     DimensionMismatchError,
     DomainExhaustedError,
     EvalDomainError,
@@ -533,10 +534,6 @@ def diff(e: Expr, var: int) -> Expr:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
-def grad(e: Expr, dim: int) -> tuple[Expr, ...]:
-    return tuple(diff(e, v) for v in range(dim))
-
-
 def subst_vars(e: Expr, replacements: Sequence[Expr]) -> Expr:
     """Replace every variable ``i`` by ``replacements[i]`` (composition of maps)."""
     if isinstance(e, (Const, Param)):
@@ -573,6 +570,16 @@ def poly_mul(d1: Mapping[tuple, object], d2: Mapping[tuple, object]) -> dict:
     return out
 
 
+def mat_mul(x: Sequence[Sequence[Expr]], y: Sequence[Sequence[Expr]]) -> tuple:
+    """Product of two matrices of expressions, each entry summed in index order."""
+    out = [[ZERO] * len(y[0]) for _ in x]
+    for i, row in enumerate(x):
+        for j in range(len(y[0])):
+            for d, entry in enumerate(row):
+                out[i][j] = add(out[i][j], mul(entry, y[d][j]))
+    return tuple(tuple(r) for r in out)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -583,7 +590,8 @@ def eval_many(e: Expr, pts: np.ndarray,
 
     Division (and negative powers) by magnitudes below ``SINGULARITY_EPS``
     raises :class:`SingularityError`; square roots of negatives raise
-    :class:`EvalDomainError`.
+    :class:`EvalDomainError`; constants beyond the double range raise
+    :class:`ConstantRangeError`.
     """
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2:
@@ -592,7 +600,11 @@ def eval_many(e: Expr, pts: np.ndarray,
 
     def walk(node: Expr):
         if isinstance(node, Const):
-            return float(node.value)
+            try:
+                return float(node.value)
+            except OverflowError:
+                raise ConstantRangeError(f"constant {_fmt_const(node.value)} "
+                                         "is outside the double range") from None
         if isinstance(node, Var):
             return pts[:, node.index]
         if isinstance(node, Param):

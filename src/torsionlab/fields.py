@@ -46,6 +46,7 @@ from .expr import (
     diff,
     eval_at,
     eval_many,
+    mat_mul,
     mul,
     sample_points,
     sub,
@@ -120,14 +121,8 @@ def apply(a: "OperatorField", x: VectorFieldExpr) -> VectorFieldExpr:
     """Symbolic image (AX)^i = A^i_j X^j."""
     if a.chart != x.chart:
         raise ChartMismatchError("apply requires operator and field on the same chart")
-    n = a.chart.dim
-    comps = []
-    for i in range(n):
-        acc: Expr = const(0)
-        for j in range(n):
-            acc = add(acc, mul(a.entries[i][j], x.components[j]))
-        comps.append(acc)
-    return VectorFieldExpr(a.chart, tuple(comps))
+    column = mat_mul(a.entries, tuple((c,) for c in x.components))
+    return VectorFieldExpr(a.chart, tuple(row[0] for row in column))
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,19 @@ def test_noncommuting_family_reported():
     assert not rep.passed
 
 
+def test_ring_law_judges_every_generator_product():
+    # x2 I and diag(1, 0) are torsion-free and commute; their product diag(x2, 0)
+    # is not torsion-free, and one random draw would miss that pair
+    a = op_from_strings(CH2, [["x2", "0"], ["0", "x2"]])
+    b = op_from_strings(CH2, [["1", "0"], ["0", "0"]])
+    dom = SampleDomain(box=((1, 2), (1, 2)), seed=0)
+    reps = [check_algebra([a, b], 1, dom, 20, combos, 1e-8) for combos in (0, 1, 5)]
+    for rep in reps:
+        assert rep.commute_ok
+        assert not rep.ring_closed
+        assert rep.ring_worst == reps[0].ring_worst
+
+
 def test_report_reproducible(lta):
     a = lta.operators["L1"]
     basis = [identity_operator(lta.chart), a]

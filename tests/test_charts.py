@@ -16,7 +16,12 @@ from torsionlab.charts import (
     pushforward_many,
     verify_diffeo,
 )
-from torsionlab.errors import NonPolynomialError, NotClosedError, SingularJacobianError
+from torsionlab.errors import (
+    EvalDomainError,
+    NonPolynomialError,
+    NotClosedError,
+    SingularJacobianError,
+)
 from torsionlab.expr import (
     Chart,
     SampleDomain,
@@ -64,6 +69,16 @@ def test_verify_diffeo_rejects_degenerate_map():
     c = DiffeoChart(src=CH2, dst=CH2, forward=(Var(0), Var(0)))
     with pytest.raises(SingularJacobianError):
         verify_diffeo(c, np.array([[0.5, 0.5]]))
+
+
+@pytest.mark.parametrize("inverse", [None, (Var(0), Var(1))])
+def test_verify_diffeo_rejects_nonfinite_jacobian(inverse):
+    # d/dx1 of x1^64 x2^64 - x1^64 x2^64 is inf - inf on this point
+    c = DiffeoChart(src=CH2, dst=CH2, inverse=inverse,
+                    forward=(parse_expr("x1 + x1^64*x2^64 - x1^64*x2^64", CH2), Var(1)))
+    with pytest.warns(RuntimeWarning), \
+            pytest.raises(EvalDomainError, match=r"chart Jacobian is not finite at point \(1500"):
+        verify_diffeo(c, np.array([[1500.0, 1200.0]]))
 
 
 def test_jacobian_lta_chart_rows(lta):

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import torsionlab.algebra as alg
 import torsionlab.fields as fl
 from torsionlab.cli import main
 from torsionlab.expr import sample_points
@@ -94,6 +95,16 @@ def test_algebra_command_noncommuting_fails(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_algebra_ring_law_misses_no_pair(tmp_path, capsys):
+    # x2 I and diag(1, 0) are torsion-free, their product is not
+    man = {**IDENTITY_MANIFEST, "domain": {"box": [[1, 2], [1, 2]], "seed": 0},
+           "operators": {"A": [["x2", "0"], ["0", "x2"]], "B": [["1", "0"], ["0", "0"]]}}
+    path = write_manifest(tmp_path, man)
+    code, out = run_cli(["algebra", "--manifest", path, "--combos", "1"], capsys)
+    assert code == 1
+    assert "| ring closure | FAIL |" in out
+
+
 def test_algebra_lta_family(capsys):
     code, out = run_cli(["algebra", "--manifest", str(fixture_path("lta.json")),
                          "--level", "3", "--combos", "3", "--samples", "20"], capsys)
@@ -178,6 +189,60 @@ def test_level_below_one_is_an_error(capsys, command):
     assert "torsion level must be >= 1" in err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["torsion", "--samples", "-5"], "--samples must be >= 1, got -5"),
+    (["torsion", "--samples", "0"], "--samples must be >= 1, got 0"),
+    (["blockdiag", "--chart", "y", "--samples", "-5"], "--samples must be >= 1, got -5"),
+    (["spectrum", "--samples", "1"], "--samples must be >= 2, got 1"),
+    (["algebra", "--combos", "-3"], "--combos must be >= 1, got -3"),
+    (["algebra", "--combos", "0"], "--combos must be >= 1, got 0"),
+])
+def test_counts_below_their_minimum_are_errors(capsys, args, message):
+    code = main(args + ["--manifest", str(fixture_path("lta.json"))])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err
+
+
+BIG = str(10 ** 400)  # no double holds it
+
+
+BLOCKDIAG = ["blockdiag", "--chart", "y"]
+
+
+@pytest.mark.parametrize("command, where", [
+    *((cmd, where) for where in ("entry", "guard")
+      for cmd in (["torsion"], ["spectrum"], ["algebra", "--combos", "2"], BLOCKDIAG)),
+    (BLOCKDIAG, "annihilator"),
+])
+def test_constant_outside_double_range_exits_2(tmp_path, capsys, command, where):
+    man = {**IDENTITY_MANIFEST, "charts": {"y": {"forward": ["x1", "x2"]}},
+           "annihilators": {"I": [["1", "0"]]}}
+    if where == "entry":
+        man["operators"] = {"I": [[f"{BIG}*x1", "0"], ["0", "1"]]}
+    elif where == "guard":
+        man["domain"] = {**man["domain"], "guards": [f"{BIG}*x1"]}
+    else:
+        man["annihilators"] = {"I": [[f"{BIG}", "0"]]}
+    path = write_manifest(tmp_path, man)
+    code = main(command + ["--manifest", path, "--samples", "10"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"constant {BIG} is outside the double range" in err
+
+
+@pytest.mark.parametrize("command, expected", [("torsion", 2), ("spectrum", 0)])
+def test_constant_folded_by_the_quotient_rule_exits_2(tmp_path, capsys, command, expected):
+    # x1^2 / 10^200 evaluates; its derivative divides by the constant 10^400
+    man = {**IDENTITY_MANIFEST, "operators": {"A": [[f"x1^2/{10 ** 200}", "0"], ["0", "1"]]}}
+    path = write_manifest(tmp_path, man)
+    code = main([command, "--manifest", path, "--samples", "10"])
+    err = capsys.readouterr().err
+    assert code == expected
+    if expected == 2:
+        assert f"constant {BIG} is outside the double range" in err
+
+
 def test_manifest_parse_error_location(tmp_path, capsys):
     man = json.loads(json.dumps(IDENTITY_MANIFEST))
     man["operators"]["I"][0][1] = "x1 + + 3"
@@ -243,10 +308,28 @@ NONFINITE_GOLDEN_MANIFEST = {
 }
 
 
+# finite Jacobian, but y1 = x1 + 10^308 x2 is inf: the golden matrix sits at y = inf
+NONFINITE_CHART_VALUE_MANIFEST = {
+    **NONFINITE_GOLDEN_MANIFEST,
+    "charts": {"y": {"forward": [f"x1 + {10 ** 308}*x2", "x2"]}},
+    "pushforward_golden": {"y": {"A": [["x1 - x1 + 1", "0"], ["0", "1"]]}},
+}
+
+# y = (2 x1, x2): the error names the sample point x, not y(x)
+SCALED_GOLDEN_MANIFEST = {
+    **NONFINITE_GOLDEN_MANIFEST,
+    "charts": {"y": {"forward": ["2*x1", "x2"]}},
+    "pushforward_golden": {"y": {"A": [["x1^64*x2^64 - x1^64*x2^64 + 2", "0"],
+                                       ["0", "1"]]}},
+}
+
+
 @pytest.mark.parametrize("with_json", [False, True])
 @pytest.mark.parametrize("manifest, what", [
     (NONFINITE_JACOBIAN_MANIFEST, "chart Jacobian"),
     (NONFINITE_GOLDEN_MANIFEST, "operator value"),
+    (NONFINITE_CHART_VALUE_MANIFEST, "chart value"),
+    (SCALED_GOLDEN_MANIFEST, "operator value"),
 ])
 def test_blockdiag_nonfinite_exits_2_naming_the_point(tmp_path, capsys, manifest, what,
                                                       with_json):
@@ -286,6 +369,23 @@ def test_torsion_walks_the_tower_once_per_operator(monkeypatch, capsys):
     for name in man.operators:
         for m in (1, 2, 3):
             assert f"| {name} tau^({m}) |" in out
+
+
+def test_algebra_builds_one_tower_per_product_and_per_combo(monkeypatch, capsys):
+    towers = []
+
+    def counted(*args):
+        towers.append(args[2])
+        return tower_from_jets(*args)
+
+    tower_from_jets = alg.tower_from_jets
+    monkeypatch.setattr(alg, "tower_from_jets", counted)
+    code, _ = run_cli(["algebra", "--manifest", str(fixture_path("lta.json")),
+                       "--level", "3", "--combos", "2", "--samples", "20"], capsys)
+    assert code == 0
+    k = len(load_manifest(fixture_path("lta.json")).operators)
+    # every ordered generator pair K_a K_b (ring law) plus one f K_a + g K_b per combo
+    assert towers == [3] * (k * k + 2) == [3] * 11
 
 
 def test_console_entry_point():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import central_difference
 from torsionlab.errors import (
+    ConstantRangeError,
     DomainExhaustedError,
     EvalDomainError,
     ExprParseError,
@@ -198,6 +199,18 @@ def test_eval_many_returns_fresh_float_arrays():
     assert eval_many(Var(0), pts).tolist() == pts[:, 0].tolist()
 
 
+@pytest.mark.parametrize("e", [
+    parse_expr(f"{10 ** 400}*x1", CH2),
+    parse_expr(f"{10 ** 401}/10 + x1", CH2),
+    # the quotient rule folds the squared denominator into one constant
+    diff(parse_expr(f"x1^2/{10 ** 200}", CH2), 0),
+], ids=["literal", "folded-division", "derivative"])
+def test_constant_outside_double_range_is_named(e):
+    with pytest.raises(ConstantRangeError,
+                       match=f"constant {10 ** 400} is outside the double range"):
+        eval_many(e, np.ones((3, 2)))
+
+
 # ---------------------------------------------------------------------------
 # guarded sampling
 # ---------------------------------------------------------------------------
@@ -217,6 +230,13 @@ def test_sample_points_guard_contract():
     dom = SampleDomain(box=((-1, 1),), guards=(Var(0),), guard_eps=0.5, seed=7)
     pts = sample_points(dom, 200)
     assert np.all(np.abs(pts[:, 0]) > 0.5)
+
+
+def test_sample_points_guard_constant_outside_double_range():
+    # the guard drops rows on singular or domain errors; this one fails every row
+    dom = SampleDomain(box=((1, 2),) * 2, guards=(parse_expr(f"{10 ** 400}*x1", CH2),))
+    with pytest.raises(ConstantRangeError):
+        sample_points(dom, 5)
 
 
 def test_sample_points_domain_exhausted():

@@ -9,8 +9,9 @@ chart and verifies the block partition.
 Reports are printed as markdown; ``--json OUT`` writes a machine-readable
 report that is byte-identical across reruns with the same inputs (timing is
 reported on stdout only) and never holds NaN or Infinity.  An evaluation
-that leaves the domain, a non-finite value included, exits 2 and names the
-point; a constant outside the double range exits 2 and names the constant.
+that leaves the domain, a non-finite value or a divisor below
+``expr.SINGULARITY_EPS`` included, exits 2 and names the point; a constant
+outside the double range exits 2 and names the constant.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ from . import algebra as alg
 from . import charts as ch
 from . import fields as fl
 from . import spectral as sp
-from .errors import ConstantRangeError, EvalDomainError, TorsionLabError
+from .errors import ConstantRangeError, EvalDomainError, SingularityError, TorsionLabError
 from .expr import SampleDomain, format_expr, sample_points
 from .manifest import DEFAULT_SAMPLES, Manifest, load_manifest
 
 SCHEMA_VERSION = 1
-_INPUT_ERRORS = (EvalDomainError, ConstantRangeError)  # exit 2, never a failed check
+# exit 2, never a failed check
+_INPUT_ERRORS = (EvalDomainError, ConstantRangeError, SingularityError)
 
 
 @dataclass

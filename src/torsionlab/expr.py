@@ -38,7 +38,7 @@ from .errors import (
     UnknownVariableError,
 )
 
-SINGULARITY_EPS = 1e-12
+SINGULARITY_EPS = 1e-12  # absolute: a divisor's scale follows the coordinates'
 MAX_POW_EXPONENT = 64
 MAX_CONSECUTIVE_REJECTIONS = 1_000_000
 
@@ -619,14 +619,14 @@ def eval_many(e: Expr, pts: np.ndarray,
             return walk(node.left) * walk(node.right)
         if isinstance(node, Div):
             denom = walk(node.right)
-            _guard_divisor(denom)
+            _guard_divisor(denom, pts)
             return walk(node.left) / denom
         if isinstance(node, Neg):
             return -walk(node.arg)
         if isinstance(node, Pow):
             base = walk(node.base)
             if node.exponent < 0:
-                _guard_divisor(base)
+                _guard_divisor(base, pts)
             return np.power(base, node.exponent)
         if isinstance(node, Sqrt):
             arg = walk(node.arg)
@@ -642,10 +642,17 @@ def eval_many(e: Expr, pts: np.ndarray,
     return out
 
 
-def _guard_divisor(value):
-    if np.any(np.abs(np.asarray(value)) < SINGULARITY_EPS):
-        raise SingularityError(
-            f"divisor magnitude below {SINGULARITY_EPS:g} during evaluation")
+def _guard_divisor(value, pts: np.ndarray) -> None:
+    """Raise :class:`SingularityError` naming the first point of ``pts`` where
+    the divisor ``value`` (one per point, or one constant) is below
+    ``SINGULARITY_EPS`` in magnitude.  The bound is absolute: it does not
+    scale with the coordinates or the operator."""
+    small = np.abs(value) < SINGULARITY_EPS
+    if not np.any(small):
+        return
+    at = int(np.argmax(small)) if np.ndim(small) else 0
+    where = f"at point {tuple(pts[at].tolist())}" if at < pts.shape[0] else "during evaluation"
+    raise SingularityError(f"divisor magnitude below {SINGULARITY_EPS:g} {where}")
 
 
 def eval_at(e: Expr, point, params: Mapping[str, float] | None = None) -> float:
@@ -678,6 +685,8 @@ class SampleDomain:
     """A box with singularity guards for rejection sampling.
 
     Accepted points satisfy ``|g(p)| > guard_eps`` for every guard ``g``.
+    Like ``SINGULARITY_EPS``, ``guard_eps`` is an absolute bound, so which
+    points a guard rejects depends on the scale of the coordinates.
     Sampling is a pure function of ``(domain, count)``.
     """
 

@@ -6,6 +6,13 @@ stabilization of powers.  The generalized eigenspace, characteristic space
 and annihilator of each eigenvalue are read off the one singular value
 decomposition of the stabilized power that the rank sequence already
 computed.
+
+One batched core, :func:`_spectra`, analyses a stack of points at once: one
+``eigvals`` call and one vectorized clustering for the whole stack, then per
+eigenvalue slot and per power one ``matmul`` and one ``svd`` over the points
+still raising that power.  A regularity sweep asks the SVD for singular
+values only and keeps integer digests; :func:`spectrum_at` is the one-point
+case, the only one that computes SVD factors and bases.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .errors import (
     NonCommutingError,
     RankAmbiguousError,
     SpectralError,
+    TorsionLabError,
 )
 from .expr import Chart, SampleDomain, as_point, sample_points
 from .fields import OperatorBase, VectorFieldExpr, lie_bracket
@@ -51,36 +59,40 @@ COMMUTE_TOL = 1e-8
 # numeric rank with an unambiguity requirement
 # ---------------------------------------------------------------------------
 
-def _rank_cut(s: np.ndarray, rank_tol: float) -> int:
-    """Rank from descending singular values ``s`` by threshold ``rank_tol * s[0]``.
+def _rank_cut(s: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks from descending singular values ``s`` (shape ``(..., k)``) by the
+    threshold ``rank_tol * s[..., 0]``, and the mask of ambiguous cuts.
 
-    The cut must be clean: the smallest retained singular value has to exceed
-    the largest discarded one by ``RANK_GAP_FACTOR``, otherwise
-    :class:`RankAmbiguousError` is raised.
+    A cut is clean when the smallest retained singular value exceeds the
+    largest discarded one by ``RANK_GAP_FACTOR``.
     """
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    thresh = rank_tol * s[0]
-    rank = int(np.sum(s > thresh))
-    if 0 < rank < s.size:
-        above, below = s[rank - 1], s[rank]
-        if below > 0 and above / below < RANK_GAP_FACTOR:
-            raise RankAmbiguousError(
-                f"singular values {above:.3e} and {below:.3e} straddle "
-                f"threshold {thresh:.3e}")
-    return rank
+    keep = s > rank_tol * s[..., :1]
+    above = np.minimum.reduce(s, axis=-1, where=keep, initial=np.inf, keepdims=True)
+    below = np.maximum.reduce(s, axis=-1, where=~keep, initial=0.0, keepdims=True)
+    gap = below > 0
+    ratio = np.divide(above, below, out=above, where=gap)
+    return keep.sum(axis=-1), (gap & (ratio < RANK_GAP_FACTOR))[..., 0]
 
 
-def _rank_svd(mat: np.ndarray, rank_tol: float) -> tuple[int, np.ndarray, np.ndarray]:
-    """Numeric rank of ``mat`` together with the factors ``u`` and ``vh`` of its SVD."""
-    u, s, vh = np.linalg.svd(mat)
-    return _rank_cut(s, rank_tol), u, vh
+def _ambiguity(s: np.ndarray, rank: int, rank_tol: float) -> str:
+    """Why the cut of one row ``s`` at ``rank`` is ambiguous."""
+    return (f"singular values {s[rank - 1]:.3e} and {s[rank]:.3e} straddle "
+            f"threshold {rank_tol * s[0]:.3e}")
+
+
+def _clean_rank(s: np.ndarray, rank_tol: float) -> int:
+    """Rank of one row of descending singular values; an ambiguous cut raises
+    :class:`RankAmbiguousError`."""
+    rank, ambiguous = _rank_cut(s, rank_tol)
+    if ambiguous:
+        raise RankAmbiguousError(_ambiguity(s, int(rank), rank_tol))
+    return int(rank)
 
 
 def numeric_rank(mat: np.ndarray, rank_tol: float = RANK_TOL) -> int:
     """Rank by singular value threshold ``rank_tol * s_max`` with a clean gap
     (see :func:`_rank_cut`)."""
-    return _rank_cut(np.linalg.svd(mat, compute_uv=False), rank_tol)
+    return _clean_rank(np.linalg.svd(mat, compute_uv=False), rank_tol)
 
 
 def max_principal_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
@@ -94,8 +106,12 @@ def max_principal_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# spectrum at a point
+# spectra at points
 # ---------------------------------------------------------------------------
+
+def _digest(riesz, ranks) -> tuple:
+    return (len(riesz), tuple(sorted(riesz)), tuple(sorted(ranks)))
+
 
 @dataclass(frozen=True, eq=False)
 class SpectrumAtPoint:
@@ -117,31 +133,177 @@ class SpectrumAtPoint:
     @property
     def digest(self) -> tuple:
         """Structure summary invariant under reordering: (s, rho multiset, rank multiset)."""
-        return (len(self.eigenvalues), tuple(sorted(self.riesz)), tuple(sorted(self.ranks)))
+        return _digest(self.riesz, self.ranks)
 
 
-def _cluster_eigenvalues(eigs: np.ndarray, radius: float) -> list[np.ndarray]:
-    order = np.lexsort((eigs.imag, eigs.real))
-    eigs = eigs[order]
-    k = eigs.size
-    parent = list(range(k))
+def _pairwise_sum(a: np.ndarray, width: int) -> np.ndarray:
+    """Sums of the rows of ``a`` (K, g) added in the order of numpy's pairwise
+    summation, whose elements are ``width`` doubles wide (1 real, 2 complex).
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    Below eight doubles the sum is a left fold; up to 128 doubles, eight
+    doubles of accumulators run over the full blocks and are added as a tree
+    before the rest is folded in; longer rows are split in two.
+    """
+    g = a.shape[-1]
+    n = g * width
+    if n < 8:
+        return 0.0 + np.add.accumulate(a, axis=-1)[..., -1]
+    if n > 128:
+        half = (n // 2 - n // 2 % 8) // width
+        return _pairwise_sum(a[..., :half], width) + _pairwise_sum(a[..., half:], width)
+    block = 8 // width
+    full = g - g % block
+    acc = np.add.accumulate(a[..., :full].reshape(-1, full // block, block), axis=1)[:, -1]
+    while acc.shape[-1] > 1:
+        acc = acc[:, 0::2] + acc[:, 1::2]
+    total = 0.0 + acc[:, 0]
+    for i in range(full, g):
+        total = total + a[:, i]
+    return total
 
-    for a in range(k):
-        for b in range(a + 1, k):
-            if abs(eigs[a] - eigs[b]) <= radius:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-    groups: dict[int, list[complex]] = {}
-    for a in range(k):
-        groups.setdefault(find(a), []).append(eigs[a])
-    return [np.array(v) for v in groups.values()]
+
+def _cluster_means(mats: np.ndarray, radius: np.ndarray):
+    """Distinct eigenvalues of each matrix of ``mats`` (N, n, n) as cluster means.
+
+    The eigenvalues of one matrix, sorted by (real, imag), fall into the
+    components of the graph ``|e_a - e_b| <= radius``.  A cluster is stored
+    at the sorted position of its first member: returns the real and
+    imaginary parts of the means, each (N, n), and the mask of the positions
+    that hold a cluster.  The means repeat ``np.mean`` bit for bit: the
+    members are summed as numpy sums them (:func:`_pairwise_sum`, by cluster
+    size), a real cluster is divided by its size g and a complex one scaled
+    by ``1/g`` the way complex division does.
+    """
+    raw = np.linalg.eigvals(mats)
+    n_pts, n = raw.shape
+    real_row = (raw.imag == 0).all(axis=-1)  # single-matrix eigvals returns these as real
+    rows = np.arange(n_pts)[:, None]
+    eigs = raw[rows, np.lexsort((raw.imag, raw.real), axis=-1)]
+
+    near = np.abs(eigs[:, :, None] - eigs[:, None, :]) <= radius[:, None, None]
+    label = np.broadcast_to(np.arange(n), (n_pts, n))
+    while True:  # each member takes the least label it reaches: its component's first
+        spread = np.where(near, label[:, None, :], n).min(axis=-1)
+        if (spread == label).all():
+            break
+        label = spread
+    roots = label == np.arange(n)
+
+    same = label[:, :, None] == label[:, None, :]
+    members = np.zeros((n_pts, n, n), dtype=eigs.dtype)  # [point, cluster, member]
+    members[rows, label, (same & np.tri(n, k=-1, dtype=bool)).sum(axis=-1)] = eigs
+    size = same.sum(axis=-1)  # at a cluster's position: its member count
+    cplx = np.repeat(~real_row[:, None], n, axis=1)
+    total = np.zeros_like(members[..., 0])
+    for g, c in set(zip(size[roots].tolist(), cplx[roots].tolist())):
+        at = roots & (size == g) & (cplx == c)
+        total[at] = _pairwise_sum(members[at][:, :g], 2 if c else 1)
+    sr, si = total.real, total.imag
+    inv = 1.0 / size
+    re = np.where(cplx, (sr + si * 0.0) * inv, sr / size)
+    im = np.where(cplx, (si - sr * 0.0) * inv, 0.0)
+    return re, im, roots
+
+
+def _spectra(mats: np.ndarray, pts: np.ndarray, cluster_tol: float, rank_tol: float):
+    """Spectral structure of the operator values ``mats`` (N, n, n) at ``pts``.
+
+    A generator over eigenvalue slots: slot j holds the j-th distinct
+    eigenvalue of each point in ascending order.  It yields
+    ``(j, idx, lam, rho, rank, u, vh)`` for the points ``idx`` whose rank
+    sequence in slot j stopped at the Riesz index ``rho``: their eigenvalues,
+    the ranks of the stabilized powers (A - lam I)^rho and, when the stack
+    holds one point, the SVD factors ``u``, ``vh`` of that power (``None`` in
+    a sweep, which needs only singular values).  Points of one slot with
+    different Riesz indices come in separate yields, ascending in ``rho``.
+    Every power of a slot is one ``matmul`` and one ``svd`` over the points
+    still raising it, so a point costs rho + 1 SVD rows per eigenvalue: one
+    per power of the rank sequence, the last of which only confirms that the
+    rank stopped changing.
+
+    After the last slot the error of the first failing point is raised,
+    naming that point.  The checks of one point run in this order: complex
+    eigenvalue, then the slots by ascending eigenvalue and their powers in
+    ascending order, then the sum of the generalized eigenspace ranks.
+    """
+    n_pts, n = mats.shape[:2]
+    errors: dict[int, TorsionLabError] = {}
+    failed = np.zeros(n_pts, dtype=bool)
+
+    def fail(i, error_type, message):  # the first error of a point is its error
+        if not failed[i]:
+            failed[i] = True
+            errors[int(i)] = error_type(f"{message} (at sample point {pts[i].tolist()})")
+
+    scale = 1.0 + np.max(np.abs(mats), axis=(1, 2))
+    re, im, roots = _cluster_means(mats, cluster_tol * scale)
+    nonreal = roots & (np.abs(im) > IMAG_TOL * scale[:, None])
+    for i in nonreal.any(axis=1).nonzero()[0]:
+        k = np.argmax(nonreal[i])
+        fail(i, ComplexEigenvalueError, f"eigenvalue {complex(re[i, k], im[i, k]):.6g} "
+             "has non-negligible imaginary part")
+    lams = np.sort(np.where(roots, re, np.inf), axis=1, kind="stable")
+    count = np.sum(roots, axis=1)
+
+    dims = np.zeros((n_pts, n), dtype=int)  # generalized eigenspace dimension per slot
+    for j in range(n):
+        idx = ((count > j) & ~failed).nonzero()[0]
+        if not idx.size:
+            break
+        yield from _rank_walk(mats, j, idx, lams[idx, j], dims, rank_tol, fail)
+
+    for i in (dims.sum(axis=1) != n).nonzero()[0]:
+        fail(i, SpectralError, f"generalized eigenspace ranks {dims[i, :count[i]].tolist()} "
+             f"do not sum to dimension {n}")
+    if errors:
+        raise errors[min(errors)]
+
+
+def _rank_walk(mats: np.ndarray, j: int, idx: np.ndarray, lam: np.ndarray,
+               dims: np.ndarray, rank_tol: float, fail):
+    """Rank sequences of the powers of ``mats[idx] - lam I`` in slot ``j`` of
+    :func:`_spectra`, all points at once.
+
+    Yields ``(j, idx, lam, rho, rank, u, vh)`` for the points whose rank
+    stopped falling at the Riesz index ``rho``, with the rank and (for a
+    one-point stack) the SVD factors of the stabilized power, and records
+    the generalized eigenspace dimension in ``dims[idx, j]``; a point that
+    fails goes to ``fail(point, error type, message)`` instead.
+    """
+    n = mats.shape[1]
+    eye = np.eye(n)
+    shifted = mats[idx] - lam[:, None, None] * eye
+    # only the one-point analysis reads the bases; there a stopping point is
+    # the whole stack, so its factors need no indexing
+    svd = (np.linalg.svd if mats.shape[0] == 1
+           else lambda m: (None, np.linalg.svd(m, compute_uv=False), None))
+    # per point still raising the power: rank (and SVD factors) of the last
+    # power whose rank dropped
+    rank, u, vh = np.full(idx.size, n), None, None
+    power = eye
+    for rho in range(n + 1):
+        power = power @ shifted
+        pu, s, pvh = svd(power)
+        cut, ambiguous = _rank_cut(s, rank_tol)
+        leave = ambiguous | (cut == rank)
+        if leave.any():
+            for k in ambiguous.nonzero()[0]:
+                fail(idx[k], RankAmbiguousError, _ambiguity(s[k], cut[k], rank_tol))
+            stop = leave & ~ambiguous
+            if rho == 0:
+                for k in stop.nonzero()[0]:
+                    fail(idx[k], SpectralError, f"cluster value {lam[k]:.6g} is not an eigenvalue")
+            elif stop.any():
+                dims[idx[stop], j] = n - rank[stop]
+                yield j, idx[stop], lam[stop], rho, rank[stop], u, vh
+            stay = ~leave
+            if not stay.any():
+                return
+            idx, lam, shifted = idx[stay], lam[stay], shifted[stay]
+            power, cut = power[stay], cut[stay]
+        rank, u, vh = cut, pu, pvh
+    for i in idx:
+        fail(i, SpectralError, "rank sequence failed to stabilize")
 
 
 def spectrum_at(a: OperatorBase, point, cluster_tol: float = CLUSTER_TOL,
@@ -153,64 +315,18 @@ def spectrum_at(a: OperatorBase, point, cluster_tol: float = CLUSTER_TOL,
 
 def _spectrum(mat: np.ndarray, p: np.ndarray, cluster_tol: float,
               rank_tol: float) -> SpectrumAtPoint:
-    """Spectrum of the value ``mat`` of an operator at the point ``p``.
-
-    Each eigenvalue costs rho + 1 SVDs: one per power of the rank sequence,
-    the last of which only confirms that the rank stopped changing.
-    """
+    """Spectrum of the value ``mat`` of an operator at the point ``p``: the
+    one-point case of :func:`_spectra`, whose SVD of each stabilized power
+    gives the generalized eigenspace, the characteristic space and the
+    annihilator."""
     n = mat.shape[0]
-    scale = 1.0 + float(np.max(np.abs(mat)))
-
-    raw = np.linalg.eigvals(mat)
-    clusters = _cluster_eigenvalues(raw, cluster_tol * scale)
-    lams = []
-    for grp in clusters:
-        mean = complex(np.mean(grp))
-        if abs(mean.imag) > IMAG_TOL * scale:
-            raise ComplexEigenvalueError(
-                f"eigenvalue {mean:.6g} has non-negligible imaginary part")
-        lams.append(mean.real)
-    lams.sort()
-
-    eigenvalues, riesz, ranks = [], [], []
-    eig_bases, char_bases, annihilators = [], [], []
-    for lam in lams:
-        shifted = mat - lam * np.eye(n)
-        rank, u, vh = n, None, None  # rank and SVD of the last power whose rank dropped
-        power = np.eye(n)
-        rho = 0
-        while True:
-            power = power @ shifted
-            rho += 1
-            cut = _rank_svd(power, rank_tol)
-            if cut[0] == rank:
-                rho -= 1
-                break
-            rank, u, vh = cut
-            if rho > n:
-                raise SpectralError("rank sequence failed to stabilize")
-        if rho == 0:
-            raise SpectralError(f"cluster value {lam:.6g} is not an eigenvalue")
-        # u, vh now factor the stabilized power (A - lam I)^rho
-        eigenvalues.append(lam)
-        riesz.append(rho)
-        ranks.append(n - rank)
-        eig_bases.append(vh[rank:].T)
-        char_bases.append(u[:, :rank])
-        annihilators.append(u[:, rank:].T)
-
-    if sum(ranks) != n:
-        raise SpectralError(
-            f"generalized eigenspace ranks {ranks} do not sum to dimension {n}")
-    return SpectrumAtPoint(
-        point=p,
-        eigenvalues=tuple(eigenvalues),
-        riesz=tuple(riesz),
-        ranks=tuple(ranks),
-        eig_bases=tuple(eig_bases),
-        char_bases=tuple(char_bases),
-        annihilators=tuple(annihilators),
-    )
+    fields: tuple[list, ...] = ([], [], [], [], [], [])
+    for _, _, lam, rho, rank, u, vh in _spectra(mat[None], p[None], cluster_tol, rank_tol):
+        r, u, vh = int(rank[0]), u[0], vh[0]
+        for field, value in zip(fields, (float(lam[0]), rho, n - r,
+                                         vh[r:].T, u[:, :r], u[:, r:].T)):
+            field.append(value)
+    return SpectrumAtPoint(p, *map(tuple, fields))
 
 
 def minimal_poly_degree_at(a: OperatorBase, point,
@@ -223,7 +339,7 @@ def minimal_poly_degree_at(a: OperatorBase, point,
     """
     p = as_point(a.chart, point)
     mat = a.values_many(p[None, :])[0]
-    degree = int(sum(_spectrum(mat, p, cluster_tol, rank_tol).riesz))
+    degree = sum(rho for _, _, _, rho, *_ in _spectra(mat[None], p[None], cluster_tol, rank_tol))
     n = mat.shape[0]
     rows = [np.eye(n).ravel()]
     power = np.eye(n)
@@ -262,15 +378,15 @@ class RegularityReport:
 def regularity_check(a: OperatorBase, domain: SampleDomain, n_pts: int,
                      cluster_tol: float = CLUSTER_TOL,
                      rank_tol: float = RANK_TOL) -> RegularityReport:
+    """Whether the spectral digest is the same at ``n_pts`` sample points.
+
+    The operator is evaluated once and the points are analysed by one
+    batched sweep; a spectral error names the first failing point.
+    """
     if n_pts < 2:
         raise ValueError("regularity needs at least two sample points")
     pts = sample_points(domain, n_pts)
-    digests = []
-    for p, mat in zip(pts, a.values_many(pts)):
-        try:
-            digests.append(_spectrum(mat, p, cluster_tol, rank_tol).digest)
-        except (ComplexEigenvalueError, RankAmbiguousError, SpectralError) as exc:
-            raise type(exc)(f"{exc} (at sample point {p.tolist()})") from exc
+    digests = _sweep(a.values_many(pts), pts, cluster_tol, rank_tol)
     first = digests[0]
     details = ""
     constant = True
@@ -282,6 +398,19 @@ def regularity_check(a: OperatorBase, domain: SampleDomain, n_pts: int,
             break
     return RegularityReport(constant=constant, n_points=n_pts, seed=domain.seed,
                             digests=tuple(digests), details=details)
+
+
+def _sweep(mats: np.ndarray, pts: np.ndarray, cluster_tol: float,
+           rank_tol: float) -> list[tuple]:
+    """The digest of every point of ``mats`` (N, n, n), from integers only."""
+    n_pts, n = mats.shape[:2]
+    riesz = np.zeros((n_pts, n), dtype=int)  # per point and eigenvalue slot
+    ranks = np.zeros((n_pts, n), dtype=int)
+    for j, idx, _, rho, rank, _, _ in _spectra(mats, pts, cluster_tol, rank_tol):
+        riesz[idx, j], ranks[idx, j] = rho, n - rank
+    count = np.count_nonzero(riesz, axis=1)  # every eigenvalue has rho >= 1
+    return [_digest(r[:c], d[:c])
+            for c, r, d in zip(count.tolist(), riesz.tolist(), ranks.tolist())]
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,8 +473,8 @@ def _intersect(basis_a: np.ndarray, basis_b: np.ndarray,
     qa, _ = np.linalg.qr(basis_a)
     qb, _ = np.linalg.qr(basis_b)
     stacked = np.vstack([np.eye(n) - qa @ qa.T, np.eye(n) - qb @ qb.T])
-    rank, _, vh = _rank_svd(stacked, rank_tol)
-    return vh[rank:].T
+    _, s, vh = np.linalg.svd(stacked)
+    return vh[_clean_rank(s, rank_tol):].T
 
 
 def joint_refinement(ops: Sequence[OperatorBase], point,

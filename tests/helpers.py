@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the production index-contraction code
 paths: torsions are assembled from symbolic brackets and operator
-applications exactly as defined, then evaluated pointwise.
+applications exactly as defined, then evaluated pointwise.  The spectral
+oracle analyses one matrix at a time, with a union-find clustering,
+``np.mean`` and its own rank rule, where the production core batches points.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from torsionlab.errors import ComplexEigenvalueError, RankAmbiguousError, SpectralError
 from torsionlab.expr import Chart, Expr, Var, const, eval_at
 from torsionlab.fields import OperatorField, VectorFieldExpr, apply, lie_bracket
+from torsionlab.spectral import IMAG_TOL, RANK_GAP_FACTOR
 
 
 def basis_field(chart: Chart, index: int) -> VectorFieldExpr:
@@ -67,6 +71,93 @@ def haantjes_oracle(a: OperatorField, point) -> np.ndarray:
             out[:, j, k] = val
             out[:, k, j] = -val
     return out
+
+
+def cluster_eigenvalues(eigs: np.ndarray, radius: float) -> list[np.ndarray]:
+    """Clusters of ``eigs`` (sorted by real, then imaginary part) under the
+    transitive closure of ``|e_a - e_b| <= radius``, by union-find; clusters
+    in order of their first member, members in sorted order."""
+    order = np.lexsort((eigs.imag, eigs.real))
+    eigs = eigs[order]
+    k = eigs.size
+    parent = list(range(k))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a in range(k):
+        for b in range(a + 1, k):
+            if abs(eigs[a] - eigs[b]) <= radius:
+                ra, rb = find(a), find(b)
+                if ra != rb:
+                    parent[rb] = ra
+    groups: dict[int, list[complex]] = {}
+    for a in range(k):
+        groups.setdefault(find(a), []).append(eigs[a])
+    return [np.array(v) for v in groups.values()]
+
+
+def rank_oracle(s: np.ndarray, rank_tol: float) -> int:
+    """Numeric rank of one row of descending singular values, with the gap rule."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    thresh = rank_tol * s[0]
+    rank = int(np.sum(s > thresh))
+    if 0 < rank < s.size:
+        above, below = s[rank - 1], s[rank]
+        if below > 0 and above / below < RANK_GAP_FACTOR:
+            raise RankAmbiguousError(
+                f"singular values {above:.3e} and {below:.3e} straddle "
+                f"threshold {thresh:.3e}")
+    return rank
+
+
+def spectrum_oracle(mat: np.ndarray, cluster_tol: float, rank_tol: float) -> tuple:
+    """Spectrum of one matrix from the definitions, one point at a time.
+
+    Returns ``(eigenvalues, riesz, ranks, eig_bases, char_bases, annihilators)``:
+    eigenvalues are the ``np.mean`` of the union-find clusters, and each Riesz
+    index is the first power of ``A - l I`` whose rank stops falling, with the
+    bases read from the SVD of the stabilized power.
+    """
+    n = mat.shape[0]
+    scale = 1.0 + float(np.max(np.abs(mat)))
+    lams = []
+    for grp in cluster_eigenvalues(np.linalg.eigvals(mat), cluster_tol * scale):
+        mean = complex(np.mean(grp))
+        if abs(mean.imag) > IMAG_TOL * scale:
+            raise ComplexEigenvalueError(
+                f"eigenvalue {mean:.6g} has non-negligible imaginary part")
+        lams.append(mean.real)
+    lams.sort()
+    out = ([], [], [], [], [], [])
+    for lam in lams:
+        shifted = mat - lam * np.eye(n)
+        rank, u, vh = n, None, None
+        power = np.eye(n)
+        rho = 0
+        while True:
+            power = power @ shifted
+            rho += 1
+            pu, s, pvh = np.linalg.svd(power)
+            cut = rank_oracle(s, rank_tol)
+            if cut == rank:
+                rho -= 1
+                break
+            rank, u, vh = cut, pu, pvh
+            if rho > n:
+                raise SpectralError("rank sequence failed to stabilize")
+        if rho == 0:
+            raise SpectralError(f"cluster value {lam:.6g} is not an eigenvalue")
+        for lst, item in zip(out, (lam, rho, n - rank, vh[rank:].T, u[:, :rank], u[:, rank:].T)):
+            lst.append(item)
+    if sum(out[2]) != n:
+        raise SpectralError(
+            f"generalized eigenspace ranks {out[2]} do not sum to dimension {n}")
+    return tuple(tuple(lst) for lst in out)
 
 
 def central_difference(e: Expr, var: int, point, scale: float = 1e-6) -> float:

@@ -291,6 +291,19 @@ def test_nonfinite_value_exits_2_naming_the_point(tmp_path, capsys, command):
     assert not out_json.exists()
 
 
+@pytest.mark.parametrize("command", [["torsion"], ["algebra", "--combos", "2"], ["spectrum"]])
+def test_singular_divisor_exits_2_naming_the_point(tmp_path, capsys, command):
+    man = {**IDENTITY_MANIFEST, "operators": {"A": [["1/(x1-x1)", "0"], ["0", "1"]]}}
+    path = write_manifest(tmp_path, man)
+    out_json = tmp_path / "report.json"
+    code = main(command + ["--manifest", path, "--samples", "10", "--json", str(out_json)])
+    err = capsys.readouterr().err
+    first = sample_points(load_manifest(path).domain, 1)[0]
+    assert code == 2
+    assert f"divisor magnitude below 1e-12 at point {tuple(first.tolist())}" in err
+    assert not out_json.exists()
+
+
 # identity operator, but the chart Jacobian d/dx1 (x1 + x1^64 x2^64 - ...) is inf - inf
 NONFINITE_JACOBIAN_MANIFEST = {
     **NONFINITE_MANIFEST,

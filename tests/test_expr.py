@@ -180,6 +180,19 @@ def test_eval_negative_power_guard_is_singularity():
         eval_at(e, (0.0, 0.0, 0.0, 0.0, 0.0))
 
 
+def test_singularity_names_the_first_point():
+    pts = np.array([[2.0, 0.0, 0.0, 0.0, 0.0], [1.0, 0.5, 0.0, 0.0, 0.0],
+                    [1.0, 0.0, 0.0, 0.0, 0.0]])
+    for text in ("1/(x1 - 1)", "(x1 - 1)^-2"):
+        with pytest.raises(SingularityError, match=r"at point \(1\.0, 0\.5, 0\.0, 0\.0, 0\.0\)$"):
+            eval_many(parse_expr(text, CH5), pts)
+    # a constant divisor fails at every point, so the first one is named
+    with pytest.raises(SingularityError, match=r"at point \(2\.0, 0\.0, 0\.0, 0\.0, 0\.0\)$"):
+        eval_many(Div(Const(Fraction(1)), Const(Fraction(0))), pts)
+    with pytest.raises(SingularityError, match="during evaluation$"):
+        eval_many(Div(Const(Fraction(1)), Const(Fraction(0))), pts[:0])
+
+
 def test_eval_many_vectorized_matches_scalar():
     e = parse_expr("x1*x2 - 1/x3 + cbrt(x4)", CH5)
     rng = np.random.default_rng(3)

@@ -1,20 +1,33 @@
 """Pointwise spectra, Riesz indices, regularity, involutivity and refinements."""
 
+from dataclasses import replace
+from itertools import permutations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import basis_field
+from helpers import basis_field, cluster_eigenvalues, spectrum_oracle
 from torsionlab.errors import (
     ComplexEigenvalueError,
     DependentSpanningSetError,
     NonCommutingError,
     RankAmbiguousError,
+    SpectralError,
     TorsionLabError,
 )
 from torsionlab.expr import Chart, SampleDomain, Var, const, eval_at, parse_expr, sample_points
 from torsionlab.fields import OperatorField, VectorFieldExpr, identity_operator
 from torsionlab.spectral import (
+    CLUSTER_TOL,
+    RANK_TOL,
+    _cluster_means,
     _intersect,
+    _pairwise_sum,
+    _spectra,
+    _spectrum,
+    _sweep,
     involutivity_check,
     joint_refinement,
     max_principal_angle,
@@ -97,16 +110,20 @@ def test_rank_stabilization_invariant(lfa1):
         assert ranks[rho - 1] == 7 - r
 
 
-def count_svd_calls(monkeypatch):
+def count_calls(monkeypatch, name):
     calls = []
-    svd = np.linalg.svd
+    func = getattr(np.linalg, name)
 
-    def counting_svd(*args, **kwargs):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return svd(*args, **kwargs)
+        return func(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, name, counting)
     return calls
+
+
+def count_svd_calls(monkeypatch):
+    return count_calls(monkeypatch, "svd")
 
 
 @pytest.mark.parametrize("fixture, name, expected", [("lfa1", "K1", 12), ("lta", "L1", 9)])
@@ -233,6 +250,231 @@ def test_regularity_error_names_first_failing_point(rows):
     with pytest.raises(first[0]) as info:
         regularity_check(a, dom, 40)
     assert str(info.value).endswith(f"(at sample point {first[1]})")
+
+
+@pytest.mark.parametrize("fixture, name", [("lfa1", "K1"), ("lta", "L1")])
+def test_sweep_calls_do_not_grow_with_the_point_count(request, monkeypatch, fixture, name):
+    # one eigvals call per sweep, and one svd call per (eigenvalue slot, power)
+    man = request.getfixturevalue(fixture)
+    op = man.operators[name]
+    svd, eigvals = count_calls(monkeypatch, "svd"), count_calls(monkeypatch, "eigvals")
+    counts = []
+    for n_pts in (20, 80):
+        regularity_check(op, man.domain, n_pts, man.tolerances["cluster"], man.tolerances["rank"])
+        counts.append((len(svd), len(eigvals)))
+        svd.clear()
+        eigvals.clear()
+    assert counts[0] == counts[1]
+    assert counts[0][1] == 1
+
+
+# ---------------------------------------------------------------------------
+# the batched core against the per-point oracle
+# ---------------------------------------------------------------------------
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def oracle_sweep(mats, pts, cluster_tol=CLUSTER_TOL, rank_tol=RANK_TOL):
+    """Per-point oracle spectra, and the error the sweep must raise (type and
+    message), if any: the one of the first failing point."""
+    spectra, first_error = [], None
+    for mat, p in zip(mats, pts):
+        try:
+            spectra.append(spectrum_oracle(mat, cluster_tol, rank_tol))
+        except TorsionLabError as exc:
+            spectra.append(None)
+            if first_error is None:
+                first_error = (type(exc), f"{exc} (at sample point {p.tolist()})")
+    return spectra, first_error
+
+
+def assert_same_fields(want, have):
+    for want_field, have_field in zip(want, have, strict=True):
+        assert len(want_field) == len(have_field)
+        assert all(same_bits(w, h) for w, h in zip(want_field, have_field))
+
+
+def assert_matches_oracle(mats, pts, cluster_tol=CLUSTER_TOL, rank_tol=RANK_TOL):
+    """``_spectra`` yields every point's eigenvalues, Riesz indices and ranks
+    bit for bit as the oracle computes them, or raises its error; the bases of
+    every point come from its one-point analysis, bit for bit as well."""
+    expected, first_error = oracle_sweep(mats, pts, cluster_tol, rank_tol)
+    n = mats.shape[1]
+    got = [([], [], []) for _ in pts]
+    try:
+        for j, idx, lam, rho, rank, u, vh in _spectra(mats, pts, cluster_tol, rank_tol):
+            assert len(pts) == 1 or u is vh is None  # a sweep computes no factors
+            for k, i in enumerate(idx):
+                assert len(got[i][0]) == j  # every slot of a point once, in order
+                for field, value in zip(got[i], (lam[k], rho, n - int(rank[k]))):
+                    field.append(value)
+    except TorsionLabError as exc:
+        assert (type(exc), str(exc)) == first_error
+        return
+    assert first_error is None
+    for mat, p, want, have in zip(mats, pts, expected, got):
+        assert_same_fields(want[:3], have)
+        spec = _spectrum(mat, p, cluster_tol, rank_tol)
+        assert_same_fields(want, (spec.eigenvalues, spec.riesz, spec.ranks, spec.eig_bases,
+                                  spec.char_bases, spec.annihilators))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 42])
+@pytest.mark.parametrize("fixture", ["lfa1", "lta"])
+def test_spectra_match_the_oracle_on_the_fixtures(request, fixture, seed):
+    man = request.getfixturevalue(fixture)
+    cluster, rank_tol = man.tolerances["cluster"], man.tolerances["rank"]
+    pts = sample_points(replace(man.domain, seed=seed), 25)
+    for op in man.operators.values():
+        assert_matches_oracle(op.values_many(pts), pts, cluster, rank_tol)
+
+
+def cluster_matrix(rng, members: int, kind: str) -> np.ndarray:
+    """A random real matrix of size 2 * members + 1 whose spectrum has a cluster
+    of ``members`` eigenvalues: real ones near 1, or complex ones near 1 + 2i
+    (with the conjugate cluster)."""
+    n = 2 * members + 1
+    offsets = 1e-7 * rng.uniform(-1.0, 1.0, size=(members, 2))
+    blocks = np.zeros((n, n))
+    if kind == "real":
+        far = 3.0 + np.arange(n - members) + 1e-3 * rng.uniform(size=n - members)
+        blocks[np.diag_indices(n)] = np.concatenate([1.0 + offsets[:, 0], far])
+    else:
+        for k, (da, db) in enumerate(offsets):
+            a, b = 1.0 + da, 2.0 + db
+            blocks[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[a, b], [-b, a]]
+        blocks[-1, -1] = 5.0
+    basis = np.eye(n) + 0.3 * rng.standard_normal((n, n))
+    return basis @ blocks @ np.linalg.inv(basis)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("members", range(1, 17))
+def test_cluster_means_match_numpy_mean(kind, members):
+    # numpy sums eight or more doubles pairwise: real clusters of 8 or more
+    # members and complex ones of 4 or more
+    rng = np.random.default_rng(10 * members + (kind == "complex"))
+    # one matrix of the other kind puts real and complex spectra in one stack
+    mats = np.stack([cluster_matrix(rng, members, kind) for _ in range(6)]
+                    + [cluster_matrix(rng, members, "real" if kind == "complex" else "complex")])
+    radius = CLUSTER_TOL * (1.0 + np.max(np.abs(mats), axis=(1, 2)))
+    re, im, roots = _cluster_means(mats, radius)
+    biggest = 0
+    for i, mat in enumerate(mats):
+        groups = cluster_eigenvalues(np.linalg.eigvals(mat), radius[i])
+        means = np.array([complex(np.mean(g)) for g in groups])
+        assert same_bits(re[i][roots[i]], means.real)
+        assert same_bits(im[i][roots[i]], means.imag)
+        biggest = max(biggest, max(len(g) for g in groups))
+    assert biggest == members
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_pairwise_sum_matches_numpy_sum(width):
+    # every branch: left fold, blocks of accumulators, and the split of rows
+    # longer than 128 doubles
+    rng = np.random.default_rng(width)
+    for g in [1, 3, 4, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 200, 300]:
+        a = rng.standard_normal((3, g)) * 10.0 ** rng.integers(-6, 6, size=(3, g))
+        if width == 2:
+            a = a + 1j * rng.standard_normal((3, g))
+        assert same_bits(_pairwise_sum(a, width), np.array([np.sum(row) for row in a]))
+
+
+@pytest.mark.parametrize("value", ["0.1", "x1"])
+def test_scalar_operator_on_eight_dimensions(value):
+    # eight equal eigenvalues: their mean must be the eigenvalue itself, as
+    # np.mean's pairwise sum gives it (a left fold gives 0.7999999999999999 / 8
+    # for eight times 0.1, whose shift has full rank)
+    chart = Chart(8)
+    a = op_from_strings(chart, [[value if i == k else "0" for k in range(8)] for i in range(8)])
+    domain = SampleDomain(box=((0.05, 2.0),) + ((0.0, 1.0),) * 7, seed=0)
+    for p in sample_points(domain, 20):
+        spec = spectrum_at(a, p)
+        assert (spec.riesz, spec.ranks) == ((1,), (8,))
+    report = regularity_check(a, domain, 50)
+    assert report.constant and set(report.digests) == {(1, (1,), (8,))}
+
+
+def test_clusters_are_closed_under_chains():
+    # neighbours 6e-4 apart, radius 1e-3: 1 and 1.0018 are one cluster only
+    # through the members between them
+    mats = np.diag([1.0018, 1.0, 9.0, 1.0006, 1.0012])[None]
+    radius = CLUSTER_TOL * (1.0 + np.max(np.abs(mats), axis=(1, 2)))
+    re, im, roots = _cluster_means(mats, radius)
+    groups = cluster_eigenvalues(np.linalg.eigvals(mats[0]), radius[0])
+    assert [len(g) for g in groups] == [4, 1]
+    assert same_bits(re[0][roots[0]], np.array([np.mean(g) for g in groups]))
+
+
+def test_ragged_sweep_matches_the_oracle():
+    # the eigenvalue count changes across the box: where the eigenvalues of
+    # diag(x1, -x1) fall into one cluster, that cluster is no eigenvalue
+    a = op_from_strings(CH2, [["x1", "0"], ["0", "-x1"]])
+    pts = sample_points(SampleDomain(box=((-2e-4, 2e-4), (0.0, 1.0)), seed=123), 40)
+    mats = a.values_many(pts)
+    assert 0 < sum(s is None for s in oracle_sweep(mats, pts)[0]) < len(pts)
+    assert_matches_oracle(mats, pts)
+    # two and three distinct eigenvalues in one stack, without errors
+    mats = np.stack([np.diag([1.0, 1.0, 2.0]), np.diag([1.0, 2.0, 3.0]),
+                     np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 2.0]])])
+    pts = np.arange(6.0).reshape(3, 2)
+    assert_matches_oracle(mats, pts)
+    assert _sweep(mats, pts, CLUSTER_TOL, RANK_TOL) == [
+        (2, (1, 1), (1, 2)), (3, (1, 1, 1), (1, 1, 1)), (2, (1, 2), (1, 2))]
+
+
+# four-dimensional values that fail in different ways
+FAILING = {
+    # strictly upper triangular: the singular values 3e-8 and 5e-9 straddle the cut
+    RankAmbiguousError: np.diag([1.0, 3e-8, 5e-9], k=1),
+    # 1 and 1 + 1e-6 fall into one cluster whose shift has full rank
+    SpectralError: np.diag([1.0, 1.0 + 1e-6, 5.0, 7.0]),
+    ComplexEigenvalueError: np.array([[0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0],
+                                      [0.0, 0.0, 5.0, 0.0], [0.0, 0.0, 0.0, 7.0]]),
+}
+REGULAR = [np.diag([1.0, 2.0, 3.0, 4.0]), np.diag([1.0, 1.0, 2.0, 2.0]),
+           np.diag([1.0, 0.0, 0.0], k=1) + np.diag([2.0, 2.0, 3.0, 4.0])]
+
+
+@pytest.mark.parametrize("first, second", permutations(FAILING, 2))
+def test_sweep_names_the_earlier_of_two_errors(first, second):
+    mats = np.stack([REGULAR[0], FAILING[first], REGULAR[2], FAILING[second]])
+    pts = np.arange(8.0).reshape(4, 2)
+    for bad in (1, 3):
+        with pytest.raises(TorsionLabError) as info:
+            spectrum_oracle(mats[bad], CLUSTER_TOL, RANK_TOL)
+        assert type(info.value) is (first if bad == 1 else second)
+    with pytest.raises(first, match=r"\(at sample point \[2\.0, 3\.0\]\)$"):
+        _sweep(mats, pts, CLUSTER_TOL, RANK_TOL)
+    assert_matches_oracle(mats, pts)
+
+
+POOL = REGULAR + list(FAILING.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(choice=st.lists(st.sampled_from(range(len(POOL))), min_size=2, max_size=10),
+       data=st.data())
+def test_sweep_follows_a_reordering_of_its_points(choice, data):
+    # permuting the points permutes the digests; the error named is that of
+    # the first failing point in the given order
+    perm = data.draw(st.permutations(range(len(choice))))
+    mats = np.stack([POOL[c] for c in choice])
+    pts = np.array([[float(k), float(c)] for k, c in enumerate(choice)])
+    spectra, _ = oracle_sweep(mats, pts)
+    _, first_error = oracle_sweep(mats[perm], pts[perm])
+    if first_error is None:
+        digests = _sweep(mats, pts, CLUSTER_TOL, RANK_TOL)
+        assert _sweep(mats[perm], pts[perm], CLUSTER_TOL, RANK_TOL) == [digests[i] for i in perm]
+        return
+    assert any(s is None for s in spectra)
+    with pytest.raises(TorsionLabError) as info:
+        _sweep(mats[perm], pts[perm], CLUSTER_TOL, RANK_TOL)
+    assert (type(info.value), str(info.value)) == first_error
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .expr import (
     sample_points,
 )
 from .fields import (
-    SIGMA,
     Jet,
     OperatorAtPoint,
     OperatorBase,
@@ -42,7 +41,6 @@ from .fields import (
     TorsionTensor,
     VanishingReport,
     identity_operator,
-    rep_apply_many,
     scalar_jet,
     tower_from_jets,
     vanishing_report,
@@ -78,6 +76,10 @@ class PolySpec:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+
+# sigma = (z - lambda)(z - mu) as exponents (i, j, k) -> coefficient
+SIGMA = {(2, 0, 0): 1, (1, 1, 0): -1, (1, 0, 1): -1, (0, 1, 1): 1}
 
 
 class TriPoly:
@@ -131,6 +133,51 @@ class BivarPoly:
 # ---------------------------------------------------------------------------
 # representation on pointwise tensors
 # ---------------------------------------------------------------------------
+
+def rep_apply_many(terms: Mapping[tuple[int, int, int], object],
+                   tensors: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """R_S T = sum_(i,j,k) s_ijk A^i T(A^j ., A^k .) at every point of a batch.
+
+    ``terms`` maps exponents to coefficients, each a scalar or an array of
+    shape (N,); ``tensors`` has shape (N, n, n, n) and ``vals`` (N, n, n).
+    z acts on the tensor value, lambda on the first argument and mu on the
+    second.  Every contraction is a batched ``matmul`` over one index.
+    """
+    n_pts, n = vals.shape[0], vals.shape[-1]
+    out = np.zeros(tensors.shape)
+    if not terms:
+        return out
+    powers = [np.broadcast_to(np.eye(n), vals.shape), vals]
+    while len(powers) <= max(max(key) for key in terms):
+        powers.append(powers[-1] @ vals)
+    # T(A^j X, Y): (A^j)^T contracted into the first argument slot
+    firsts = {j: powers[j].swapaxes(1, 2)[:, None] @ tensors
+              for j in {key[1] for key in terms} if j}
+    firsts[0] = tensors
+    # C-contiguous, so that their flat reshapes below are views
+    inner = np.empty(tensors.shape)
+    term = np.empty(tensors.shape)
+    flat = (n_pts, n, n * n)
+    for i in sorted({key[0] for key in terms}):
+        # the i = 0 group needs no value matmul; it comes first, while out is zero
+        acc = inner if i else out
+        acc.fill(0.0)
+        for (ti, j, k), coeff in terms.items():
+            if ti != i:
+                continue
+            # s_ijk T(A^j X, A^k Y)
+            weight = np.reshape(coeff, (-1, 1, 1, 1))
+            if k:
+                np.matmul(firsts[j], powers[k][:, None], out=term)
+                term *= weight
+            else:
+                np.multiply(firsts[j], weight, out=term)
+            acc += term
+        if i:
+            np.matmul(powers[i], inner.reshape(flat), out=term.reshape(flat))
+            out += term
+    return out
+
 
 def rep_apply(s: TriPoly, torsion: TorsionTensor, ap: OperatorAtPoint) -> TorsionTensor:
     """Apply the trivariate-polynomial representation of ``s`` at one point.

@@ -89,11 +89,15 @@ class Report:
 
 
 def _thread_cap() -> int:
+    """Worker threads from ``TORSIONLAB_THREADS``: 1 when unset, else a positive integer."""
     raw = os.environ.get("TORSIONLAB_THREADS", "1")
     try:
-        return max(1, int(raw))
+        cap = int(raw)
     except ValueError:
-        return 1
+        cap = 0
+    if cap < 1:
+        raise TorsionLabError(f"TORSIONLAB_THREADS must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _map_jobs(func, jobs):

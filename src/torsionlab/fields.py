@@ -15,9 +15,11 @@ and every higher level from the pointwise recursion
 
     T' = A^2 T(X,Y) + T(AX,AY) - A(T(X,AY) + T(AX,Y)) = R_sigma T,
 
-the polynomial representation R_S of sigma = (z - lambda)(z - mu).  All
-contractions, the level-up step included, go through one kernel,
-:func:`rep_apply_many`, built from batched ``matmul`` over sample points.
+the polynomial representation R_S of sigma = (z - lambda)(z - mu).  The
+level-up step applies it in factored form, (Z - Lambda)(Z - M): Z contracts
+A into the value index, Lambda into the first argument and M into the
+second, each one batched ``matmul`` per sample point on a flat view.  The
+general R_S kernel lives in :mod:`torsionlab.algebra`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -384,64 +386,8 @@ class TorsionTensor:
 
 
 # ---------------------------------------------------------------------------
-# the contraction kernel and the tower
+# the tower
 # ---------------------------------------------------------------------------
-
-# sigma = (z - lambda)(z - mu) as exponents (i, j, k) -> coefficient
-SIGMA = {(2, 0, 0): 1, (1, 1, 0): -1, (1, 0, 1): -1, (0, 1, 1): 1}
-
-
-def rep_apply_many(terms: Mapping[tuple[int, int, int], object],
-                   tensors: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """R_S T = sum_(i,j,k) s_ijk A^i T(A^j ., A^k .) at every point of a batch.
-
-    ``terms`` maps exponents to coefficients, each a scalar or an array of
-    shape (N,); ``tensors`` has shape (N, n, n, n) and ``vals`` (N, n, n).
-    z acts on the tensor value, lambda on the first argument and mu on the
-    second.  Every contraction is a batched ``matmul`` over one index.
-    """
-    n_pts, n = vals.shape[0], vals.shape[-1]
-    out = np.zeros(tensors.shape)
-    if not terms:
-        return out
-    powers = [np.broadcast_to(np.eye(n), vals.shape), vals]
-    while len(powers) <= max(max(key) for key in terms):
-        powers.append(powers[-1] @ vals)
-    # T(A^j X, Y): (A^j)^T contracted into the first argument slot
-    firsts = {j: powers[j].swapaxes(1, 2)[:, None] @ tensors
-              for j in {key[1] for key in terms} if j}
-    firsts[0] = tensors
-    # C-contiguous, so that their flat reshapes below are views
-    inner = np.empty(tensors.shape)
-    term = np.empty(tensors.shape)
-    flat = (n_pts, n, n * n)
-    for i in sorted({key[0] for key in terms}):
-        # the i = 0 group needs no value matmul; it comes first, while out is zero
-        acc = inner if i else out
-        acc.fill(0.0)
-        for (ti, j, k), coeff in terms.items():
-            if ti != i:
-                continue
-            # s_ijk T(A^j X, A^k Y)
-            weight = np.reshape(coeff, (-1, 1, 1, 1))
-            if k:
-                np.matmul(firsts[j], powers[k][:, None], out=term)
-                term *= weight
-            else:
-                np.multiply(firsts[j], weight, out=term)
-            acc += term
-        if i:
-            np.matmul(powers[i], inner.reshape(flat), out=term.reshape(flat))
-            out += term
-    return out
-
-
-def _skew(arr: np.ndarray) -> np.ndarray:
-    # exact in IEEE arithmetic: out[..., j, k] = -out[..., k, j]
-    out = arr - arr.swapaxes(-1, -2)
-    out *= 0.5
-    return out
-
 
 def nijenhuis_from_jets(vals: np.ndarray, derivs: np.ndarray) -> np.ndarray:
     """T^i_jk = D^i_jk - D^i_kj with D^i_jk = A^l_j d_l A^i_k - A^i_l d_j A^l_k."""
@@ -457,8 +403,29 @@ def nijenhuis_from_jets(vals: np.ndarray, derivs: np.ndarray) -> np.ndarray:
 
 
 def level_up_many(torsions: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """A^2 T(X,Y) + T(AX,AY) - A(T(X,AY) + T(AX,Y)), i.e. R_sigma T, made skew."""
-    return _skew(rep_apply_many(SIGMA, torsions, vals))
+    """A^2 T(X,Y) + T(AX,AY) - A(T(X,AY) + T(AX,Y)), i.e. R_sigma T, made skew.
+
+    R_sigma = (Z - Lambda)(Z - M) is four GEMMs per point: Y = A.T - T.A on
+    the views (N, n, n^2) and (N, n^2, n), then the same two on Y with its
+    argument slots swapped, which gives R_sigma T with its slots swapped.
+    Nothing is assumed about the skewness of ``torsions``.  Besides the
+    input, at most three (N, n, n, n) arrays are alive at once, the result
+    included.
+    """
+    n_pts, n = vals.shape[0], vals.shape[-1]
+    shape = (n_pts, n, n, n)
+    value, arg2 = (n_pts, n, n * n), (n_pts, n * n, n)
+    # Y = (Z - M) T
+    y = (vals @ torsions.reshape(value)).reshape(shape)
+    y -= (torsions.reshape(arg2) @ vals).reshape(shape)
+    ys = y.swapaxes(2, 3).copy()
+    # W = (Z - Lambda) Y on Ys, into Y's buffer: W[p, i, k, j] = (R_sigma T)^i_jk
+    np.matmul(vals, ys.reshape(value), out=y.reshape(value))
+    y -= (ys.reshape(arg2) @ vals).reshape(shape)
+    # the skew part, into Ys' buffer; exact, since fl(a - b) = -fl(b - a)
+    np.subtract(y.swapaxes(2, 3), y, out=ys)
+    ys *= 0.5
+    return ys
 
 
 def tower(vals: np.ndarray, derivs: np.ndarray, m: int) -> Iterator[np.ndarray]:

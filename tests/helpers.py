@@ -73,6 +73,18 @@ def haantjes_oracle(a: OperatorField, point) -> np.ndarray:
     return out
 
 
+def level_up_oracle(t: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """R_sigma T = A^2 T(X,Y) + T(AX,AY) - A T(X,AY) - A T(AX,Y), not made skew.
+
+    One ``np.einsum`` per defining term over a batch of points, with
+    ``t[p, i, j, k] = T^i_jk`` and ``a[p, i, j] = A^i_j``.
+    """
+    return (np.einsum("pil,plm,pmjk->pijk", a, a, t)
+            + np.einsum("pilm,plj,pmk->pijk", t, a, a)
+            - np.einsum("pil,pljm,pmk->pijk", a, t, a)
+            - np.einsum("pil,plmk,pmj->pijk", a, t, a))
+
+
 def cluster_eigenvalues(eigs: np.ndarray, radius: float) -> list[np.ndarray]:
     """Clusters of ``eigs`` (sorted by real, then imaginary part) under the
     transitive closure of ``|e_a - e_b| <= radius``, by union-find; clusters

@@ -277,6 +277,17 @@ def test_thread_cap_env(tmp_path, capsys, monkeypatch):
         assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
+@pytest.mark.parametrize("command", [["torsion", "--level", "1"], ["blockdiag", "--chart", "y"]])
+def test_thread_cap_env_rejects_bad_value(capsys, monkeypatch, raw, command):
+    monkeypatch.setenv("TORSIONLAB_THREADS", raw)
+    lfa1 = str(fixture_path("lfa1.json"))
+    code = main(command + ["--manifest", lfa1, "--samples", "10"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"TORSIONLAB_THREADS must be a positive integer, got {raw!r}" in err
+
+
 @pytest.mark.parametrize("command", [["torsion"], ["algebra", "--combos", "2"], ["spectrum"]])
 def test_nonfinite_value_exits_2_naming_the_point(tmp_path, capsys, command):
     path = write_manifest(tmp_path, NONFINITE_MANIFEST)

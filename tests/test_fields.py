@@ -1,20 +1,27 @@
 """Lie brackets, operator application and the generalized torsion tower."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     basis_field,
     haantjes_oracle,
+    level_up_oracle,
     nijenhuis_oracle,
     random_operator,
     random_poly_expr,
     rel_err,
 )
+from torsionlab.algebra import TriPoly, rep_apply
 from torsionlab.errors import ChainConditionError, ChartMismatchError, EvalDomainError
 from torsionlab.expr import Chart, SampleDomain, Var, const, parse_expr, sample_points
 from torsionlab.fields import (
     LinCombOperator,
+    OperatorAtPoint,
     OperatorField,
     PolyOperator,
     PowerOperator,
@@ -24,9 +31,12 @@ from torsionlab.fields import (
     eigenchain_formula_rhs,
     identity_operator,
     is_vanishing,
+    TorsionTensor,
     level_up,
+    level_up_many,
     lie_bracket,
     nijenhuis_at,
+    nijenhuis_from_jets,
     torsion_at,
     torsion_many,
     tower,
@@ -169,6 +179,62 @@ def test_level_up_matches_haantjes_oracle():
         t2 = level_up(nijenhuis_at(a, p), a.at(p))
         oracle = haantjes_oracle(a, p)
         assert rel_err(t2.components, oracle) <= 1e-10
+
+
+def test_level_up_many_matches_definition_oracle(lfa1):
+    # 9 distinct random points per dimension, a skew tower tensor and a
+    # non-skew one: the step is the skew part of R_sigma T for any T
+    rng = np.random.default_rng(59)
+    for n in (3, 5, 7):
+        vals = rng.uniform(-2.0, 2.0, size=(9, n, n))
+        derivs = rng.uniform(-2.0, 2.0, size=(9, n, n, n))
+        for t in (nijenhuis_from_jets(vals, derivs), rng.standard_normal((9, n, n, n))):
+            got = level_up_many(t, vals)
+            want = level_up_oracle(t, vals)
+            want = (want - want.swapaxes(2, 3)) / 2
+            for g, w in zip(got, want):
+                assert rel_err(g, w) <= 1e-13
+            assert np.array_equal(got, -got.swapaxes(2, 3))
+    # the tower's level-up is R_sigma of the general kernel, level by level
+    k1 = lfa1.operators["K1"]
+    pts = sample_points(lfa1.domain, 5)
+    vals, derivs = k1.jet_many(pts)
+    levels = list(tower(vals, derivs, 4))
+    for p, point in enumerate(pts):
+        ap = OperatorAtPoint(vals[p], point)
+        for m in (1, 2, 3):
+            image = rep_apply(TriPoly.sigma(), TorsionTensor(m, point, levels[m - 1][p]), ap)
+            assert rel_err(levels[m][p], image.components) <= 1e-12
+
+
+def test_level_up_many_peak_memory():
+    # one call holds at most three (N, n, n, n) arrays, its result included
+    rng = np.random.default_rng(61)
+    t = rng.standard_normal((2000, 7, 7, 7))
+    vals = rng.standard_normal((2000, 7, 7))
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        level_up_many(t, vals)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 3 * t.nbytes * 1.05
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.sampled_from([2, 3, 5, 7]), n_pts=st.integers(1, 12),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_tower_commutes_with_point_order(n, n_pts, seed, data):
+    # reordering the points reorders every level bit for bit
+    perm = np.array(data.draw(st.permutations(range(n_pts))))
+    rng = np.random.default_rng(seed)
+    vals = rng.uniform(-2.0, 2.0, size=(n_pts, n, n))
+    derivs = rng.uniform(-2.0, 2.0, size=(n_pts, n, n, n))
+    moved = tower(vals[perm], derivs[perm], 4)
+    for whole, part in zip(tower(vals, derivs, 4), moved, strict=True):
+        assert np.array_equal(whole[perm], part)
 
 
 def test_diagonal_operator_is_level2_vanishing():

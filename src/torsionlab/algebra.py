@@ -43,6 +43,7 @@ from .fields import (
     identity_operator,
     scalar_jet,
     tower_from_jets,
+    tower_verdicts,
     vanishing_report,
 )
 from .spectral import CLUSTER_TOL, RANK_TOL, minimal_poly_degree_at
@@ -392,8 +393,7 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
     vals = [j.vals for j in jets]
 
     def verdict(jet: Jet) -> VanishingReport:
-        return vanishing_report(tower_from_jets(jet.vals, jet.derivs, m), jet.vals, m,
-                                pts, domain.seed, tol)
+        return tower_verdicts(jet.vals, jet.derivs, m, pts, domain.seed, tol)[-1]
 
     k = len(ops)
     commute = [[True] * k for _ in range(k)]

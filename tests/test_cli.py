@@ -400,10 +400,10 @@ def test_algebra_builds_one_tower_per_product_and_per_combo(monkeypatch, capsys)
 
     def counted(*args):
         towers.append(args[2])
-        return tower_from_jets(*args)
+        return tower_verdicts(*args)
 
-    tower_from_jets = alg.tower_from_jets
-    monkeypatch.setattr(alg, "tower_from_jets", counted)
+    tower_verdicts = alg.tower_verdicts
+    monkeypatch.setattr(alg, "tower_verdicts", counted)
     code, _ = run_cli(["algebra", "--manifest", str(fixture_path("lta.json")),
                        "--level", "3", "--combos", "2", "--samples", "20"], capsys)
     assert code == 0

@@ -20,6 +20,7 @@ from torsionlab.algebra import TriPoly, rep_apply
 from torsionlab.errors import ChainConditionError, ChartMismatchError, EvalDomainError
 from torsionlab.expr import Chart, SampleDomain, Var, const, parse_expr, sample_points
 from torsionlab.fields import (
+    CHUNK_BYTES,
     LinCombOperator,
     OperatorAtPoint,
     OperatorField,
@@ -40,6 +41,8 @@ from torsionlab.fields import (
     torsion_at,
     torsion_many,
     tower,
+    tower_verdicts,
+    vanishing_report,
 )
 
 CH2 = Chart(2)
@@ -295,6 +298,78 @@ def test_one_walk_matches_separate_verdicts(lta):
             assert np.array_equal(rep.worst_point, alone.worst_point)
             assert (rep.n_points, rep.seed) == (alone.n_points, alone.seed)
             assert [r.level for r in alone.lower] == list(range(1, rep.level))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([2, 3, 5, 7]),
+       size=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (3, 2)]),
+       flat=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_chunked_verdicts_equal_whole_tower_verdicts(n, size, flat, seed):
+    # N around the chunk boundaries: a dropped tail chunk or an argmax taken
+    # within one chunk changes a report; a flat jet has a zero tower, so every
+    # level vanishes and the worst point is the first one
+    step = max(1, CHUNK_BYTES // (8 * n ** 3))
+    n_pts = size[0] * step + size[1]
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.5, 1.5, size=(n_pts, n))
+    vals = rng.uniform(-2.0, 2.0, size=(n_pts, n, n))
+    derivs = rng.uniform(-2.0, 2.0, size=(n_pts, n, n, n)) * (0.0 if flat else 1.0)
+    chunked = tower_verdicts(vals, derivs, 4, pts, seed, 1e-8)
+    whole = [vanishing_report(t, vals, level, pts, seed, 1e-8)
+             for level, t in enumerate(tower(vals, derivs, 4), start=1)]
+    assert len(chunked) == len(whole) == 4
+    for got, want in zip(chunked, whole):
+        assert (got.level, got.n_points, got.seed) == (want.level, want.n_points, want.seed)
+        assert got.max_residual == want.max_residual
+        assert got.vanishing == want.vanishing
+        assert got.vanishing or not flat
+        assert np.array_equal(got.worst_point, want.worst_point)
+
+
+def test_chunked_walk_names_the_lowest_non_finite_level():
+    # level 1 is non-finite only at a point of the last chunk; a point of the
+    # first chunk overflows only from level 2 on.  Judging chunk by chunk would
+    # name level 2 at the early point; the walk over all points names level 1.
+    n = 3
+    step = CHUNK_BYTES // (8 * n ** 3)
+    rng = np.random.default_rng(67)
+    pts = rng.uniform(0.5, 1.5, size=(2 * step + 5, n))
+    vals = rng.uniform(1.0, 2.0, size=(pts.shape[0], n, n))
+    derivs = rng.uniform(1.0, 2.0, size=(pts.shape[0], n, n, n))
+    early, late = 3, pts.shape[0] - 2
+    vals[early] *= 1e110
+    vals[late] *= 1e10
+    derivs[late] *= 1e300
+
+    def whole_tower():
+        for level, t in enumerate(tower(vals, derivs, 3), start=1):
+            vanishing_report(t, vals, level, pts, 0, 1e-8)
+
+    messages = []
+    for walk in (whole_tower, lambda: tower_verdicts(vals, derivs, 3, pts, 0, 1e-8)):
+        with pytest.warns(RuntimeWarning), pytest.raises(EvalDomainError) as info:
+            walk()
+        messages.append(str(info.value))
+    expected = f"level-1 torsion is not finite at point {tuple(pts[late].tolist())}"
+    assert messages == [expected, expected]
+
+
+def test_chunked_walk_peak_memory():
+    # one verdict walk holds a few chunk-sized levels, not whole (N, n, n, n) ones
+    rng = np.random.default_rng(71)
+    n_pts, n = 2000, 7
+    pts = rng.uniform(0.5, 1.5, size=(n_pts, n))
+    vals = rng.uniform(-2.0, 2.0, size=(n_pts, n, n))
+    derivs = rng.uniform(-2.0, 2.0, size=(n_pts, n, n, n))
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        tower_verdicts(vals, derivs, 4, pts, 0, 1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 0.25 * derivs.nbytes
 
 
 def test_torsion_level_consistency_regression():

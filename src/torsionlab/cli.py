@@ -11,13 +11,16 @@ report that is byte-identical across reruns with the same inputs (timing is
 reported on stdout only) and never holds NaN or Infinity.  An evaluation
 that leaves the domain, a non-finite value or a divisor below
 ``expr.SINGULARITY_EPS`` included, exits 2 and names the point; a constant
-outside the double range exits 2 and names the constant.
+outside the double range exits 2 and names the constant.  So does bad
+command-line input: a count below its minimum, a ``--tol`` that is negative
+or not finite, or a ``--hint`` that is not a list of positive block sizes.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -130,6 +133,19 @@ def _at_least(args, option: str, minimum: int = 1) -> int:
     return value
 
 
+def _check_tol(tol: float | None) -> None:
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise TorsionLabError(f"--tol must be finite and >= 0, got {tol}")
+
+
+def _block_hint(text: str) -> ch.BlockPartition:
+    try:
+        return ch.BlockPartition(tuple(int(s) for s in text.split(",")))
+    except ValueError:
+        raise TorsionLabError(
+            f"--hint must be comma-separated positive block sizes, got {text!r}") from None
+
+
 def _select_operators(man: Manifest, names: list[str]) -> list[str]:
     if not names:
         return sorted(man.operators)
@@ -151,9 +167,11 @@ def cmd_torsion(args) -> Report:
     report = Report("torsion", man.path, domain.seed,
                     {"operators": names, "level": level, "samples": n_pts, "tol": tol})
 
+    pts = sample_points(domain, n_pts)
+
     def run(name):
         # one walk up the tower judges every level 1..level
-        top = fl.is_vanishing(man.operators[name], level, domain, n_pts, tol)
+        top = fl.is_vanishing(man.operators[name], level, domain, n_pts, tol, pts=pts)
         return (*top.lower, top)
 
     for name, reps in zip(names, _map_jobs(run, names)):
@@ -233,9 +251,7 @@ def cmd_blockdiag(args) -> Report:
         raise TorsionLabError(
             f"chart {args.chart!r} not in manifest (have: {', '.join(sorted(man.charts))})")
     chart = man.charts[args.chart]
-    hint = None
-    if args.hint:
-        hint = ch.BlockPartition(tuple(int(s) for s in args.hint.split(",")))
+    hint = _block_hint(args.hint) if args.hint else None
     report = Report("blockdiag", man.path, domain.seed,
                     {"operators": names, "chart": args.chart, "samples": n_pts,
                      "tol": tol, "hint": args.hint})
@@ -320,6 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
+        _check_tol(args.tol)
         report: Report = args.func(args)
     except TorsionLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

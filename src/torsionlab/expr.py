@@ -600,11 +600,7 @@ def eval_many(e: Expr, pts: np.ndarray,
 
     def walk(node: Expr):
         if isinstance(node, Const):
-            try:
-                return float(node.value)
-            except OverflowError:
-                raise ConstantRangeError(f"constant {_fmt_const(node.value)} "
-                                         "is outside the double range") from None
+            return const_value(node)
         if isinstance(node, Var):
             return pts[:, node.index]
         if isinstance(node, Param):
@@ -640,6 +636,19 @@ def eval_many(e: Expr, pts: np.ndarray,
     out = np.empty(n)
     out[...] = walk(e)
     return out
+
+
+def const_value(c: Const) -> float:
+    """The double nearest to ``c``, as :func:`eval_many` evaluates it.
+
+    Raises :class:`ConstantRangeError` naming ``c`` when it is outside the
+    double range.
+    """
+    try:
+        return float(c.value)
+    except OverflowError:
+        raise ConstantRangeError(f"constant {_fmt_const(c.value)} "
+                                 "is outside the double range") from None
 
 
 def _guard_divisor(value, pts: np.ndarray) -> None:
@@ -725,26 +734,27 @@ def sample_points(domain: SampleDomain, count: int,
     rng = np.random.default_rng(domain.seed)
     lo = np.array([iv[0] for iv in domain.box])
     span = np.array([iv[1] - iv[0] for iv in domain.box])
-    rows: list[np.ndarray] = []
+    # a rejection run raises once it is this long, as a row-by-row walk would
+    limit = max(max_rejections, 1)
+    parts: list[np.ndarray] = []
     got = 0
     consecutive = 0
     while got < count:
         batch = max(16, count - got)
         cands = lo + span * rng.random((batch, domain.dim))
-        ok = _guard_mask(domain, cands)
-        for idx in range(batch):
-            if ok[idx]:
-                rows.append(cands[idx])
-                got += 1
-                consecutive = 0
-                if got == count:
-                    break
-            else:
-                consecutive += 1
-                if consecutive >= max_rejections:
-                    raise DomainExhaustedError(
-                        f"{consecutive} consecutive rejections; guards too strict for the box")
-    return np.array(rows)
+        taken = np.flatnonzero(_guard_mask(domain, cands))[:count - got]
+        # the walk stops at the row that completes the sample
+        end = taken[-1] + 1 if got + taken.size == count else batch
+        # rejection runs of the walked rows; the first continues the last batch's
+        runs = np.diff(taken, prepend=-1, append=end) - 1
+        runs[0] += consecutive
+        if runs.max() >= limit:
+            raise DomainExhaustedError(
+                f"{limit} consecutive rejections; guards too strict for the box")
+        consecutive = int(runs[-1])
+        parts.append(cands[taken])
+        got += taken.size
+    return np.concatenate(parts)
 
 
 def _guard_mask(domain: SampleDomain, cands: np.ndarray) -> np.ndarray:

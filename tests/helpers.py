@@ -5,6 +5,9 @@ paths: torsions are assembled from symbolic brackets and operator
 applications exactly as defined, then evaluated pointwise.  The spectral
 oracle analyses one matrix at a time, with a union-find clustering,
 ``np.mean`` and its own rank rule, where the production core batches points.
+The 1-jet oracle fills an operator entry by entry and the sampling oracle
+accepts candidates row by row, where production fills and accepts whole
+batches.
 """
 
 from __future__ import annotations
@@ -13,8 +16,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from torsionlab.errors import ComplexEigenvalueError, RankAmbiguousError, SpectralError
-from torsionlab.expr import Chart, Expr, Var, const, eval_at
+from torsionlab.errors import (
+    ComplexEigenvalueError,
+    DomainExhaustedError,
+    RankAmbiguousError,
+    SpectralError,
+)
+from torsionlab.expr import (
+    Chart,
+    Expr,
+    SampleDomain,
+    Var,
+    _guard_mask,
+    const,
+    diff,
+    eval_at,
+    eval_many,
+)
 from torsionlab.fields import OperatorField, VectorFieldExpr, apply, lie_bracket
 from torsionlab.spectral import IMAG_TOL, RANK_GAP_FACTOR
 
@@ -83,6 +101,56 @@ def level_up_oracle(t: np.ndarray, a: np.ndarray) -> np.ndarray:
             + np.einsum("pilm,plj,pmk->pijk", t, a, a)
             - np.einsum("pil,pljm,pmk->pijk", a, t, a)
             - np.einsum("pil,plmk,pmj->pijk", a, t, a))
+
+
+def jet_reference(a: OperatorField, pts: np.ndarray, derivs: bool = True):
+    """``(A, dA)`` at ``pts``, each entry and each symbolic entry derivative
+    evaluated with ``eval_many`` and written in place, in row-major order;
+    ``dA`` is None when ``derivs`` is false."""
+    n = a.chart.dim
+    vals = np.empty((pts.shape[0], n, n))
+    for i in range(n):
+        for j in range(n):
+            vals[:, i, j] = eval_many(a.entries[i][j], pts)
+    if not derivs:
+        return vals, None
+    grads = np.empty((pts.shape[0], n, n, n))
+    for l in range(n):
+        for i in range(n):
+            for j in range(n):
+                grads[:, l, i, j] = eval_many(diff(a.entries[i][j], l), pts)
+    return vals, grads
+
+
+def sample_points_reference(domain: SampleDomain, count: int,
+                            max_rejections: int) -> np.ndarray:
+    """Guarded rejection sampling walked one candidate row at a time.
+
+    Draws the same candidate batches as ``sample_points`` and accepts rows in
+    order until ``count`` are taken; raises :class:`DomainExhaustedError`
+    once ``max_rejections`` candidates in a row were rejected, counting
+    across batches.
+    """
+    rng = np.random.default_rng(domain.seed)
+    lo = np.array([iv[0] for iv in domain.box])
+    span = np.array([iv[1] - iv[0] for iv in domain.box])
+    rows = []
+    consecutive = 0
+    while len(rows) < count:
+        batch = max(16, count - len(rows))
+        cands = lo + span * rng.random((batch, domain.dim))
+        for row, ok in zip(cands, _guard_mask(domain, cands)):
+            if ok:
+                rows.append(row)
+                consecutive = 0
+                if len(rows) == count:
+                    break
+            else:
+                consecutive += 1
+                if consecutive >= max_rejections:
+                    raise DomainExhaustedError(
+                        f"{consecutive} consecutive rejections; guards too strict for the box")
+    return np.array(rows)
 
 
 def cluster_eigenvalues(eigs: np.ndarray, radius: float) -> list[np.ndarray]:

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import torsionlab.algebra as alg
+import torsionlab.cli as cli
 import torsionlab.fields as fl
 from torsionlab.cli import main
 from torsionlab.expr import sample_points
@@ -204,6 +205,33 @@ def test_counts_below_their_minimum_are_errors(capsys, args, message):
     assert message in err
 
 
+@pytest.mark.parametrize("hint", ["1,x", "1,,3", "0,7", "-1,8", "7,"])
+def test_bad_block_hint_is_an_input_error(capsys, hint):
+    code = main(["blockdiag", "--manifest", str(fixture_path("lfa1.json")), "--chart", "y",
+                 f"--hint={hint}", "--samples", "5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: --hint must be comma-separated positive block sizes, got {hint!r}\n"
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-9"])
+@pytest.mark.parametrize("command", [["torsion"], ["spectrum"], ["algebra"],
+                                     ["blockdiag", "--chart", "y"]])
+def test_bad_tol_is_an_input_error_before_any_work(tmp_path, capsys, monkeypatch,
+                                                   command, tol):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the manifest was loaded")
+
+    monkeypatch.setattr(cli, "load_manifest", no_work)
+    out_json = tmp_path / "out.json"
+    code = main(command + ["--manifest", str(fixture_path("lta.json")), f"--tol={tol}",
+                           "--json", str(out_json)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: --tol must be finite and >= 0, got {float(tol)}\n"
+    assert not out_json.exists()
+
+
 BIG = str(10 ** 400)  # no double holds it
 
 
@@ -370,6 +398,7 @@ def test_blockdiag_nonfinite_exits_2_naming_the_point(tmp_path, capsys, manifest
 
 
 def test_torsion_walks_the_tower_once_per_operator(monkeypatch, capsys):
+    # one sample per command, shared by the operators; one jet and one walk each
     calls = {"sample": 0, "jet": 0, "nijenhuis": 0, "verdict": 0}
 
     def counted(key, fn):
@@ -379,6 +408,7 @@ def test_torsion_walks_the_tower_once_per_operator(monkeypatch, capsys):
         return wrapper
 
     monkeypatch.setattr(fl, "sample_points", counted("sample", fl.sample_points))
+    monkeypatch.setattr(cli, "sample_points", counted("sample", cli.sample_points))
     monkeypatch.setattr(fl.OperatorBase, "jet_many",
                         counted("jet", fl.OperatorBase.jet_many))
     monkeypatch.setattr(fl, "nijenhuis_from_jets",
@@ -389,7 +419,7 @@ def test_torsion_walks_the_tower_once_per_operator(monkeypatch, capsys):
                          "--level", "3", "--samples", "40"], capsys)
     assert code == 0
     n_ops = len(man.operators)
-    assert calls == {"sample": n_ops, "jet": n_ops, "nijenhuis": n_ops, "verdict": n_ops}
+    assert calls == {"sample": 1, "jet": n_ops, "nijenhuis": n_ops, "verdict": n_ops}
     for name in man.operators:
         for m in (1, 2, 3):
             assert f"| {name} tau^({m}) |" in out

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import central_difference
+from helpers import central_difference, sample_points_reference
 from torsionlab.errors import (
     ConstantRangeError,
     DomainExhaustedError,
@@ -256,6 +256,48 @@ def test_sample_points_domain_exhausted():
     dom = SampleDomain(box=((0.0, 0.1),), guards=(Var(0),), guard_eps=0.5, seed=0)
     with pytest.raises(DomainExhaustedError):
         sample_points(dom, 1, max_rejections=500)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lows=st.lists(st.integers(-8, 8), min_size=3, max_size=3),
+       widths=st.lists(st.integers(0, 12), min_size=3, max_size=3),
+       dim=st.integers(1, 3),
+       guards=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                 st.integers(-16, 16), st.booleans()), max_size=3),
+       guard_eps=st.sampled_from([0.05, 0.3, 0.9, 1.5]), count=st.integers(1, 40),
+       max_rejections=st.integers(0, 60), seed=st.integers(0, 2 ** 32))
+def test_sample_points_matches_row_by_row_reference(lows, widths, dim, guards, guard_eps,
+                                                   count, max_rejections, seed):
+    # box sides [lo/4, (lo + w)/4]; guards x_i - c/8 or x_i x_j - c/8
+    box = tuple((lo / 4, (lo + w) / 4) for lo, w in zip(lows[:dim], widths[:dim]))
+    guards = tuple((Var(i % dim) * Var(j % dim) if quadratic else Var(i % dim))
+                   - const(Fraction(c, 8)) for i, j, c, quadratic in guards)
+    dom = SampleDomain(box=box, guards=guards, guard_eps=guard_eps, seed=seed)
+    try:
+        expected = sample_points_reference(dom, count, max_rejections)
+    except DomainExhaustedError as exc:
+        with pytest.raises(DomainExhaustedError) as got:
+            sample_points(dom, count, max_rejections=max_rejections)
+        assert str(got.value) == str(exc)
+        return
+    got = sample_points(dom, count, max_rejections=max_rejections)
+    assert got.shape == expected.shape == (count, dim) and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_sample_points_counts_rejections_across_batches():
+    # accepts x1 < 0.1 and x1 > 0.9; at this seed the first batch of 16
+    # candidates holds 4 of the 6 points and ends in 5 rejections, and the
+    # second batch starts with 3 more: the only run of 8 straddles the boundary
+    dom = SampleDomain(box=((0.0, 1.0),), guards=(Var(0) - const("1/2"),),
+                       guard_eps=0.4, seed=19)
+    ok = np.abs(np.random.default_rng(19).random(32) - 0.5) > 0.4
+    assert ok[:16].sum() == 4 and not ok[11:19].any() and ok[10] and ok[19]
+    with pytest.raises(DomainExhaustedError,
+                       match="^8 consecutive rejections; guards too strict for the box$"):
+        sample_points(dom, 6, max_rejections=8)
+    got = sample_points(dom, 6, max_rejections=9)
+    assert got.tobytes() == sample_points_reference(dom, 6, 9).tobytes()
 
 
 # ---------------------------------------------------------------------------

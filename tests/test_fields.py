@@ -10,15 +10,34 @@ from hypothesis import strategies as st
 from helpers import (
     basis_field,
     haantjes_oracle,
+    jet_reference,
     level_up_oracle,
     nijenhuis_oracle,
     random_operator,
     random_poly_expr,
     rel_err,
 )
+import torsionlab.fields as fl
 from torsionlab.algebra import TriPoly, rep_apply
-from torsionlab.errors import ChainConditionError, ChartMismatchError, EvalDomainError
-from torsionlab.expr import Chart, SampleDomain, Var, const, parse_expr, sample_points
+from torsionlab.errors import (
+    ChainConditionError,
+    ChartMismatchError,
+    ConstantRangeError,
+    DimensionMismatchError,
+    EvalDomainError,
+    SingularityError,
+)
+from torsionlab.expr import (
+    Chart,
+    Const,
+    Mul,
+    SampleDomain,
+    Var,
+    const,
+    diff,
+    parse_expr,
+    sample_points,
+)
 from torsionlab.fields import (
     CHUNK_BYTES,
     LinCombOperator,
@@ -300,6 +319,18 @@ def test_one_walk_matches_separate_verdicts(lta):
             assert [r.level for r in alone.lower] == list(range(1, rep.level))
 
 
+def test_given_sample_judges_as_a_fresh_draw(lta):
+    op = lta.operators["L2"]
+    pts = sample_points(lta.domain, 50)
+    drawn = is_vanishing(op, 3, lta.domain, 50, 1e-8)
+    given_pts = is_vanishing(op, 3, lta.domain, 50, 1e-8, pts=pts)
+    for a, b in zip((*drawn.lower, drawn), (*given_pts.lower, given_pts)):
+        assert (a.level, a.max_residual, a.vanishing) == (b.level, b.max_residual, b.vanishing)
+        assert np.array_equal(a.worst_point, b.worst_point)
+    with pytest.raises(DimensionMismatchError, match=r"got shape \(49, 5\)"):
+        is_vanishing(op, 3, lta.domain, 50, 1e-8, pts=pts[:49])
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.sampled_from([2, 3, 5, 7]),
        size=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (3, 2)]),
@@ -424,6 +455,100 @@ def test_identity_is_level1_vanishing():
     dom = SampleDomain(box=((0.5, 1.5),) * 3, seed=5)
     rep = is_vanishing(identity_operator(CH3), 1, dom, 20, 1e-8)
     assert rep.vanishing
+
+
+# ---------------------------------------------------------------------------
+# 1-jets of symbolic operators
+# ---------------------------------------------------------------------------
+
+BOX3 = SampleDomain(box=((1.0, 2.0),) * 3, seed=5)
+
+# (operator, domain) by kind of entries; lfa1's K1 mixes constant and
+# point-dependent entries and derivatives
+JET_OPERATORS = {
+    "constant": lambda m: (op_from_strings(CH3, [["1", "2", "0"], ["0", "1/2", "3"],
+                                                 ["-1", "0", "2"]]), BOX3),
+    "dependent": lambda m: (op_from_strings(CH3, [["x1*x2", "x3^2/x1", "sqrt(x2)"],
+                                                  ["x1 + x3", "cbrt(x1*x3)", "1/x2"],
+                                                  ["x2^3", "x1 - x2", "x1*x2*x3"]]), BOX3),
+    "mixed": lambda m: (m.operators["K1"], m.domain),
+}
+
+
+@pytest.mark.parametrize("n_pts", [1, 7, 200])
+@pytest.mark.parametrize("kind", sorted(JET_OPERATORS))
+def test_template_jets_equal_entry_by_entry_reference(kind, n_pts, lfa1):
+    op, domain = JET_OPERATORS[kind](lfa1)
+    pts = sample_points(domain, n_pts)
+    ref_vals, ref_derivs = jet_reference(op, pts)
+    vals, derivs = op.jet_many(pts)
+    values = op.values_many(pts)
+    n = op.chart.dim
+    assert vals.shape == values.shape == (n_pts, n, n) and derivs.shape == (n_pts, n, n, n)
+    assert vals.tobytes() == values.tobytes() == ref_vals.tobytes()
+    assert derivs.tobytes() == ref_derivs.tobytes()
+
+
+def test_jet_names_the_same_first_point_as_entry_by_entry():
+    op = op_from_strings(CH2, [["2", "1/(x1 - 3/2)"], ["1/(x2 - 3/2)", "sqrt(x1 - 1)"]])
+    # entry (0, 1) is singular at row 5 and entry (1, 0) at row 2: the entry
+    # first in row-major order names its point
+    bad_value = np.full((8, 2), 1.25)
+    bad_value[5, 0] = bad_value[2, 1] = 1.5
+    # sqrt(x1 - 1) is 0 at x1 = 1, but its derivative divides by 0 there
+    bad_derivative = np.full((8, 2), 1.25)
+    bad_derivative[4, 0] = 1.0
+    for pts, where in ((bad_value, "(1.5, 1.25)"), (bad_derivative, "(1.0, 1.25)")):
+        with pytest.raises(SingularityError) as ref:
+            jet_reference(op, pts)
+        assert str(ref.value).endswith(f"at point {where}")
+        with pytest.raises(SingularityError) as got:
+            op.jet_many(pts)
+        assert str(got.value) == str(ref.value)
+    with pytest.raises(SingularityError, match=r"at point \(1\.5, 1\.25\)$"):
+        op.values_many(bad_value)
+    assert op.values_many(bad_derivative).tobytes() == \
+        jet_reference(op, bad_derivative, derivs=False)[0].tobytes()
+
+
+def test_jet_constant_outside_double_range_is_named():
+    big = const(10 ** 400)
+    op = OperatorField(CH2, ((big, const(0)), (const(0), Var(0))))
+    for what in ("values_many", "jet_many"):
+        with pytest.raises(ConstantRangeError,
+                           match=f"constant {10 ** 400} is outside the double range"):
+            getattr(op, what)(np.ones((3, 2)))
+    # 10^200 (10^200 x1) is finite at x1 = 10^-300, but its derivative is the
+    # constant 10^400: the value plan does not convert it, the derivative plan does
+    op = OperatorField(Chart(1), ((Mul(const(10 ** 200), Mul(const(10 ** 200), Var(0))),),))
+    pts = np.full((3, 1), 1e-300)
+    assert op.values_many(pts).tolist() == [[[1e200 * (1e200 * 1e-300)]]] * 3
+    with pytest.raises(ConstantRangeError,
+                       match=f"constant {10 ** 400} is outside the double range"):
+        op.jet_many(pts)
+
+
+def test_jet_evaluates_each_point_dependent_entry_once(monkeypatch, lfa1):
+    evaluated = []
+
+    def counted(e, pts, params=None):
+        evaluated.append(e)
+        return eval_many(e, pts, params)
+
+    eval_many = fl.eval_many
+    monkeypatch.setattr(fl, "eval_many", counted)
+    op = lfa1.operators["K2"]
+    n = op.chart.dim
+    entries = [e for row in op.entries for e in row]
+    derivs = [diff(op.entries[i][j], l) for l in range(n) for i in range(n) for j in range(n)]
+    pts = sample_points(lfa1.domain, 10)
+    for _ in range(2):
+        evaluated.clear()
+        op.jet_many(pts)
+        assert evaluated == [e for e in entries + derivs if not isinstance(e, Const)]
+    evaluated.clear()
+    op.values_many(pts)
+    assert evaluated == [e for e in entries if not isinstance(e, Const)]
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from .fields import (
     tower_verdicts,
     vanishing_report,
 )
-from .spectral import CLUSTER_TOL, RANK_TOL, minimal_poly_degree_at
+from .spectral import CLUSTER_TOL, RANK_TOL, _commutator_residual, minimal_poly_degree_at
 
 __all__ = [
     "PolySpec",
@@ -376,8 +376,7 @@ def _random_combo_poly(chart: Chart, rng: np.random.Generator) -> Expr:
 
 
 def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
-                  n_pts: int, n_random_combos: int, tol: float,
-                  combo_seed: int | None = None) -> AlgebraCheckReport:
+                  n_pts: int, n_random_combos: int, tol: float) -> AlgebraCheckReport:
     """Sample the closure laws of a generalized torsion-free operator family.
 
     Checks pairwise commutativity at sampled points and level-m vanishing of
@@ -403,17 +402,14 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
     for ia in range(k):
         for ib in range(k):
             if ia < ib:
-                comm = vals[ia] @ vals[ib] - vals[ib] @ vals[ia]
-                scale = (1.0 + np.max(np.abs(vals[ia]))) * (1.0 + np.max(np.abs(vals[ib])))
-                rel = float(np.max(np.abs(comm)) / scale)
+                rel = _commutator_residual(vals[ia], vals[ib])
                 commute_worst = max(commute_worst, rel)
                 commute[ia][ib] = commute[ib][ia] = rel <= tol
             ring = verdict(jets[ia] @ jets[ib])
             ring_worst = max(ring_worst, ring.max_residual)
             ring_closed = ring_closed and ring.vanishing
 
-    if combo_seed is None:
-        combo_seed = (domain.seed * 2654435761 + 0x5EED) % (2 ** 63)
+    combo_seed = (domain.seed * 2654435761 + 0x5EED) % (2 ** 63)
     rng = np.random.default_rng(combo_seed)
     module_worst = 0.0
     module_closed = True

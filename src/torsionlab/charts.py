@@ -66,6 +66,7 @@ __all__ = [
 JACOBIAN_DET_EPS = 1e-8
 CLOSED_TOL = 1e-10
 CLOSED_PROBES = 20
+PROBE_SEED = 7_0915
 
 
 @dataclass(frozen=True)
@@ -300,7 +301,7 @@ def _monomials_to_expr(mono: dict[tuple[int, ...], Fraction]) -> Expr:
     return acc
 
 
-def integrate_exact_one_form(w: OneFormExpr, probe_seed: int = 7_0915) -> Expr:
+def integrate_exact_one_form(w: OneFormExpr) -> Expr:
     """Potential F with dF = w and F(0) = 0, for closed polynomial one-forms.
 
     Closedness (d_i w_j = d_j w_i) is verified numerically at probe points
@@ -311,7 +312,7 @@ def integrate_exact_one_form(w: OneFormExpr, probe_seed: int = 7_0915) -> Expr:
     n = w.chart.dim
     monos = [_to_monomials(c, n) for c in w.components]
 
-    rng = np.random.default_rng(probe_seed)
+    rng = np.random.default_rng(PROBE_SEED)
     probes = rng.uniform(-1.0, 1.0, size=(CLOSED_PROBES, n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -362,7 +363,8 @@ def detect_blocks(mats: Sequence[np.ndarray], hint: BlockPartition | None = None
 
     if hint is not None:
         if hint.dim != n:
-            raise DimensionMismatchError("hint sizes do not sum to the dimension")
+            raise DimensionMismatchError(
+                f"hint sizes sum to {hint.dim}, the matrices have dimension {n}")
         partition = hint
     else:
         coupled = np.max(np.abs(stack), axis=0) > tol * scale

@@ -4,7 +4,10 @@ Subcommands mirror the verification pipeline: ``torsion`` sweeps the tower
 levels of named operators, ``spectrum`` reports pointwise spectral structure
 and its regularity, ``algebra`` checks commutativity and module/ring closure,
 ``blockdiag`` integrates annihilator one-forms, pushes operators through a
-chart and verifies the block partition.
+chart and verifies the block partition.  ``--tol`` overrides the manifest
+tolerance a subcommand judges by: ``vanish_rel`` for ``torsion`` and
+``algebra``, ``block`` for ``blockdiag``; ``spectrum`` takes its cluster and
+rank tolerances from the manifest only.
 
 Reports are printed as markdown; ``--json OUT`` writes a machine-readable
 report that is byte-identical across reruns with the same inputs (timing is
@@ -13,7 +16,8 @@ that leaves the domain, a non-finite value or a divisor below
 ``expr.SINGULARITY_EPS`` included, exits 2 and names the point; a constant
 outside the double range exits 2 and names the constant.  So does bad
 command-line input: a count below its minimum, a ``--tol`` that is negative
-or not finite, or a ``--hint`` that is not a list of positive block sizes.
+or not finite, or a ``--hint`` that is not a list of positive block sizes
+summing to the chart dimension.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -91,26 +94,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _thread_cap() -> int:
-    """Worker threads from ``TORSIONLAB_THREADS``: 1 when unset, else a positive integer."""
-    raw = os.environ.get("TORSIONLAB_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise TorsionLabError(f"TORSIONLAB_THREADS must be a positive integer, got {raw!r}")
-    return cap
-
-
-def _map_jobs(func, jobs):
-    cap = _thread_cap()
-    if cap <= 1 or len(jobs) <= 1:
-        return [func(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(func, jobs))
-
-
 def _inputs(args, min_samples: int = 1) -> tuple[Manifest, SampleDomain, int, list[str]]:
     """The manifest, its domain under ``--seed``, the sample count and the operators."""
     man = load_manifest(args.manifest)
@@ -168,13 +151,10 @@ def cmd_torsion(args) -> Report:
                     {"operators": names, "level": level, "samples": n_pts, "tol": tol})
 
     pts = sample_points(domain, n_pts)
-
-    def run(name):
+    for name in names:
         # one walk up the tower judges every level 1..level
         top = fl.is_vanishing(man.operators[name], level, domain, n_pts, tol, pts=pts)
-        return (*top.lower, top)
-
-    for name, reps in zip(names, _map_jobs(run, names)):
+        reps = (*top.lower, top)
         first = next((r.level for r in reps if r.vanishing), None)
         for r in reps:
             report.add(f"{name} tau^({r.level})", True,
@@ -252,6 +232,9 @@ def cmd_blockdiag(args) -> Report:
             f"chart {args.chart!r} not in manifest (have: {', '.join(sorted(man.charts))})")
     chart = man.charts[args.chart]
     hint = _block_hint(args.hint) if args.hint else None
+    if hint is not None and hint.dim != chart.src.dim:
+        raise TorsionLabError(f"--hint {args.hint} sums to {hint.dim}, "
+                              f"the chart dimension is {chart.src.dim}")
     report = Report("blockdiag", man.path, domain.seed,
                     {"operators": names, "chart": args.chart, "samples": n_pts,
                      "tol": tol, "hint": args.hint})
@@ -269,11 +252,8 @@ def cmd_blockdiag(args) -> Report:
 
     pts = sample_points(domain, n_pts)
     golden = man.pushforward_golden.get(args.chart, {})
-
-    def run(name):
-        return ch.pushforward_many(man.operators[name], chart, pts)
-
-    for name, mats in zip(names, _map_jobs(run, names)):
+    for name in names:
+        mats = ch.pushforward_many(man.operators[name], chart, pts)
         part, residual = ch.detect_blocks(mats, hint, tol)
         ok = residual <= tol if hint is not None else True
         report.add(f"{name} blocks", ok,
@@ -298,17 +278,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Torsion towers, spectra and block-diagonalization of operator fields.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def tol_option(p, key):
+        p.add_argument("--tol", type=float, default=None,
+                       help=f"override the manifest tolerance {key!r}")
+
     def common(p):
         p.add_argument("--manifest", required=True, help="manifest JSON file (or bundled fixture name)")
         p.add_argument("--operator", action="append", default=[],
                        help="operator name (repeatable; default: all)")
         p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="sample point count")
         p.add_argument("--seed", type=int, default=None, help="override the domain seed")
-        p.add_argument("--tol", type=float, default=None, help="override the check tolerance")
         p.add_argument("--json", dest="json_out", default=None, help="write JSON report here")
 
     p = sub.add_parser("torsion", help="first vanishing torsion level per operator")
     common(p)
+    tol_option(p, "vanish_rel")
     p.add_argument("--level", type=int, default=None, help="highest level to test")
     p.set_defaults(func=cmd_torsion)
 
@@ -318,6 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("algebra", help="commutativity and module/ring closure")
     common(p)
+    tol_option(p, "vanish_rel")
     p.add_argument("--level", type=int, default=None)
     p.add_argument("--combos", type=int, default=50, help="random combinations f K_a + g K_b "
                    "to draw (module law; the ring law checks every product K_a K_b)")
@@ -325,6 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blockdiag", help="pushforward and block structure under a chart")
     common(p)
+    tol_option(p, "block")
     p.add_argument("--chart", required=True, help="name of the coordinate change")
     p.add_argument("--hint", default=None, help="comma-separated block sizes to verify")
     p.set_defaults(func=cmd_blockdiag)
@@ -336,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        _check_tol(args.tol)
+        _check_tol(getattr(args, "tol", None))  # spectrum has no --tol
         report: Report = args.func(args)
     except TorsionLabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,10 +32,6 @@ class ConstantRangeError(TorsionLabError):
     """An exact constant has no double value: its magnitude overflows."""
 
 
-class UnboundParameterError(TorsionLabError):
-    """A named parameter had no value bound at evaluation time."""
-
-
 class DomainExhaustedError(TorsionLabError):
     """Rejection sampling failed too many times in a row."""
 

@@ -1,7 +1,7 @@
 """Symbolic scalar expressions over a named coordinate chart.
 
 Expressions are immutable ASTs built from exact rational constants, chart
-variables, named parameters, the four arithmetic operations, bounded integer
+variables, the four arithmetic operations, bounded integer
 powers, unary negation and real square/cube roots.  They support exact
 symbolic partial differentiation and IEEE-double evaluation (pointwise or
 vectorized over a batch of points) with singularity guards.
@@ -15,7 +15,7 @@ The concrete grammar accepted by :func:`parse_expr`::
 
 Numbers are decimal literals; rationals like ``1/2`` arrive through constant
 folding of the division node.  Identifiers must name chart variables (ASCII,
-e.g. ``x1`` ... ``x7``) or explicitly allowed parameters.
+e.g. ``x1`` ... ``x7``).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .errors import (
     EvalDomainError,
     ExprParseError,
     SingularityError,
-    UnboundParameterError,
     UnknownVariableError,
 )
 
@@ -121,14 +120,6 @@ class Var(Expr):
 
     def __repr__(self):
         return f"Var({self.index})"
-
-
-@dataclass(frozen=True, eq=True)
-class Param(Expr):
-    name: str
-
-    def __repr__(self):
-        return f"Param({self.name!r})"
 
 
 @dataclass(frozen=True, eq=True)
@@ -309,10 +300,9 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, chart: Chart, params: frozenset[str]):
+    def __init__(self, text: str, chart: Chart):
         self.text = text
         self.chart = chart
-        self.params = params
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -405,8 +395,6 @@ class _Parser:
                 return Cbrt(self.base())
             if val in self.chart.var_names:
                 return Var(self.chart.index_of(val))
-            if val in self.params:
-                return Param(val)
             raise UnknownVariableError(f"unknown variable {val!r}", self.text, pos)
         if kind == "op" and val == "(":
             e = self.expr()
@@ -421,14 +409,13 @@ class _Parser:
                              self.text, pos)
 
 
-def parse_expr(text: str, chart: Chart, params: Iterable[str] = ()) -> Expr:
+def parse_expr(text: str, chart: Chart) -> Expr:
     """Parse ``text`` into an AST over ``chart``.
 
-    ``params`` optionally names identifiers to accept as free parameters.
     Raises :class:`ExprParseError` (with position) on syntax errors and
     :class:`UnknownVariableError` on unknown identifiers.
     """
-    return _Parser(text, chart, frozenset(params)).parse()
+    return _Parser(text, chart).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +451,6 @@ def format_expr(e: Expr, chart: Chart | None = None) -> str:
             return s
         if isinstance(node, Var):
             return var_name(node.index)
-        if isinstance(node, Param):
-            return node.name
         if isinstance(node, Add):
             s = f"{walk(node.left, 0)} + {walk(node.right, 1)}"
             return f"({s})" if level >= 1 else s
@@ -480,14 +465,14 @@ def format_expr(e: Expr, chart: Chart | None = None) -> str:
             return f"({s})" if level >= 2 else s
         if isinstance(node, Neg):
             arg = node.arg
-            if isinstance(arg, (Var, Param)):
+            if isinstance(arg, Var):
                 s = f"-{walk(arg, 3)}"
             else:
                 s = f"-({walk(arg, 0)})"
             return f"({s})" if level >= 1 else s
         if isinstance(node, Pow):
             base = node.base
-            if isinstance(base, (Var, Param)):
+            if isinstance(base, Var):
                 b = walk(base, 3)
             else:
                 b = f"({walk(base, 0)})"
@@ -507,7 +492,7 @@ def format_expr(e: Expr, chart: Chart | None = None) -> str:
 
 def diff(e: Expr, var: int) -> Expr:
     """Exact symbolic partial derivative of ``e`` with respect to variable ``var``."""
-    if isinstance(e, (Const, Param)):
+    if isinstance(e, Const):
         return ZERO
     if isinstance(e, Var):
         return ONE if e.index == var else ZERO
@@ -536,7 +521,7 @@ def diff(e: Expr, var: int) -> Expr:
 
 def subst_vars(e: Expr, replacements: Sequence[Expr]) -> Expr:
     """Replace every variable ``i`` by ``replacements[i]`` (composition of maps)."""
-    if isinstance(e, (Const, Param)):
+    if isinstance(e, Const):
         return e
     if isinstance(e, Var):
         return replacements[e.index]
@@ -584,8 +569,7 @@ def mat_mul(x: Sequence[Sequence[Expr]], y: Sequence[Sequence[Expr]]) -> tuple:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def eval_many(e: Expr, pts: np.ndarray,
-              params: Mapping[str, float] | None = None) -> np.ndarray:
+def eval_many(e: Expr, pts: np.ndarray) -> np.ndarray:
     """Evaluate ``e`` at every row of ``pts`` (shape ``(N, dim)``).
 
     Division (and negative powers) by magnitudes below ``SINGULARITY_EPS``
@@ -603,10 +587,6 @@ def eval_many(e: Expr, pts: np.ndarray,
             return const_value(node)
         if isinstance(node, Var):
             return pts[:, node.index]
-        if isinstance(node, Param):
-            if params is None or node.name not in params:
-                raise UnboundParameterError(f"parameter {node.name!r} has no bound value")
-            return float(params[node.name])
         if isinstance(node, Add):
             return walk(node.left) + walk(node.right)
         if isinstance(node, Sub):
@@ -664,14 +644,14 @@ def _guard_divisor(value, pts: np.ndarray) -> None:
     raise SingularityError(f"divisor magnitude below {SINGULARITY_EPS:g} {where}")
 
 
-def eval_at(e: Expr, point, params: Mapping[str, float] | None = None) -> float:
+def eval_at(e: Expr, point) -> float:
     """Evaluate ``e`` at a single point (any sequence of ``dim`` finite reals)."""
     p = np.asarray(point, dtype=float)
     if p.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-d point, got shape {p.shape}")
     if not np.all(np.isfinite(p)):
         raise EvalDomainError("point has non-finite coordinates")
-    return float(eval_many(e, p[None, :], params)[0])
+    return float(eval_many(e, p[None, :])[0])
 
 
 def as_point(chart: Chart, point) -> np.ndarray:

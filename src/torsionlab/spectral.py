@@ -55,6 +55,13 @@ IMAG_TOL = 1e-8
 COMMUTE_TOL = 1e-8
 
 
+def _commutator_residual(a: np.ndarray, b: np.ndarray) -> float:
+    """max|AB - BA| / ((1 + max|A|)(1 + max|B|)) over one matrix or a stack."""
+    comm = a @ b - b @ a
+    scale = (1.0 + np.max(np.abs(a))) * (1.0 + np.max(np.abs(b)))
+    return float(np.max(np.abs(comm)) / scale)
+
+
 # ---------------------------------------------------------------------------
 # numeric rank with an unambiguity requirement
 # ---------------------------------------------------------------------------
@@ -488,12 +495,11 @@ def joint_refinement(ops: Sequence[OperatorBase], point,
     mats = [op.values_many(p[None, :])[0] for op in ops]
     for ia in range(len(ops)):
         for ib in range(ia + 1, len(ops)):
-            comm = mats[ia] @ mats[ib] - mats[ib] @ mats[ia]
-            scale = (1.0 + np.max(np.abs(mats[ia]))) * (1.0 + np.max(np.abs(mats[ib])))
-            if np.max(np.abs(comm)) > COMMUTE_TOL * scale:
+            residual = _commutator_residual(mats[ia], mats[ib])
+            if residual > COMMUTE_TOL:
                 raise NonCommutingError(
                     f"operators {ia} and {ib} do not commute at the point "
-                    f"(residual {np.max(np.abs(comm)):.3e})")
+                    f"(residual {residual:.3e})")
 
     spectra = [spectrum_at(op, p, cluster_tol, rank_tol) for op in ops]
     blocks: list[tuple[tuple[int, ...], np.ndarray]] = [((), np.eye(chart.dim))]

@@ -270,6 +270,26 @@ def test_report_reproducible(lta):
     assert r1.module_worst == r2.module_worst
     assert r1.ring_worst == r2.ring_worst
     assert r1.combo_seed == r2.combo_seed
+    assert r1.combo_seed == (lta.domain.seed * 2654435761 + 0x5EED) % (2 ** 63)
+
+
+def test_commute_worst_is_the_scaled_commutator(lta):
+    n = lta.chart.dim
+    rows = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    rows[0][1] = "x1"  # I + x1 E_12 commutes with neither L1 nor L2
+    family = [lta.operators["L1"], lta.operators["L2"], op_from_strings(lta.chart, rows)]
+    pts = sample_points(lta.domain, 20)
+    vals = [op.values_many(pts) for op in family]
+    expected = 0.0
+    for ia in range(len(vals)):
+        for ib in range(ia + 1, len(vals)):
+            comm = vals[ia] @ vals[ib] - vals[ib] @ vals[ia]
+            scale = (1.0 + np.max(np.abs(vals[ia]))) * (1.0 + np.max(np.abs(vals[ib])))
+            expected = max(expected, float(np.max(np.abs(comm)) / scale))
+    rep = check_algebra(family, 1, lta.domain, 20, 1, 1e-8)
+    assert expected > 1e-8
+    assert rep.commute_worst == expected
+    assert not rep.commute_ok
 
 
 # ---------------------------------------------------------------------------

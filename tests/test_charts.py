@@ -17,6 +17,7 @@ from torsionlab.charts import (
     verify_diffeo,
 )
 from torsionlab.errors import (
+    DimensionMismatchError,
     EvalDomainError,
     NonPolynomialError,
     NotClosedError,
@@ -294,3 +295,9 @@ def test_detect_blocks_hint_failure_reported():
     assert residual > 1e-8
     auto, _ = detect_blocks(mats, None, 1e-8)
     assert auto.sizes == (2,)
+
+
+def test_detect_blocks_hint_of_the_wrong_dimension_names_both_sizes():
+    with pytest.raises(DimensionMismatchError,
+                       match="hint sizes sum to 2, the matrices have dimension 3"):
+        detect_blocks([np.eye(3)], BlockPartition((1, 1)), 1e-8)

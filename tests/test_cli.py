@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -18,6 +19,13 @@ def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr().out
     return code, out
+
+
+def cli_env(**extra):
+    """The environment of a CLI subprocess: this checkout's package first."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def write_manifest(tmp_path, payload, name="man.json"):
@@ -224,12 +232,48 @@ def test_bad_tol_is_an_input_error_before_any_work(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(cli, "load_manifest", no_work)
     out_json = tmp_path / "out.json"
-    code = main(command + ["--manifest", str(fixture_path("lta.json")), f"--tol={tol}",
-                           "--json", str(out_json)])
+    argv = command + ["--manifest", str(fixture_path("lta.json")), f"--tol={tol}",
+                      "--json", str(out_json)]
+    if command == ["spectrum"]:
+        # spectrum takes no --tol at all: the parser rejects it
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code = exc.value.code
+        assert f"error: unrecognized arguments: --tol={tol}\n" in capsys.readouterr().err
+    else:
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert err == f"error: --tol must be finite and >= 0, got {float(tol)}\n"
+    assert code == 2
+    assert not out_json.exists()
+
+
+def test_spectrum_rejects_tol_before_loading_the_manifest(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the manifest was loaded")
+
+    monkeypatch.setattr(cli, "load_manifest", no_work)
+    out_json = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--manifest", str(fixture_path("lta.json")), "--tol", "5",
+              "--json", str(out_json)])
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments: --tol 5" in capsys.readouterr().err
+    assert not out_json.exists()
+
+
+def test_hint_of_the_wrong_dimension_is_an_input_error_before_any_work(capsys,
+                                                                       monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the hint was checked")
+
+    monkeypatch.setattr(cli.ch, "integrate_exact_one_form", no_work)
+    monkeypatch.setattr(cli.ch, "pushforward_many", no_work)
+    code = main(["blockdiag", "--manifest", str(fixture_path("lfa1.json")), "--chart", "y",
+                 "--hint", "1,1", "--samples", "5"])
     err = capsys.readouterr().err
     assert code == 2
-    assert err == f"error: --tol must be finite and >= 0, got {float(tol)}\n"
-    assert not out_json.exists()
+    assert err == "error: --hint 1,1 sums to 2, the chart dimension is 7\n"
 
 
 BIG = str(10 ** 400)  # no double holds it
@@ -281,39 +325,20 @@ def test_manifest_parse_error_location(tmp_path, capsys):
     assert "operators.I[0][1]" in err
 
 
-def test_thread_cap_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("TORSIONLAB_THREADS", "2")
-    path = write_manifest(tmp_path, IDENTITY_MANIFEST)
-    code, _ = run_cli(["torsion", "--manifest", path, "--level", "1",
-                       "--samples", "10"], capsys)
-    assert code == 0
-    # the worker count must not change a byte of the reports
-    lfa1 = str(fixture_path("lfa1.json"))
-    for args in (["torsion", "--manifest", lfa1, "--level", "4", "--samples", "30"],
-                 ["blockdiag", "--manifest", lfa1, "--chart", "y",
-                  "--hint", "1,1,1,1,3", "--samples", "30"]):
-        reports = []
-        for threads in (None, "2"):
-            if threads is None:
-                monkeypatch.delenv("TORSIONLAB_THREADS")
-            else:
-                monkeypatch.setenv("TORSIONLAB_THREADS", threads)
-            out = tmp_path / f"{args[0]}-{threads}.json"
-            assert main(args + ["--json", str(out)]) == 0
-            reports.append(out.read_bytes())
-        capsys.readouterr()
-        assert reports[0] == reports[1]
-
-
-@pytest.mark.parametrize("raw", ["abc", "0", "-3", "2.5"])
-@pytest.mark.parametrize("command", [["torsion", "--level", "1"], ["blockdiag", "--chart", "y"]])
-def test_thread_cap_env_rejects_bad_value(capsys, monkeypatch, raw, command):
-    monkeypatch.setenv("TORSIONLAB_THREADS", raw)
-    lfa1 = str(fixture_path("lfa1.json"))
-    code = main(command + ["--manifest", lfa1, "--samples", "10"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert f"TORSIONLAB_THREADS must be a positive integer, got {raw!r}" in err
+def test_blas_thread_count_changes_no_byte(tmp_path):
+    # BLAS threads are read at import, so each count needs its own process
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"torsion-{threads}.json"
+        env = cli_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "torsionlab.cli", "torsion",
+             "--manifest", str(fixture_path("lfa1.json")), "--level", "4",
+             "--samples", "30", "--json", str(out)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("command", [["torsion"], ["algebra", "--combos", "2"], ["spectrum"]])
@@ -447,7 +472,7 @@ def test_console_entry_point():
         [sys.executable, "-m", "torsionlab.cli", "torsion",
          "--manifest", str(fixture_path("lta.json")),
          "--operator", "L1", "--level", "1", "--samples", "10"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=cli_env())
     # level-1 torsion of L1 does not vanish: exit code 1, but a real report
     assert proc.returncode == 1
     assert "torsionlab torsion" in proc.stdout

@@ -97,9 +97,6 @@ def test_parse_syntax_error_carries_position():
 def test_parse_unknown_variable():
     with pytest.raises(UnknownVariableError):
         parse_expr("x1 + foo", CH5)
-    # the same name is accepted when allowed as a parameter
-    e = parse_expr("x1 + foo", CH5, params=("foo",))
-    assert eval_many(e, np.ones((1, 5)), params={"foo": 2.0})[0] == 3.0
 
 
 def test_parse_exponent_bound():

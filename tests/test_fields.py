@@ -531,9 +531,9 @@ def test_jet_constant_outside_double_range_is_named():
 def test_jet_evaluates_each_point_dependent_entry_once(monkeypatch, lfa1):
     evaluated = []
 
-    def counted(e, pts, params=None):
+    def counted(e, pts):
         evaluated.append(e)
-        return eval_many(e, pts, params)
+        return eval_many(e, pts)
 
     eval_many = fl.eval_many
     monkeypatch.setattr(fl, "eval_many", counted)

@@ -556,7 +556,10 @@ def test_joint_refinement_commuting_diagonals():
 def test_joint_refinement_rejects_noncommuting():
     a = op_from_strings(CH2, [["1", "1"], ["0", "2"]])
     b = op_from_strings(CH2, [["1", "0"], ["1", "2"]])
-    with pytest.raises(NonCommutingError):
+    # AB - BA = [[1, 1], [1, -1]], scale (1 + 2)(1 + 2): residual 1/9
+    with pytest.raises(NonCommutingError,
+                       match=r"operators 0 and 1 do not commute at the point "
+                             r"\(residual 1\.111e-01\)"):
         joint_refinement([a, b], (0.0, 0.0))
 
 

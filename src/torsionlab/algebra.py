@@ -6,14 +6,17 @@ Implements the action of trivariate polynomials on pointwise (1,2)-tensors
 
 the Bezout quotient Q_P with P(z) - P(l) = (z - l) Q_P(z, l), the induced
 identity relating the torsion of a polynomial P(A) to the torsion of A, and
-sampling-based module/ring closure verdicts for operator families.
+sampling-based module/ring closure verdicts for operator families.  The
+closure verdicts combine each candidate K_a K_b or f K_a + g K_b inside the
+chunked tower walk of :mod:`torsionlab.fields`, one point chunk at a time,
+and differentiate each coefficient only along the variables it contains.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,10 +43,10 @@ from .fields import (
     PolyOperator,
     TorsionTensor,
     VanishingReport,
+    _chunked_verdicts,
     identity_operator,
     scalar_jet,
     tower_from_jets,
-    tower_verdicts,
     vanishing_report,
 )
 from .spectral import CLUSTER_TOL, RANK_TOL, _commutator_residual, minimal_poly_degree_at
@@ -382,7 +385,9 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
     Checks pairwise commutativity at sampled points and level-m vanishing of
     K_a K_b for every ordered pair (a, b), K_a^2 included (ring law), then
     draws random function pairs (f, g) and operator pairs (K_a, K_b) and
-    verifies level-m vanishing of f K_a + g K_b (module law).
+    verifies level-m vanishing of f K_a + g K_b (module law).  No candidate
+    1-jet is built over the whole sample: the tower walk combines each one
+    from the generators' jets one point chunk at a time.
     """
     if not ops:
         raise ValueError("need at least one operator")
@@ -391,8 +396,9 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
     jets = [op.jet_many(pts) for op in ops]
     vals = [j.vals for j in jets]
 
-    def verdict(jet: Jet) -> VanishingReport:
-        return tower_verdicts(jet.vals, jet.derivs, m, pts, domain.seed, tol)[-1]
+    def verdict(jet_at: Callable[[slice], Jet]) -> VanishingReport:
+        # each candidate is combined chunk by chunk inside the walk
+        return _chunked_verdicts(jet_at, chart.dim, m, pts, domain.seed, tol)[-1]
 
     k = len(ops)
     commute = [[True] * k for _ in range(k)]
@@ -405,7 +411,7 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
                 rel = _commutator_residual(vals[ia], vals[ib])
                 commute_worst = max(commute_worst, rel)
                 commute[ia][ib] = commute[ib][ia] = rel <= tol
-            ring = verdict(jets[ia] @ jets[ib])
+            ring = verdict(lambda part: jets[ia][part] @ jets[ib][part])
             ring_worst = max(ring_worst, ring.max_residual)
             ring_closed = ring_closed and ring.vanishing
 
@@ -418,7 +424,9 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
         ib = int(rng.integers(0, k))
         f = _random_combo_poly(chart, rng)
         g = _random_combo_poly(chart, rng)
-        module = verdict(scalar_jet(f, pts) * jets[ia] + scalar_jet(g, pts) * jets[ib])
+        f_jet, g_jet = scalar_jet(f, pts), scalar_jet(g, pts)
+        module = verdict(lambda part: f_jet[part] * jets[ia][part]
+                         + g_jet[part] * jets[ib][part])
         module_worst = max(module_worst, module.max_residual)
         module_closed = module_closed and module.vanishing
 

@@ -519,6 +519,30 @@ def diff(e: Expr, var: int) -> Expr:
     raise TypeError(f"not an Expr node: {e!r}")
 
 
+def variables(e: Expr) -> tuple[int, ...]:
+    """The indices of the chart variables that occur in ``e``, ascending.
+
+    Along any other variable, :func:`diff` returns the exact zero ``Const(0)``
+    unless ``e`` divides by a constant zero, where evaluating ``e`` itself
+    already raises.
+    """
+    found: set[int] = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            found.add(node.index)
+        elif isinstance(node, (Add, Sub, Mul, Div)):
+            stack += (node.left, node.right)
+        elif isinstance(node, (Neg, Sqrt, Cbrt)):
+            stack.append(node.arg)
+        elif isinstance(node, Pow):
+            stack.append(node.base)
+        elif not isinstance(node, Const):
+            raise TypeError(f"not an Expr node: {node!r}")
+    return tuple(sorted(found))
+
+
 def subst_vars(e: Expr, replacements: Sequence[Expr]) -> Expr:
     """Replace every variable ``i`` by ``replacements[i]`` (composition of maps)."""
     if isinstance(e, Const):

@@ -8,7 +8,10 @@ entries that are constants and the flat indices of those that depend on the
 point.  A fill writes the whole array as one broadcast copy of the
 template, then evaluates each point-dependent entry once, in row-major
 order, into its column.  On the bundled fixtures most entries of a 1-jet
-are constants (1 072 of 1 176 over lfa1's three operators).
+are constants (1 072 of 1 176 over lfa1's three operators).  An entry, or
+the coefficient of a :func:`scalar_jet`, is differentiated only along the
+variables it contains (:func:`torsionlab.expr.variables`); along the others
+its derivative is the exact zero :func:`diff` would give.
 Composite operators (linear combinations with scalar-field coefficients,
 products, polynomials, powers) build their jets by ``Jet`` arithmetic, whose
 ``@`` holds the one copy of the product rule.
@@ -31,8 +34,12 @@ general R_S kernel lives in :mod:`torsionlab.algebra`.
 A verdict needs only max |T^(k)| at each point, so :func:`tower_verdicts`
 walks the tower in point chunks of at most ``CHUNK_BYTES`` per level and keeps
 per-point norms: verdict paths hold O(chunk) tower memory, whatever the
-sample size.  :func:`tower` and :func:`torsion_many` still build whole levels
-for the callers that need the tensors.
+sample size.  The walk takes the 1-jet as a function of a point slice, so a
+candidate such as K_a K_b or f K_a + g K_b in
+:func:`torsionlab.algebra.check_algebra` is combined chunk by chunk from
+slices (views) of its factors' jets and never exists over the whole sample.
+:func:`tower` and :func:`torsion_many` still build whole levels for the
+callers that need the tensors.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +59,7 @@ from .errors import (
     PreconditionError,
 )
 from .expr import (
+    ZERO,
     Chart,
     Const,
     Expr,
@@ -67,6 +75,7 @@ from .expr import (
     mul,
     sample_points,
     sub,
+    variables,
 )
 
 __all__ = [
@@ -153,7 +162,8 @@ class Jet:
     ``vals[p, i, j] = A^i_j`` and ``derivs[p, l, i, j] = d_l A^i_j``.  A scalar
     field is the jet with ``vals`` of shape (N, 1, 1) and ``derivs`` of shape
     (N, n, 1, 1), so ``*`` scales a matrix jet by it.  ``derivs`` is None for
-    a value-only jet.  A jet unpacks as ``vals, derivs``.
+    a value-only jet.  A jet unpacks as ``vals, derivs``; ``jet[part]``, for
+    a slice ``part`` of the points, is the jet at those points, made of views.
     """
 
     vals: np.ndarray
@@ -161,6 +171,9 @@ class Jet:
 
     def __iter__(self):
         return iter((self.vals, self.derivs))
+
+    def __getitem__(self, part: slice) -> "Jet":
+        return Jet(self.vals[part], None if self.derivs is None else self.derivs[part])
 
     def __add__(self, other: "Jet") -> "Jet":
         derivs = None if self.derivs is None else self.derivs + other.derivs
@@ -182,12 +195,18 @@ class Jet:
 
 
 def scalar_jet(coeff: Expr, pts: np.ndarray, derivs: bool = True) -> Jet:
-    """Value and gradient of a scalar field at ``pts``, shaped to scale a matrix jet."""
+    """Value and gradient of a scalar field at ``pts``, shaped to scale a matrix jet.
+
+    Only the variables ``coeff`` contains are differentiated; the gradient
+    entries along the others are the exact zeros :func:`diff` gives there.
+    """
     vals = eval_many(coeff, pts)[:, None, None]
     if not derivs:
         return Jet(vals)
-    grad = np.stack([eval_many(diff(coeff, l), pts) for l in range(pts.shape[1])], axis=1)
-    return Jet(vals, grad[:, :, None, None])
+    grad = np.zeros((pts.shape[0], pts.shape[1], 1, 1))
+    for l in variables(coeff):
+        grad[:, l, 0, 0] = eval_many(diff(coeff, l), pts)
+    return Jet(vals, grad)
 
 
 def _require_finite(pts: np.ndarray, what: str, *arrays) -> None:
@@ -255,7 +274,8 @@ class OperatorField(OperatorBase):
     @cached_property
     def _derivative_plan(self) -> "_EntryPlan":
         n = self.chart.dim
-        return _EntryPlan.of([diff(self.entries[i][j], l)
+        present = [[set(variables(e)) for e in row] for row in self.entries]
+        return _EntryPlan.of([diff(self.entries[i][j], l) if l in present[i][j] else ZERO
                               for l in range(n) for i in range(n) for j in range(n)])
 
     def _jet(self, pts, derivs):
@@ -588,27 +608,31 @@ def _report(residuals: np.ndarray, m: int, pts: np.ndarray, seed: int,
     )
 
 
-def _tower_residuals(vals: np.ndarray, derivs: np.ndarray, m: int,
+def _tower_residuals(jet_at: Callable[[slice], Jet], n: int, m: int,
                      pts: np.ndarray) -> np.ndarray:
-    """Residuals of levels 1..m at every point, shape (m, N).
+    """Residuals of levels 1..m at every point of ``pts``, shape (m, N).
 
-    Walks :func:`tower` on point chunks of at most ``CHUNK_BYTES`` per level
-    and keeps only the per-point norms.  Each point's tower is the same
-    computation in any chunk, so the residuals are those of the whole tower
-    bit for bit.  The residual rule is applied after the walk in level order,
-    so an :class:`EvalDomainError` names the lowest non-finite level and its
-    first point, as a level-by-level walk over all points would.
+    ``jet_at(part)`` is the n-by-n 1-jet at the points ``pts[part]``.  The
+    walk asks for it one point chunk of at most ``CHUNK_BYTES`` per level at
+    a time, walks :func:`tower` on it and keeps only the per-point norms.
+    Each point's jet and tower are the same computation in any chunk, so the
+    residuals are those of the whole tower bit for bit.  The residual rule is
+    applied after the walk in level order, so an :class:`EvalDomainError`
+    names the lowest non-finite level and its first point, as a
+    level-by-level walk over all points would.
     """
     if m < 1:
         raise ValueError("torsion level must be >= 1")
-    n_pts, n = vals.shape[0], vals.shape[-1]
+    n_pts = pts.shape[0]
     step = max(1, CHUNK_BYTES // (8 * n ** 3))
     norms = np.empty((m, n_pts))
+    val_norm = np.empty(n_pts)
     for start in range(0, n_pts, step):
         part = slice(start, start + step)
-        for row, torsions in zip(norms, tower(vals[part], derivs[part], m)):
+        vals, derivs = jet_at(part)
+        val_norm[part] = _point_max(vals)
+        for row, torsions in zip(norms, tower(vals, derivs, m)):
             row[part] = _point_max(torsions)
-    val_norm = _point_max(vals)
     for level, row in enumerate(norms, start=1):
         row[:] = _residuals(row, val_norm, level, pts)
     return norms
@@ -616,7 +640,7 @@ def _tower_residuals(vals: np.ndarray, derivs: np.ndarray, m: int,
 
 def torsion_residuals(a: OperatorBase, m: int, pts: np.ndarray) -> np.ndarray:
     """max |T^(m)| / (1 + max|A|^(2m-1)) per point; scale-free residuals."""
-    return _tower_residuals(*a.jet_many(pts), m, pts)[-1]
+    return _tower_residuals(a.jet_many(pts).__getitem__, a.chart.dim, m, pts)[-1]
 
 
 def vanishing_report(torsions: np.ndarray, vals: np.ndarray, m: int,
@@ -637,8 +661,17 @@ def tower_verdicts(vals: np.ndarray, derivs: np.ndarray, m: int, pts: np.ndarray
     The tower is walked in point chunks, so the walk holds O(chunk) tower
     memory; each report equals :func:`vanishing_report` on the whole level.
     """
+    return _chunked_verdicts(Jet(vals, derivs).__getitem__, vals.shape[-1], m, pts,
+                             seed, tol_rel)
+
+
+def _chunked_verdicts(jet_at: Callable[[slice], Jet], n: int, m: int, pts: np.ndarray,
+                      seed: int, tol_rel: float) -> list[VanishingReport]:
+    """:func:`tower_verdicts` on the 1-jet given chunk by chunk, as ``jet_at(part)``
+    at the points ``pts[part]``, so that a combined jet is built one chunk at
+    a time (see :func:`_tower_residuals`)."""
     return [_report(res, level, pts, seed, tol_rel)
-            for level, res in enumerate(_tower_residuals(vals, derivs, m, pts), start=1)]
+            for level, res in enumerate(_tower_residuals(jet_at, n, m, pts), start=1)]
 
 
 def is_vanishing(a: OperatorBase, m: int, domain: SampleDomain,

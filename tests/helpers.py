@@ -5,9 +5,10 @@ paths: torsions are assembled from symbolic brackets and operator
 applications exactly as defined, then evaluated pointwise.  The spectral
 oracle analyses one matrix at a time, with a union-find clustering,
 ``np.mean`` and its own rank rule, where the production core batches points.
-The 1-jet oracle fills an operator entry by entry and the sampling oracle
-accepts candidates row by row, where production fills and accepts whole
-batches.
+The 1-jet oracle fills an operator entry by entry, the scalar-jet oracle
+differentiates along every variable and the sampling oracle accepts
+candidates row by row, where production fills and accepts whole batches
+and differentiates only along the variables an expression contains.
 """
 
 from __future__ import annotations
@@ -120,6 +121,15 @@ def jet_reference(a: OperatorField, pts: np.ndarray, derivs: bool = True):
             for j in range(n):
                 grads[:, l, i, j] = eval_many(diff(a.entries[i][j], l), pts)
     return vals, grads
+
+
+def scalar_jet_reference(coeff: Expr, pts: np.ndarray):
+    """``(f, df)`` at ``pts``, shaped as :func:`torsionlab.fields.scalar_jet`
+    gives them: the value, then the symbolic derivative along every variable
+    of the chart in order, each evaluated with ``eval_many``."""
+    vals = eval_many(coeff, pts)[:, None, None]
+    grad = np.stack([eval_many(diff(coeff, l), pts) for l in range(pts.shape[1])], axis=1)
+    return vals, grad[:, :, None, None]
 
 
 def sample_points_reference(domain: SampleDomain, count: int,

@@ -1,9 +1,13 @@
 """Representation calculus, Bezout quotients and closure-law checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from helpers import random_operator, random_poly_expr, rel_err
+import torsionlab.algebra as alg
+import torsionlab.fields as fl
 from torsionlab.algebra import (
     PolySpec,
     TriPoly,
@@ -22,8 +26,10 @@ from torsionlab.fields import (
     TorsionTensor,
     identity_operator,
     is_vanishing,
+    scalar_jet,
     torsion_at,
     torsion_many,
+    tower_verdicts,
 )
 
 CH2 = Chart(2)
@@ -290,6 +296,49 @@ def test_commute_worst_is_the_scaled_commutator(lta):
     assert expected > 1e-8
     assert rep.commute_worst == expected
     assert not rep.commute_ok
+
+
+def _whole_array_worsts(man, m, n_pts, n_combos, seed):
+    """ring_worst and module_worst with every candidate 1-jet built over the
+    whole sample first, then judged by ``tower_verdicts``."""
+    domain = dataclasses.replace(man.domain, seed=seed)
+    ops = [man.operators[name] for name in man.operators]
+    pts = sample_points(domain, n_pts)
+    jets = [op.jet_many(pts) for op in ops]
+
+    def worst(jet):
+        return tower_verdicts(jet.vals, jet.derivs, m, pts, seed, 1e-8)[-1].max_residual
+
+    ring = max(worst(a @ b) for a in jets for b in jets)
+    rng = np.random.default_rng((seed * 2654435761 + 0x5EED) % (2 ** 63))
+    module = 0.0
+    for _ in range(n_combos):
+        ia, ib = int(rng.integers(0, len(ops))), int(rng.integers(0, len(ops)))
+        f = alg._random_combo_poly(man.chart, rng)
+        g = alg._random_combo_poly(man.chart, rng)
+        module = max(module, worst(scalar_jet(f, pts) * jets[ia] + scalar_jet(g, pts) * jets[ib]))
+    return ring, module
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("fixture", ["lfa1", "lta"])
+def test_check_algebra_is_chunk_invariant(fixture, seed, request, monkeypatch):
+    # candidates are combined chunk by chunk inside the walk: one point per
+    # chunk, the default chunks and one chunk for the whole sample give the
+    # same report, and the worsts of whole-array candidate jets
+    man = request.getfixturevalue(fixture)
+    m, n_pts, n_combos = man.level, 90, 6
+    domain = dataclasses.replace(man.domain, seed=seed)
+    ops = [man.operators[name] for name in man.operators]
+    reports = []
+    for chunk_bytes in (1, fl.CHUNK_BYTES, 8 * n_pts * man.chart.dim ** 3):
+        monkeypatch.setattr(fl, "CHUNK_BYTES", chunk_bytes)
+        rep = check_algebra(ops, m, domain, n_pts, n_combos, 1e-8)
+        reports.append(dataclasses.asdict(rep))
+    assert reports[0] == reports[1] == reports[2]
+    ring, module = _whole_array_worsts(man, m, n_pts, n_combos, seed)
+    assert (reports[0]["ring_worst"], reports[0]["module_worst"]) == (ring, module)
+    assert reports[0]["ring_closed"] and reports[0]["module_closed"]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ import pytest
 import torsionlab.algebra as alg
 import torsionlab.cli as cli
 import torsionlab.fields as fl
+import torsionlab.manifest as manifest_module
 from torsionlab.cli import main
-from torsionlab.expr import sample_points
+from torsionlab.errors import ManifestError
+from torsionlab.expr import Var, sample_points
 from torsionlab.manifest import fixture_path, load_manifest
 
 
@@ -325,6 +327,49 @@ def test_manifest_parse_error_location(tmp_path, capsys):
     assert "operators.I[0][1]" in err
 
 
+def test_manifest_repeated_strings_parse_as_entry_by_entry(tmp_path, monkeypatch):
+    # the same text on two charts whose names are swapped means different
+    # variables, so the per-load memo is keyed on (text, chart)
+    man = {**IDENTITY_MANIFEST, "chart": {"dim": 2, "names": ["a", "b"]},
+           "operators": {"P": [["a*b", "a"], ["a", "a*b"]], "Q": [["a", "a*b"], ["b", "1"]]},
+           "charts": {"y": {"names": ["b", "a"], "forward": ["b", "a"], "inverse": ["b", "a"]}},
+           "fields": {"F": [["a*b", "a"]]}}
+    path = write_manifest(tmp_path, man)
+    parsed = []
+
+    def counted(text, chart):
+        parsed.append((text, chart))
+        return parse_expr(text, chart)
+
+    parse_expr = manifest_module.parse_expr
+    monkeypatch.setattr(manifest_module, "parse_expr", counted)
+    loaded = load_manifest(path)
+    src, dst = loaded.chart, loaded.charts["y"].dst
+    for name, rows in man["operators"].items():
+        assert loaded.operators[name].entries == tuple(
+            tuple(parse_expr(text, src) for text in row) for row in rows)
+    assert loaded.charts["y"].forward == (parse_expr("b", src), parse_expr("a", src))
+    assert loaded.charts["y"].inverse == (parse_expr("b", dst), parse_expr("a", dst))
+    assert loaded.charts["y"].forward == (Var(1), Var(0))
+    assert loaded.charts["y"].inverse == (Var(0), Var(1))
+    assert loaded.fields["F"][0].components == (parse_expr("a*b", src), parse_expr("a", src))
+    # each distinct (text, chart) once per load; a second load parses again
+    assert sorted(parsed, key=str) == sorted(
+        [("a*b", src), ("a", src), ("b", src), ("1", src), ("b", dst), ("a", dst)], key=str)
+    load_manifest(path)
+    assert len(parsed) == 12
+
+
+def test_manifest_repeated_bad_string_names_the_first_entry(tmp_path):
+    man = json.loads(json.dumps(IDENTITY_MANIFEST))
+    man["operators"]["I"][0][1] = man["operators"]["I"][1][0] = "x1 + + 3"
+    with pytest.raises(ManifestError, match=r"^operators\.I\[0\]\[1\]: "):
+        load_manifest(write_manifest(tmp_path, man))
+    man["operators"]["I"][0][1] = "0"
+    with pytest.raises(ManifestError, match=r"^operators\.I\[1\]\[0\]: "):
+        load_manifest(write_manifest(tmp_path, man))
+
+
 def test_blas_thread_count_changes_no_byte(tmp_path):
     # BLAS threads are read at import, so each count needs its own process
     reports = []
@@ -455,10 +500,10 @@ def test_algebra_builds_one_tower_per_product_and_per_combo(monkeypatch, capsys)
 
     def counted(*args):
         towers.append(args[2])
-        return tower_verdicts(*args)
+        return chunked_verdicts(*args)
 
-    tower_verdicts = alg.tower_verdicts
-    monkeypatch.setattr(alg, "tower_verdicts", counted)
+    chunked_verdicts = alg._chunked_verdicts
+    monkeypatch.setattr(alg, "_chunked_verdicts", counted)
     code, _ = run_cli(["algebra", "--manifest", str(fixture_path("lta.json")),
                        "--level", "3", "--combos", "2", "--samples", "20"], capsys)
     assert code == 0

@@ -44,6 +44,7 @@ from torsionlab.expr import (
     sqrt,
     cbrt,
     sub,
+    variables,
 )
 
 CH5 = Chart(5)
@@ -159,6 +160,14 @@ def test_diff_sqrt():
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
+
+def test_variables_are_those_the_expression_contains():
+    e = parse_expr("x3*sqrt(x1) - cbrt(2/x3)^2 + -x5", CH5)
+    assert variables(e) == (0, 2, 4)
+    assert variables(const(3)) == ()
+    # along every other variable the derivative is the exact zero
+    assert [diff(e, var) for var in (1, 3)] == [const(0), const(0)]
+
 
 def test_eval_simple_sum():
     e = parse_expr("x1 + x2", CH5)

@@ -1,6 +1,7 @@
 """Lie brackets, operator application and the generalized torsion tower."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from helpers import (
     random_operator,
     random_poly_expr,
     rel_err,
+    scalar_jet_reference,
 )
 import torsionlab.fields as fl
 from torsionlab.algebra import TriPoly, rep_apply
@@ -26,12 +28,20 @@ from torsionlab.errors import (
     DimensionMismatchError,
     EvalDomainError,
     SingularityError,
+    TorsionLabError,
 )
 from torsionlab.expr import (
+    Add,
+    Cbrt,
     Chart,
     Const,
+    Div,
     Mul,
+    Neg,
+    Pow,
     SampleDomain,
+    Sqrt,
+    Sub,
     Var,
     const,
     diff,
@@ -40,6 +50,7 @@ from torsionlab.expr import (
 )
 from torsionlab.fields import (
     CHUNK_BYTES,
+    Jet,
     LinCombOperator,
     OperatorAtPoint,
     OperatorField,
@@ -57,6 +68,7 @@ from torsionlab.fields import (
     lie_bracket,
     nijenhuis_at,
     nijenhuis_from_jets,
+    scalar_jet,
     torsion_at,
     torsion_many,
     tower,
@@ -549,6 +561,96 @@ def test_jet_evaluates_each_point_dependent_entry_once(monkeypatch, lfa1):
     evaluated.clear()
     op.values_many(pts)
     assert evaluated == [e for e in entries if not isinstance(e, Const)]
+
+
+@pytest.mark.parametrize("fixture, name", [*(("lfa1", f"K{k}") for k in (1, 2, 3)),
+                                           *(("lta", f"L{k}") for k in (1, 2, 3))])
+def test_fixture_jets_equal_entry_by_entry_reference(fixture, name, request):
+    # each entry is differentiated only along the variables it contains; the
+    # oracle differentiates every entry along every variable
+    man = request.getfixturevalue(fixture)
+    op = man.operators[name]
+    pts = sample_points(man.domain, 40)
+    ref_vals, ref_derivs = jet_reference(op, pts)
+    vals, derivs = op.jet_many(pts)
+    assert vals.tobytes() == ref_vals.tobytes()
+    assert derivs.tobytes() == ref_derivs.tobytes()
+
+
+def _raw_ast_strategy(dim: int):
+    # raw nodes, no constant folding: a constant divisor, a constant-zero
+    # divisor and variables the expression does not contain all occur
+    consts = st.builds(lambda n, d: Const(Fraction(n, d)), st.integers(-4, 4), st.integers(1, 3))
+    leaves = st.one_of(consts, st.integers(0, dim - 1).map(Var))
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Add, children, children),
+            st.builds(Sub, children, children),
+            st.builds(Mul, children, children),
+            st.builds(Div, children, children),
+            st.builds(Div, children, consts),
+            st.builds(Div, children, st.just(Const(Fraction(0)))),
+            st.builds(Neg, children),
+            st.builds(Pow, children, st.integers(-3, 3)),
+            st.builds(Sqrt, children),
+            st.builds(Cbrt, children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+def _outcome(jet_fn, coeff, pts):
+    try:
+        vals, derivs = jet_fn(coeff, pts)
+    except (TorsionLabError, RuntimeWarning) as exc:
+        return type(exc), str(exc)
+    return vals.shape, derivs.shape, vals.tobytes(), derivs.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_raw_ast_strategy(4), st.integers(0, 10_000))
+def test_scalar_jet_equals_every_variable_reference(coeff, salt):
+    # the gradient along a variable the expression lacks is written as 0.0,
+    # which is what evaluating its derivative, Const(0), gives
+    rng = np.random.default_rng(salt)
+    pts = rng.uniform(-0.5, 2.0, size=(6, 4))
+    assert _outcome(scalar_jet, coeff, pts) == _outcome(scalar_jet_reference, coeff, pts)
+
+
+def test_scalar_jet_differentiates_only_present_variables(monkeypatch):
+    differentiated = []
+
+    def counted(e, var):
+        differentiated.append(var)
+        return diff(e, var)
+
+    monkeypatch.setattr(fl, "diff", counted)
+    coeff = parse_expr("x2*x2 - 3/x4 + 1", Chart(5))
+    pts = np.full((3, 5), 1.5)
+    vals, derivs = scalar_jet(coeff, pts)
+    assert differentiated == [1, 3]
+    assert derivs[:, :, 0, 0].tolist() == [[0.0, 3.0, 0.0, 3 / 1.5 ** 2, 0.0]] * 3
+    assert vals.shape == (3, 1, 1) and derivs.shape == (3, 5, 1, 1)
+
+
+def test_jet_slices_are_views_and_products_commute_with_slicing():
+    rng = np.random.default_rng(73)
+    n_pts, n = 11, 4
+    a = Jet(rng.uniform(-2, 2, (n_pts, n, n)), rng.uniform(-2, 2, (n_pts, n, n, n)))
+    b = Jet(rng.uniform(-2, 2, (n_pts, n, n)), rng.uniform(-2, 2, (n_pts, n, n, n)))
+    f = Jet(rng.uniform(-2, 2, (n_pts, 1, 1)), rng.uniform(-2, 2, (n_pts, n, 1, 1)))
+    for part in (slice(0, 1), slice(3, 8), slice(8, 20), slice(0, n_pts)):
+        sliced = a[part]
+        assert sliced.vals.base is a.vals and sliced.derivs.base is a.derivs
+        assert np.array_equal(sliced.vals, a.vals[part])
+        for whole, parts in (((a @ b)[part], a[part] @ b[part]),
+                             ((f * a)[part], f[part] * a[part]),
+                             ((f * a + f * b)[part], f[part] * a[part] + f[part] * b[part])):
+            assert whole.vals.tobytes() == parts.vals.tobytes()
+            assert whole.derivs.tobytes() == parts.derivs.tobytes()
+    value_only = Jet(a.vals)[2:5]
+    assert value_only.derivs is None and value_only.vals.base is a.vals
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,13 @@ Implements the action of trivariate polynomials on pointwise (1,2)-tensors
 
     (S . T)^a_bc = sum_{ijk} s_ijk (A^i)^a_d T^d_ef (A^j)^e_b (A^k)^f_c,
 
-the Bezout quotient Q_P with P(z) - P(l) = (z - l) Q_P(z, l), the induced
-identity relating the torsion of a polynomial P(A) to the torsion of A, and
-sampling-based module/ring closure verdicts for operator families.  The
-closure verdicts combine each candidate K_a K_b or f K_a + g K_b inside the
-chunked tower walk of :mod:`torsionlab.fields`, one point chunk at a time,
-and differentiate each coefficient only along the variables it contains.
+by Horner over the slot actions Z, Lambda and M of
+:func:`torsionlab.fields.slot_action`; the Bezout quotient Q_P with
+P(z) - P(l) = (z - l) Q_P(z, l) and the identity relating the torsion of
+P(A) to that of A, whose image Q_P(Z, Lambda)^m Q_P(Z, M)^m is applied
+factor by factor, never expanded; and sampling-based module/ring closure
+verdicts, which combine each candidate K_a K_b or f K_a + g K_b inside the
+chunked tower walk, one point chunk at a time.
 """
 
 from __future__ import annotations
@@ -43,10 +44,12 @@ from .fields import (
     PolyOperator,
     TorsionTensor,
     VanishingReport,
-    _chunked_verdicts,
+    _point_max,
     identity_operator,
     scalar_jet,
+    slot_action,
     tower_from_jets,
+    tower_verdicts,
     vanishing_report,
 )
 from .spectral import CLUSTER_TOL, RANK_TOL, _commutator_residual, minimal_poly_degree_at
@@ -138,48 +141,36 @@ class BivarPoly:
 # representation on pointwise tensors
 # ---------------------------------------------------------------------------
 
-def rep_apply_many(terms: Mapping[tuple[int, int, int], object],
-                   tensors: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """R_S T = sum_(i,j,k) s_ijk A^i T(A^j ., A^k .) at every point of a batch.
+def _actions(vals: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], ...]:
+    """Z, Lambda and M: T -> A T(X, Y), T(AX, Y) and T(X, AY)."""
+    vals_t = vals.swapaxes(1, 2)
+    return (lambda t: slot_action(vals, t, 1),
+            lambda t: slot_action(vals_t, t, 2),
+            lambda t: slot_action(vals_t, t, 3))
 
-    ``terms`` maps exponents to coefficients, each a scalar or an array of
-    shape (N,); ``tensors`` has shape (N, n, n, n) and ``vals`` (N, n, n).
-    z acts on the tensor value, lambda on the first argument and mu on the
-    second.  Every contraction is a batched ``matmul`` over one index.
+
+def _horner(terms: Mapping[tuple[int, ...], object],
+            actions: Sequence[Callable[[np.ndarray], np.ndarray]],
+            tensors: np.ndarray) -> np.ndarray:
+    """sum over ``terms`` of s_e X_1^e_1 .. X_r^e_r applied to ``tensors``.
+
+    Coefficients are scalars or (N,) arrays; the r ``actions`` commute.  Horner
+    in X_1, each coefficient polynomial in X_2 .. X_r again by Horner.
     """
-    n_pts, n = vals.shape[0], vals.shape[-1]
-    out = np.zeros(tensors.shape)
     if not terms:
-        return out
-    powers = [np.broadcast_to(np.eye(n), vals.shape), vals]
-    while len(powers) <= max(max(key) for key in terms):
-        powers.append(powers[-1] @ vals)
-    # T(A^j X, Y): (A^j)^T contracted into the first argument slot
-    firsts = {j: powers[j].swapaxes(1, 2)[:, None] @ tensors
-              for j in {key[1] for key in terms} if j}
-    firsts[0] = tensors
-    # C-contiguous, so that their flat reshapes below are views
-    inner = np.empty(tensors.shape)
-    term = np.empty(tensors.shape)
-    flat = (n_pts, n, n * n)
-    for i in sorted({key[0] for key in terms}):
-        # the i = 0 group needs no value matmul; it comes first, while out is zero
-        acc = inner if i else out
-        acc.fill(0.0)
-        for (ti, j, k), coeff in terms.items():
-            if ti != i:
-                continue
-            # s_ijk T(A^j X, A^k Y)
-            weight = np.reshape(coeff, (-1, 1, 1, 1))
-            if k:
-                np.matmul(firsts[j], powers[k][:, None], out=term)
-                term *= weight
-            else:
-                np.multiply(firsts[j], weight, out=term)
-            acc += term
-        if i:
-            np.matmul(powers[i], inner.reshape(flat), out=term.reshape(flat))
-            out += term
+        return np.zeros(tensors.shape)
+    if not actions:
+        return tensors * np.reshape(terms[()], (-1, 1, 1, 1))
+    act, rest = actions[0], actions[1:]
+    by_power: dict[int, dict] = {}
+    for key, coeff in terms.items():
+        by_power.setdefault(key[0], {})[key[1:]] = coeff
+    top = max(by_power)
+    out = _horner(by_power[top], rest, tensors)
+    for power in range(top - 1, -1, -1):
+        out = act(out)
+        if power in by_power:
+            out += _horner(by_power[power], rest, tensors)
     return out
 
 
@@ -193,8 +184,8 @@ def rep_apply(s: TriPoly, torsion: TorsionTensor, ap: OperatorAtPoint) -> Torsio
         raise DimensionMismatchError("tensor and operator dimensions differ")
     if not np.array_equal(torsion.point, ap.point):
         raise PreconditionError("tensor and operator must sit at the same point")
-    terms = s.eval_coeffs(ap.point)
-    comps = rep_apply_many(terms, torsion.components[None], ap.matrix[None])[0]
+    comps = _horner(s.eval_coeffs(ap.point), _actions(ap.matrix[None]),
+                    torsion.components[None])[0]
     return TorsionTensor(torsion.level, torsion.point, comps)
 
 
@@ -242,12 +233,10 @@ def poly_of_operator(a: OperatorField, p: PolySpec) -> OperatorField:
 class PreservationReport:
     """Vanishing preservation plus the Bezout-representation identity.
 
-    The identity residual is normalized by the representation's amplification
-    bound (sum of |s_ijk| ||A||^(i+j+k) times the torsion magnitude): with a
-    vanishing base torsion both identity sides are pure roundoff, and only
-    this normalization makes the comparison scale-free.  The raw two-sided
-    relative residual for generic operators is
-    :func:`bezout_identity_residual`.
+    The identity residual is normalized by the amplification bound (sum of
+    |s_ijk| ||A||^(i+j+k) times the torsion magnitude): with a vanishing base
+    torsion both sides are pure roundoff.  For generic operators the raw
+    two-sided residual is :func:`bezout_identity_residual`.
     """
 
     level: int
@@ -269,16 +258,17 @@ class PreservationReport:
         return self.vanishing_preserved and self.identity_ok
 
 
-def _quotient_image(p: PolySpec, m: int, pts: np.ndarray, t_base: np.ndarray,
-                    vals: np.ndarray) -> tuple[np.ndarray, dict]:
-    """R_S T^(m)_A with S = Q_P(z,l)^m Q_P(z,mu)^m at every point, and S's terms."""
-    q = bezout_quotient(p).eval_coeffs_many(pts)
-    q_m = {(0, 0): np.ones(pts.shape[0])}
-    for _ in range(m):
-        q_m = poly_mul(q_m, q)
-    terms = poly_mul({(a, b, 0): c for (a, b), c in q_m.items()},
-                     {(a, 0, b): c for (a, b), c in q_m.items()})
-    return rep_apply_many(terms, t_base, vals), terms
+def _quotient_image(q: Mapping[tuple[int, int], np.ndarray], m: int, t_base: np.ndarray,
+                    vals: np.ndarray) -> np.ndarray:
+    """R_S T^(m)_A with S = Q_P(z,l)^m Q_P(z,mu)^m, from Q_P's coefficients
+    ``q`` at the points: Z, Lambda and M commute, so R_S is Q_P(Z, M) applied
+    m times, then Q_P(Z, Lambda) m times, each by Horner."""
+    z, lam, mu = _actions(vals)
+    out = t_base
+    for second in (mu, lam):
+        for _ in range(m):
+            out = _horner(q, (z, second), out)
+    return out
 
 
 def bezout_identity_residual(a: OperatorBase, p: PolySpec, m: int,
@@ -288,11 +278,11 @@ def bezout_identity_residual(a: OperatorBase, p: PolySpec, m: int,
     if m < 2:
         raise ValueError("the quotient identity applies for levels m >= 2")
     vals, derivs = a.jet_many(pts)
-    rhs, _ = _quotient_image(p, m, pts, tower_from_jets(vals, derivs, m), vals)
+    rhs = _quotient_image(bezout_quotient(p).eval_coeffs_many(pts), m,
+                          tower_from_jets(vals, derivs, m), vals)
     t_poly = tower_from_jets(*PolyOperator(a, p.coeffs).jet_many(pts), m)
-    scale = np.maximum(1.0, np.maximum(
-        np.max(np.abs(t_poly), axis=(1, 2, 3)), np.max(np.abs(rhs), axis=(1, 2, 3))))
-    return float(np.max(np.max(np.abs(t_poly - rhs), axis=(1, 2, 3)) / scale))
+    scale = np.maximum(1.0, np.maximum(_point_max(t_poly), _point_max(rhs)))
+    return float(np.max(_point_max(t_poly - rhs) / scale))
 
 
 def check_polynomial_preservation(a: OperatorBase, p: PolySpec, m: int,
@@ -315,14 +305,20 @@ def check_polynomial_preservation(a: OperatorBase, p: PolySpec, m: int,
     t_poly = tower_from_jets(poly_vals, poly_derivs, m)
     poly_rep = vanishing_report(t_poly, poly_vals, m, pts, domain.seed, tol)
 
-    rhs, terms = _quotient_image(p, m, pts, t_base, vals)
+    q = bezout_quotient(p).eval_coeffs_many(pts)
+    rhs = _quotient_image(q, m, t_base, vals)
+    # the amplification sums |s_ijk| beta^(i+j+k) over S's terms, per point
+    q_m = {(0, 0): np.ones(pts.shape[0])}
+    for _ in range(m):
+        q_m = poly_mul(q_m, q)
+    terms = poly_mul({(i, j, 0): c for (i, j), c in q_m.items()},
+                     {(i, 0, j): c for (i, j), c in q_m.items()})
     beta = np.maximum(1.0, np.max(np.sum(np.abs(vals), axis=2), axis=1))
     amplification = np.zeros(pts.shape[0])
     for (i, j, k), coeff in terms.items():
         amplification += np.abs(coeff) * beta ** (i + j + k)
-    tau_norm = np.max(np.abs(t_base), axis=(1, 2, 3))
-    denom = 1.0 + amplification * (1.0 + tau_norm)
-    identity_res = float(np.max(np.max(np.abs(t_poly - rhs), axis=(1, 2, 3)) / denom))
+    denom = 1.0 + amplification * (1.0 + _point_max(t_base))
+    identity_res = float(np.max(_point_max(t_poly - rhs) / denom))
 
     return PreservationReport(
         level=m,
@@ -385,9 +381,8 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
     Checks pairwise commutativity at sampled points and level-m vanishing of
     K_a K_b for every ordered pair (a, b), K_a^2 included (ring law), then
     draws random function pairs (f, g) and operator pairs (K_a, K_b) and
-    verifies level-m vanishing of f K_a + g K_b (module law).  No candidate
-    1-jet is built over the whole sample: the tower walk combines each one
-    from the generators' jets one point chunk at a time.
+    verifies level-m vanishing of f K_a + g K_b (module law), each candidate
+    combined chunk by chunk inside the tower walk.
     """
     if not ops:
         raise ValueError("need at least one operator")
@@ -398,7 +393,7 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
 
     def verdict(jet_at: Callable[[slice], Jet]) -> VanishingReport:
         # each candidate is combined chunk by chunk inside the walk
-        return _chunked_verdicts(jet_at, chart.dim, m, pts, domain.seed, tol)[-1]
+        return tower_verdicts(jet_at, m, pts, domain.seed, tol)[-1]
 
     k = len(ops)
     commute = [[True] * k for _ in range(k)]

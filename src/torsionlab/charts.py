@@ -23,6 +23,7 @@ from .errors import (
     SingularJacobianError,
 )
 from .expr import (
+    ZERO,
     Chart,
     Const,
     Add,
@@ -45,6 +46,7 @@ from .expr import (
     pow_int,
     sub,
     subst_vars,
+    variables,
 )
 from .fields import OperatorBase, OperatorField, _require_finite
 
@@ -164,11 +166,19 @@ def _checked_jacobian(c: DiffeoChart, pts: np.ndarray) -> np.ndarray:
 
 
 def jacobian_many(c: DiffeoChart, pts: np.ndarray) -> np.ndarray:
+    """J^a_i = dy^a/dx^i at every row of ``pts``: entries and first error as
+    if each component were differentiated along every variable, though along
+    the ones it lacks it is differentiated once, and that tree (the exact zero
+    unless it divides by a constant zero) evaluated only if it is not zero."""
     n = c.src.dim
-    jac = np.empty((pts.shape[0], n, n))
-    for a in range(n):
+    jac = np.zeros((pts.shape[0], n, n))
+    for a, y in enumerate(c.forward):
+        present = variables(y)
+        lacking = diff(y, min(set(range(n)) - set(present))) if len(present) < n else ZERO
         for i in range(n):
-            jac[:, a, i] = eval_many(diff(c.forward[a], i), pts)
+            d = diff(y, i) if i in present else lacking
+            if d != ZERO:
+                jac[:, a, i] = eval_many(d, pts)
     return jac
 
 
@@ -301,6 +311,14 @@ def _monomials_to_expr(mono: dict[tuple[int, ...], Fraction]) -> Expr:
     return acc
 
 
+def _partial_many(e: Expr, var: int, pts: np.ndarray) -> np.ndarray:
+    """d e / d x^var at ``pts``; along a variable polynomial ``e`` lacks, the
+    exact zero without :func:`diff`."""
+    if var not in variables(e):
+        return np.zeros(pts.shape[0])
+    return eval_many(diff(e, var), pts)
+
+
 def integrate_exact_one_form(w: OneFormExpr) -> Expr:
     """Potential F with dF = w and F(0) = 0, for closed polynomial one-forms.
 
@@ -316,8 +334,8 @@ def integrate_exact_one_form(w: OneFormExpr) -> Expr:
     probes = rng.uniform(-1.0, 1.0, size=(CLOSED_PROBES, n))
     for i in range(n):
         for j in range(i + 1, n):
-            delta = eval_many(diff(w.components[j], i), probes) \
-                - eval_many(diff(w.components[i], j), probes)
+            delta = _partial_many(w.components[j], i, probes) \
+                - _partial_many(w.components[i], j, probes)
             if np.max(np.abs(delta)) > CLOSED_TOL:
                 raise NotClosedError(
                     f"d_{i + 1} w_{j + 1} != d_{j + 1} w_{i + 1} "
@@ -334,7 +352,7 @@ def integrate_exact_one_form(w: OneFormExpr) -> Expr:
     potential = _monomials_to_expr({k: v for k, v in total.items() if v != 0})
 
     for i in range(n):
-        delta = eval_many(diff(potential, i), probes) - eval_many(w.components[i], probes)
+        delta = _partial_many(potential, i, probes) - eval_many(w.components[i], probes)
         if np.max(np.abs(delta)) > CLOSED_TOL:
             raise NotClosedError(
                 f"potential verification failed on component {i + 1} "

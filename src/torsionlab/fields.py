@@ -2,16 +2,10 @@
 
 Operator fields are evaluated as 1-jets: a :class:`Jet` holds the entry
 values and the exact (symbolic) entry derivatives at a batch of points.  An
-:class:`OperatorField` fills its 1-jet from two cached plans, one for the
-entries and one for their derivatives: each holds a float template of the
-entries that are constants and the flat indices of those that depend on the
-point.  A fill writes the whole array as one broadcast copy of the
-template, then evaluates each point-dependent entry once, in row-major
-order, into its column.  On the bundled fixtures most entries of a 1-jet
-are constants (1 072 of 1 176 over lfa1's three operators).  An entry, or
-the coefficient of a :func:`scalar_jet`, is differentiated only along the
-variables it contains (:func:`torsionlab.expr.variables`); along the others
-its derivative is the exact zero :func:`diff` would give.
+:class:`OperatorField` fills its 1-jet from cached plans (:class:`_EntryPlan`):
+one broadcast copy of a float template of the constant entries, then one
+evaluation per point-dependent entry.  An entry, or the coefficient of a
+:func:`scalar_jet`, is differentiated only along the variables it contains.
 Composite operators (linear combinations with scalar-field coefficients,
 products, polynomials, powers) build their jets by ``Jet`` arithmetic, whose
 ``@`` holds the one copy of the product rule.
@@ -25,21 +19,21 @@ and every higher level from the pointwise recursion
 
     T' = A^2 T(X,Y) + T(AX,AY) - A(T(X,AY) + T(AX,Y)) = R_sigma T,
 
-the polynomial representation R_S of sigma = (z - lambda)(z - mu).  The
-level-up step applies it in factored form, (Z - Lambda)(Z - M): Z contracts
-A into the value index, Lambda into the first argument and M into the
-second, each one batched ``matmul`` per sample point on a flat view.  The
-general R_S kernel lives in :mod:`torsionlab.algebra`.
+the polynomial representation R_S of sigma = (z - lambda)(z - mu).  One
+kernel, :func:`slot_action`, writes every tower map: it contracts a matrix
+into one index of a batch of (1,2)-tensors, which gives the actions Z, Lambda
+and M of z, lambda and mu.  The level-1 torsion is two slot actions on dA,
+the level-up step is (Z - Lambda)(Z - M), and :mod:`torsionlab.algebra`
+applies a general R_S, the Bezout image included, by Horner over Z, Lambda
+and M.
 
 A verdict needs only max |T^(k)| at each point, so :func:`tower_verdicts`
-walks the tower in point chunks of at most ``CHUNK_BYTES`` per level and keeps
-per-point norms: verdict paths hold O(chunk) tower memory, whatever the
-sample size.  The walk takes the 1-jet as a function of a point slice, so a
-candidate such as K_a K_b or f K_a + g K_b in
+walks the tower in point chunks of at most ``CHUNK_BYTES`` per level and
+keeps per-point norms, whatever the sample size.  It takes the 1-jet as a
+function of a point slice, so a candidate K_a K_b or f K_a + g K_b of
 :func:`torsionlab.algebra.check_algebra` is combined chunk by chunk from
-slices (views) of its factors' jets and never exists over the whole sample.
-:func:`tower` and :func:`torsion_many` still build whole levels for the
-callers that need the tensors.
+views of its factors' jets.  :func:`tower` and :func:`torsion_many` build
+whole levels for the callers that need the tensors.
 """
 
 from __future__ import annotations
@@ -455,39 +449,62 @@ class TorsionTensor:
 # the tower
 # ---------------------------------------------------------------------------
 
+def slot_action(mat: np.ndarray, t: np.ndarray, axis: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Contract the n-by-n matrices ``mat`` into one index of the tensors ``t``.
+
+    ``out[p, .., x, ..] = sum_l mat[p, x, l] t[p, .., l, ..]`` with x, l at
+    ``axis`` of the (N, n, n, n) array ``t``: 1 is the value index, 2 the first
+    argument, 3 the second.  ``mat`` is (N, n, n) or (1, n, n).  One batched
+    ``matmul`` per call: on the flat view (N, n, n^2) for axis 1, stacked for
+    axis 2, on the flat view (N, n^2, n) for axis 3.  ``out``, when given, is a
+    C-contiguous (N, n, n, n) array other than ``t`` that takes the result.
+    The actions Z, Lambda and M of z, lambda and mu, which commute, are A at
+    axis 1, A^T at axis 2 and A^T at axis 3: A T(X, Y), T(AX, Y), T(X, AY).
+    """
+    n_pts, n = t.shape[0], t.shape[-1]
+    if axis == 1:
+        flat = (n_pts, n, n * n)
+        left, right = mat, t.reshape(flat)
+    elif axis == 2:
+        flat = t.shape
+        left, right = mat[:, None], t
+    elif axis == 3:
+        flat = (n_pts, n * n, n)
+        left, right = t.reshape(flat), mat.swapaxes(1, 2)
+    else:
+        raise ValueError(f"slot axis must be 1, 2 or 3, got {axis}")
+    res = np.matmul(left, right, out=None if out is None else out.reshape(flat))
+    return res.reshape(t.shape)
+
+
 def nijenhuis_from_jets(vals: np.ndarray, derivs: np.ndarray) -> np.ndarray:
     """T^i_jk = D^i_jk - D^i_kj with D^i_jk = A^l_j d_l A^i_k - A^i_l d_j A^l_k."""
-    n_pts, n = vals.shape[0], vals.shape[-1]
-    # both contractions come out indexed [p, j, i, k]
-    d = (vals.swapaxes(1, 2) @ derivs.reshape(n_pts, n, n * n)).reshape(derivs.shape)
-    d -= vals[:, None] @ derivs
+    # the derivative index of dA is its axis 1, so both terms are slot
+    # actions on dA and come out indexed [p, j, i, k]
+    d = slot_action(vals.swapaxes(1, 2), derivs, 1)
+    d -= slot_action(vals, derivs, 2)
     d = d.swapaxes(1, 2)
     # exactly skew, since fl(a - b) = -fl(b - a)
-    out = np.empty(derivs.shape)
-    np.subtract(d, d.swapaxes(2, 3), out=out)
-    return out
+    return np.subtract(d, d.swapaxes(2, 3), out=np.empty(derivs.shape))
 
 
 def level_up_many(torsions: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """A^2 T(X,Y) + T(AX,AY) - A(T(X,AY) + T(AX,Y)), i.e. R_sigma T, made skew.
 
-    R_sigma = (Z - Lambda)(Z - M) is four GEMMs per point: Y = A.T - T.A on
-    the views (N, n, n^2) and (N, n^2, n), then the same two on Y with its
-    argument slots swapped, which gives R_sigma T with its slots swapped.
-    Nothing is assumed about the skewness of ``torsions``.  Besides the
-    input, at most three (N, n, n, n) arrays are alive at once, the result
-    included.
+    R_sigma = (Z - Lambda)(Z - M) is four slot actions: Y = (Z - M) T, then
+    (Z - M) on Y with its argument slots swapped, which is (Z - Lambda) Y with
+    its slots swapped.  ``torsions`` need not be skew.  Besides the input, at
+    most three (N, n, n, n) arrays are alive at once, the result included.
     """
-    n_pts, n = vals.shape[0], vals.shape[-1]
-    shape = (n_pts, n, n, n)
-    value, arg2 = (n_pts, n, n * n), (n_pts, n * n, n)
+    vals_t = vals.swapaxes(1, 2)
     # Y = (Z - M) T
-    y = (vals @ torsions.reshape(value)).reshape(shape)
-    y -= (torsions.reshape(arg2) @ vals).reshape(shape)
+    y = slot_action(vals, torsions, 1)
+    y -= slot_action(vals_t, torsions, 3)
     ys = y.swapaxes(2, 3).copy()
-    # W = (Z - Lambda) Y on Ys, into Y's buffer: W[p, i, k, j] = (R_sigma T)^i_jk
-    np.matmul(vals, ys.reshape(value), out=y.reshape(value))
-    y -= (ys.reshape(arg2) @ vals).reshape(shape)
+    # W = (Z - M) Ys, into Y's buffer: W[p, i, k, j] = (R_sigma T)^i_jk
+    slot_action(vals, ys, 1, out=y)
+    y -= slot_action(vals_t, ys, 3)
     # the skew part, into Ys' buffer; exact, since fl(a - b) = -fl(b - a)
     np.subtract(y.swapaxes(2, 3), y, out=ys)
     ys *= 0.5
@@ -582,12 +599,9 @@ def _point_max(arr: np.ndarray) -> np.ndarray:
 
 def _residuals(tor_norm: np.ndarray, val_norm: np.ndarray, m: int,
                pts: np.ndarray) -> np.ndarray:
-    """The residual rule max|T^(m)| / (1 + max|A|^(2m-1)) per point, from the
-    per-point norms max|T^(m)| and max|A|.
-
-    Raises :class:`EvalDomainError` at the first point where the torsion norm
-    or the normalization is not finite.
-    """
+    """The residual rule max|T^(m)| / (1 + max|A|^(2m-1)) per point, from those
+    norms; :class:`EvalDomainError` names the first point where either the
+    torsion norm or the normalization is not finite."""
     denom = 1.0 + val_norm ** (2 * m - 1)
     _require_finite(pts, f"level-{m} torsion", tor_norm, denom)
     return tor_norm / denom
@@ -608,22 +622,28 @@ def _report(residuals: np.ndarray, m: int, pts: np.ndarray, seed: int,
     )
 
 
-def _tower_residuals(jet_at: Callable[[slice], Jet], n: int, m: int,
-                     pts: np.ndarray) -> np.ndarray:
-    """Residuals of levels 1..m at every point of ``pts``, shape (m, N).
+def vanishing_report(torsions: np.ndarray, vals: np.ndarray, m: int,
+                     pts: np.ndarray, seed: int, tol_rel: float) -> VanishingReport:
+    """Verdict on a level-m tower built whole at ``pts`` from the values
+    ``vals``; :class:`EvalDomainError` names its first non-finite point."""
+    return _report(_residuals(_point_max(torsions), _point_max(vals), m, pts),
+                   m, pts, seed, tol_rel)
 
-    ``jet_at(part)`` is the n-by-n 1-jet at the points ``pts[part]``.  The
-    walk asks for it one point chunk of at most ``CHUNK_BYTES`` per level at
-    a time, walks :func:`tower` on it and keeps only the per-point norms.
-    Each point's jet and tower are the same computation in any chunk, so the
-    residuals are those of the whole tower bit for bit.  The residual rule is
-    applied after the walk in level order, so an :class:`EvalDomainError`
-    names the lowest non-finite level and its first point, as a
-    level-by-level walk over all points would.
+
+def tower_verdicts(jet_at: Callable[[slice], Jet], m: int, pts: np.ndarray,
+                   seed: int, tol_rel: float) -> list[VanishingReport]:
+    """Verdicts on levels 1..m of an operator's 1-jet at the points ``pts``.
+
+    ``jet_at(part)`` is the n-by-n 1-jet at ``pts[part]``, n = ``pts.shape[1]``
+    (``jet.__getitem__``, or a candidate combined from its factors' jets),
+    asked for one chunk of at most ``CHUNK_BYTES`` per level at a time.  Each
+    report equals :func:`vanishing_report` on the whole level, and an
+    :class:`EvalDomainError` names the lowest non-finite level and its first
+    point, as a level-by-level walk over all points would.
     """
     if m < 1:
         raise ValueError("torsion level must be >= 1")
-    n_pts = pts.shape[0]
+    n_pts, n = pts.shape
     step = max(1, CHUNK_BYTES // (8 * n ** 3))
     norms = np.empty((m, n_pts))
     val_norm = np.empty(n_pts)
@@ -635,43 +655,7 @@ def _tower_residuals(jet_at: Callable[[slice], Jet], n: int, m: int,
             row[part] = _point_max(torsions)
     for level, row in enumerate(norms, start=1):
         row[:] = _residuals(row, val_norm, level, pts)
-    return norms
-
-
-def torsion_residuals(a: OperatorBase, m: int, pts: np.ndarray) -> np.ndarray:
-    """max |T^(m)| / (1 + max|A|^(2m-1)) per point; scale-free residuals."""
-    return _tower_residuals(a.jet_many(pts).__getitem__, a.chart.dim, m, pts)[-1]
-
-
-def vanishing_report(torsions: np.ndarray, vals: np.ndarray, m: int,
-                     pts: np.ndarray, seed: int, tol_rel: float) -> VanishingReport:
-    """Verdict on a level-m tower already built at ``pts`` from the values ``vals``.
-
-    Raises :class:`EvalDomainError` at the first point where the tower or its
-    normalization is not finite.
-    """
-    return _report(_residuals(_point_max(torsions), _point_max(vals), m, pts),
-                   m, pts, seed, tol_rel)
-
-
-def tower_verdicts(vals: np.ndarray, derivs: np.ndarray, m: int, pts: np.ndarray,
-                   seed: int, tol_rel: float) -> list[VanishingReport]:
-    """Verdicts on levels 1..m of the 1-jet ``(vals, derivs)`` at ``pts``.
-
-    The tower is walked in point chunks, so the walk holds O(chunk) tower
-    memory; each report equals :func:`vanishing_report` on the whole level.
-    """
-    return _chunked_verdicts(Jet(vals, derivs).__getitem__, vals.shape[-1], m, pts,
-                             seed, tol_rel)
-
-
-def _chunked_verdicts(jet_at: Callable[[slice], Jet], n: int, m: int, pts: np.ndarray,
-                      seed: int, tol_rel: float) -> list[VanishingReport]:
-    """:func:`tower_verdicts` on the 1-jet given chunk by chunk, as ``jet_at(part)``
-    at the points ``pts[part]``, so that a combined jet is built one chunk at
-    a time (see :func:`_tower_residuals`)."""
-    return [_report(res, level, pts, seed, tol_rel)
-            for level, res in enumerate(_tower_residuals(jet_at, n, m, pts), start=1)]
+    return [_report(row, level, pts, seed, tol_rel) for level, row in enumerate(norms, start=1)]
 
 
 def is_vanishing(a: OperatorBase, m: int, domain: SampleDomain,
@@ -679,12 +663,11 @@ def is_vanishing(a: OperatorBase, m: int, domain: SampleDomain,
                  pts: np.ndarray | None = None) -> VanishingReport:
     """Probabilistic zero test for the level-m torsion over ``domain``.
 
-    One sample, one 1-jet and one walk up the tower judge every level; the
-    level-m report carries the verdicts on levels 1..m-1 in ``lower``.  The
-    walk goes in point chunks (:func:`tower_verdicts`) and holds O(chunk)
-    tower memory, not whole (N, n, n, n) levels.  ``pts``, when given, is
-    the sample ``sample_points(domain, n_pts)`` already drawn, so that
-    callers judging several operators draw it once.
+    One sample, one 1-jet and one chunked walk up the tower
+    (:func:`tower_verdicts`) judge every level; the level-m report carries
+    the verdicts on levels 1..m-1 in ``lower``.  ``pts``, when given, is the
+    sample ``sample_points(domain, n_pts)`` already drawn, so that callers
+    judging several operators draw it once.
     """
     if n_pts < 1:
         raise ValueError("n_pts must be >= 1")
@@ -693,7 +676,7 @@ def is_vanishing(a: OperatorBase, m: int, domain: SampleDomain,
     elif pts.shape != (n_pts, domain.dim):
         raise DimensionMismatchError(
             f"expected {n_pts} sample points of dimension {domain.dim}, got shape {pts.shape}")
-    reports = tower_verdicts(*a.jet_many(pts), m, pts, domain.seed, tol_rel)
+    reports = tower_verdicts(a.jet_many(pts).__getitem__, m, pts, domain.seed, tol_rel)
     return replace(reports[-1], lower=tuple(reports[:-1]))
 
 

@@ -8,7 +8,9 @@ oracle analyses one matrix at a time, with a union-find clustering,
 The 1-jet oracle fills an operator entry by entry, the scalar-jet oracle
 differentiates along every variable and the sampling oracle accepts
 candidates row by row, where production fills and accepts whole batches
-and differentiates only along the variables an expression contains.
+and differentiates only along the variables an expression contains.  The
+representation oracle sums one ``np.einsum`` per term of a polynomial over
+matrix powers, where production applies it by Horner over slot actions.
 """
 
 from __future__ import annotations
@@ -102,6 +104,21 @@ def level_up_oracle(t: np.ndarray, a: np.ndarray) -> np.ndarray:
             + np.einsum("pilm,plj,pmk->pijk", t, a, a)
             - np.einsum("pil,pljm,pmk->pijk", a, t, a)
             - np.einsum("pil,plmk,pmj->pijk", a, t, a))
+
+
+def rep_oracle(terms, t: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """R_S T = sum_(i,j,k) s_ijk A^i T(A^j ., A^k .), from the definition.
+
+    One ``np.einsum`` per term over matrix powers, with ``t[p, i, j, k] =
+    T^i_jk``, ``a[p, i, j] = A^i_j`` and each coefficient ``s_ijk`` a scalar
+    or an array of shape (N,).
+    """
+    out = np.zeros(t.shape)
+    for (i, j, k), coeff in terms.items():
+        ai, aj, ak = (np.linalg.matrix_power(a, e) for e in (i, j, k))
+        out += np.reshape(coeff, (-1, 1, 1, 1)) * np.einsum(
+            "pal,plmq,pmb,pqc->pabc", ai, t, aj, ak)
+    return out
 
 
 def jet_reference(a: OperatorField, pts: np.ndarray, derivs: bool = True):

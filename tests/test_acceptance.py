@@ -46,7 +46,6 @@ from torsionlab.fields import (
     nijenhuis_at,
     torsion_at,
     torsion_many,
-    torsion_residuals,
 )
 from torsionlab.spectral import max_principal_angle, minimal_poly_degree_at, spectrum_at
 
@@ -70,8 +69,9 @@ def test_criterion_01_lta_torsion_levels(lta):
     pts = sample_points(dom, 200)
     worst3, worst2 = 0.0, np.inf
     for op in lta.operators.values():
-        worst3 = max(worst3, float(np.max(torsion_residuals(op, 3, pts))))
-        worst2 = min(worst2, float(np.max(torsion_residuals(op, 2, pts))))
+        rep = is_vanishing(op, 3, dom, 200, 1e-8, pts=pts)
+        worst3 = max(worst3, rep.max_residual)
+        worst2 = min(worst2, rep.lower[1].max_residual)
     verdict(1, worst3 <= 1e-8 and worst2 >= 1e-3,
             f"L1..L3 over [1,2]^5: tau^3 residual {worst3:.2e} <= 1e-8, "
             f"tau^2 residual {worst2:.2e} >= 1e-3 (200 pts)")
@@ -82,8 +82,9 @@ def test_criterion_02_lfa1_torsion_levels(lfa1):
     pts = sample_points(dom, 200)
     worst4, worst3 = 0.0, np.inf
     for op in lfa1.operators.values():
-        worst4 = max(worst4, float(np.max(torsion_residuals(op, 4, pts))))
-        worst3 = min(worst3, float(np.max(torsion_residuals(op, 3, pts))))
+        rep = is_vanishing(op, 4, dom, 200, 1e-8, pts=pts)
+        worst4 = max(worst4, rep.max_residual)
+        worst3 = min(worst3, rep.lower[2].max_residual)
     verdict(2, worst4 <= 1e-8 and worst3 >= 1e-3,
             f"K1..K3 over [1,2]^7: tau^4 residual {worst4:.2e} <= 1e-8, "
             f"tau^3 residual {worst3:.2e} >= 1e-3 (200 pts)")

@@ -1,11 +1,12 @@
 """Representation calculus, Bezout quotients and closure-law checks."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import random_operator, random_poly_expr, rel_err
+from helpers import random_operator, random_poly_expr, rel_err, rep_oracle
 import torsionlab.algebra as alg
 import torsionlab.fields as fl
 from torsionlab.algebra import (
@@ -19,8 +20,18 @@ from torsionlab.algebra import (
     rep_apply,
 )
 from torsionlab.errors import PreconditionError
-from torsionlab.expr import Chart, SampleDomain, Var, const, eval_at, parse_expr, sample_points
+from torsionlab.expr import (
+    Chart,
+    SampleDomain,
+    Var,
+    const,
+    eval_at,
+    parse_expr,
+    poly_mul,
+    sample_points,
+)
 from torsionlab.fields import (
+    OperatorAtPoint,
     OperatorField,
     PowerOperator,
     TorsionTensor,
@@ -114,9 +125,71 @@ def test_rep_argument_slots():
     assert rel_err(got_second, second) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_rep_apply_matches_definition_oracle(n):
+    # random polynomials with exponents up to 3 in each of z, lambda and mu and
+    # point-dependent coefficients, on tensors that are not skew
+    chart = Chart(n)
+    rng = np.random.default_rng(80 + n)
+    for _ in range(6):
+        p = rng.uniform(0.5, 1.5, size=n)
+        ap = OperatorAtPoint(rng.uniform(-1.0, 1.0, size=(n, n)), p)
+        t = TorsionTensor(1, p, rng.standard_normal((n, n, n)))
+        keys = {tuple(int(e) for e in rng.integers(0, 4, size=3)) for _ in range(8)}
+        s = TriPoly({key: random_poly_expr(chart, rng) for key in keys})
+        got = rep_apply(s, t, ap).components
+        want = rep_oracle(s.eval_coeffs(p), t.components[None], ap.matrix[None])[0]
+        assert rel_err(got, want) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # Bezout quotient
 # ---------------------------------------------------------------------------
+
+def _expanded_quotient_terms(q, m, n_pts):
+    """The terms of S = Q_P(z,l)^m Q_P(z,mu)^m, expanded with ``poly_mul``."""
+    q_m = {(0, 0): np.ones(n_pts)}
+    for _ in range(m):
+        q_m = poly_mul(q_m, q)
+    return poly_mul({(i, j, 0): c for (i, j), c in q_m.items()},
+                    {(i, 0, j): c for (i, j), c in q_m.items()})
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("deg", [1, 2, 3])
+def test_factored_bezout_image_matches_expanded_oracle(deg, m):
+    # Q_P(Z, M)^m then Q_P(Z, Lambda)^m by Horner equals R_S of the expanded S
+    rng = np.random.default_rng(10 * deg + m)
+    n_pts = 6
+    pts = rng.uniform(0.5, 1.5, size=(n_pts, 3))
+    vals = rng.uniform(-1.0, 1.0, size=(n_pts, 3, 3))
+    t = rng.standard_normal((n_pts, 3, 3, 3))
+    p = PolySpec(tuple(random_poly_expr(CH3, rng) for _ in range(deg + 1)))
+    q = bezout_quotient(p).eval_coeffs_many(pts)
+    got = alg._quotient_image(q, m, t, vals)
+    want = rep_oracle(_expanded_quotient_terms(q, m, n_pts), t, vals)
+    assert rel_err(got, want) <= 1e-12
+
+
+def test_bezout_image_peak_memory():
+    # deg P = 3 and m = 4: 2m Horner passes hold a few tensors, where the
+    # expanded S has (m (deg P - 1) + 1)^3 = 729 terms
+    rng = np.random.default_rng(73)
+    n_pts, n = 200, 7
+    t = rng.standard_normal((n_pts, n, n, n))
+    vals = rng.uniform(-1.0, 1.0, size=(n_pts, n, n))
+    q = {key: rng.uniform(0.5, 1.5, size=n_pts)
+         for key in bezout_quotient(PolySpec(tuple(map(const, (1, 2, 3, 4))))).terms}
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        alg._quotient_image(q, 4, t, vals)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 6 * t.nbytes
+
 
 def test_bezout_linear():
     q = bezout_quotient(PolySpec((const(0), const(1))))  # P(z) = z
@@ -307,7 +380,7 @@ def _whole_array_worsts(man, m, n_pts, n_combos, seed):
     jets = [op.jet_many(pts) for op in ops]
 
     def worst(jet):
-        return tower_verdicts(jet.vals, jet.derivs, m, pts, seed, 1e-8)[-1].max_residual
+        return tower_verdicts(jet.__getitem__, m, pts, seed, 1e-8)[-1].max_residual
 
     ring = max(worst(a @ b) for a in jets for b in jets)
     rng = np.random.default_rng((seed * 2654435761 + 0x5EED) % (2 ** 63))

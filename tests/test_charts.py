@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import torsionlab.charts as ch
 from helpers import rel_err
 from torsionlab.charts import (
     BlockPartition,
@@ -11,6 +12,7 @@ from torsionlab.charts import (
     detect_blocks,
     integrate_exact_one_form,
     jacobian_at,
+    jacobian_many,
     pushforward_at,
     pushforward_field,
     pushforward_many,
@@ -28,10 +30,12 @@ from torsionlab.expr import (
     SampleDomain,
     Var,
     const,
+    diff,
     eval_many,
     format_expr,
     parse_expr,
     sample_points,
+    variables,
 )
 from torsionlab.fields import OperatorField, identity_operator, torsion_many
 
@@ -254,6 +258,120 @@ def test_integrate_all_fixture_annihilators(lta, lfa1):
                     got = eval_many(diff(f, i), pts)
                     want = eval_many(w.components[i], pts)
                     assert np.max(np.abs(got - want)) <= 1e-10
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _outcome(fn):
+    """The value of ``fn()``, or the type and message of what it raised."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _same_outcome(got, want):
+    if isinstance(want, np.ndarray):
+        return isinstance(got, np.ndarray) and np.array_equal(got, want)
+    return got == want
+
+
+def _every_variable(monkeypatch):
+    """Make the chart layer differentiate along every variable, as it did
+    before it asked :func:`variables`: the reference path."""
+    monkeypatch.setattr(ch, "variables", lambda e: tuple(range(64)))
+
+
+def test_jacobian_differentiates_only_present_variables(lfa1, monkeypatch):
+    # a component is differentiated along each variable it contains, and once
+    # along one it lacks (the tree diff gives along all of those); only the
+    # derivatives that are not the exact zero are evaluated
+    c = lfa1.charts["y"]
+    n = lfa1.chart.dim
+    pts = sample_points(lfa1.domain, 20)
+    present = [variables(y) for y in c.forward]
+    diffs = _count_calls(monkeypatch, ch, "diff")
+    evals = _count_calls(monkeypatch, ch, "eval_many")
+    jac = jacobian_many(c, pts)
+    assert len(diffs) == sum(len(v) + (len(v) < n) for v in present) < n * n
+    assert len(evals) == sum(map(len, present))
+    reference = np.stack([np.stack([eval_many(diff(y, i), pts) for i in range(n)], axis=1)
+                          for y in c.forward], axis=1)
+    assert np.array_equal(jac, reference)
+
+
+CHART_CASES = [
+    ("x1^2", "x2 + x3^2", "x3 * x1"),
+    ("x1", "x2/0", "x3"),
+    ("x1", "1/0", "x3"),                     # no variable: diff still raises along each
+    ("x1", "sqrt(x2 - 5) + 1/0", "x3"),      # the lacking x1 raises before sqrt
+    ("x1", "sqrt(x2 - 5)", "x3"),
+    ("x1", "x2", "x1/(x2 - x2)"),
+    ("x1", "2", "x3"),
+    ("x1", "(10^60)^7 * x2", "x3"),
+]
+
+
+@pytest.mark.parametrize("forward", CHART_CASES)
+def test_jacobian_outcome_matches_every_variable_path(forward, monkeypatch):
+    c = DiffeoChart(CH3, CH3, tuple(parse_expr(s, CH3) for s in forward))
+    pts = np.random.default_rng(1).uniform(0.5, 1.5, size=(20, 3))
+    calls = (lambda: jacobian_many(c, pts), lambda: verify_diffeo(c, pts))
+    with np.errstate(over="ignore"):
+        got = [_outcome(fn) for fn in calls]
+        _every_variable(monkeypatch)
+        want = [_outcome(fn) for fn in calls]
+    for g, w in zip(got, want):
+        assert _same_outcome(g, w)
+
+
+def test_one_form_probe_differentiates_only_present_variables(lfa1, lta, monkeypatch):
+    # every fixture annihilator: diff runs only along the variables a
+    # component contains, and the potentials are those of the every-variable path
+    forms = [w for man in (lfa1, lta) for ws in man.annihilators.values() for w in ws]
+    diffs = _count_calls(monkeypatch, ch, "diff")
+    potentials = [integrate_exact_one_form(w) for w in forms]
+    expected = 0
+    for w, f in zip(forms, potentials):
+        comps, n = w.components, w.chart.dim
+        # the closedness probe pair by pair, then the check of dF = w
+        expected += sum((i in variables(comps[j])) + (j in variables(comps[i]))
+                        for i in range(n) for j in range(i + 1, n))
+        expected += len(variables(f))
+    assert len(diffs) == expected < sum(w.chart.dim ** 2 for w in forms)
+    _every_variable(monkeypatch)
+    assert [integrate_exact_one_form(w) for w in forms] == potentials
+
+
+FORM_CASES = [
+    ("x2", "x1", "0"),
+    ("x2", "2*x1", "0"),
+    ("x3", "x3", "x1"),
+    ("1", "x3", "x2"),
+    ("x1/x2", "1", "0"),
+    ("(10^60)^7*x2", "x1", "0"),
+    ("x2*x3", "x1*x3", "x1*x2 + 1"),
+]
+
+
+@pytest.mark.parametrize("components", FORM_CASES)
+def test_one_form_outcome_matches_every_variable_path(components, monkeypatch):
+    w = OneFormExpr(CH3, tuple(parse_expr(s, CH3) for s in components))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _outcome(lambda: integrate_exact_one_form(w))
+        _every_variable(monkeypatch)
+        want = _outcome(lambda: integrate_exact_one_form(w))
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

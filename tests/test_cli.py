@@ -499,11 +499,11 @@ def test_algebra_builds_one_tower_per_product_and_per_combo(monkeypatch, capsys)
     towers = []
 
     def counted(*args):
-        towers.append(args[2])
-        return chunked_verdicts(*args)
+        towers.append(args[1])
+        return tower_verdicts(*args)
 
-    chunked_verdicts = alg._chunked_verdicts
-    monkeypatch.setattr(alg, "_chunked_verdicts", counted)
+    tower_verdicts = alg.tower_verdicts
+    monkeypatch.setattr(alg, "tower_verdicts", counted)
     code, _ = run_cli(["algebra", "--manifest", str(fixture_path("lta.json")),
                        "--level", "3", "--combos", "2", "--samples", "20"], capsys)
     assert code == 0

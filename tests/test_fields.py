@@ -69,6 +69,7 @@ from torsionlab.fields import (
     nijenhuis_at,
     nijenhuis_from_jets,
     scalar_jet,
+    slot_action,
     torsion_at,
     torsion_many,
     tower,
@@ -241,6 +242,29 @@ def test_level_up_many_matches_definition_oracle(lfa1):
             assert rel_err(levels[m][p], image.components) <= 1e-12
 
 
+def test_slot_action_contracts_one_index():
+    # out[p, .., x, ..] = sum_l mat[p, x, l] t[p, .., l, ..] at each axis, with
+    # or without an out= buffer; Z, Lambda and M commute
+    rng = np.random.default_rng(83)
+    specs = {1: "pxl,pljk->pxjk", 2: "pxl,pilk->pixk", 3: "pxl,pijl->pijx"}
+    for n in (2, 3, 5):
+        t = rng.standard_normal((4, n, n, n))
+        mat = rng.standard_normal((4, n, n))
+        for axis, spec in specs.items():
+            got = slot_action(mat, t, axis)
+            assert rel_err(got, np.einsum(spec, mat, t)) <= 1e-14
+            out = np.empty(t.shape)
+            slot_action(mat, t, axis, out=out)
+            assert np.array_equal(out, got)
+        z = lambda u: slot_action(mat, u, 1)
+        lam = lambda u: slot_action(mat.swapaxes(1, 2), u, 2)
+        mu = lambda u: slot_action(mat.swapaxes(1, 2), u, 3)
+        for f, g in ((z, lam), (z, mu), (lam, mu)):
+            assert rel_err(f(g(t)), g(f(t))) <= 1e-13
+    with pytest.raises(ValueError, match="slot axis"):
+        slot_action(mat, t, 0)
+
+
 def test_level_up_many_peak_memory():
     # one call holds at most three (N, n, n, n) arrays, its result included
     rng = np.random.default_rng(61)
@@ -357,7 +381,7 @@ def test_chunked_verdicts_equal_whole_tower_verdicts(n, size, flat, seed):
     pts = rng.uniform(0.5, 1.5, size=(n_pts, n))
     vals = rng.uniform(-2.0, 2.0, size=(n_pts, n, n))
     derivs = rng.uniform(-2.0, 2.0, size=(n_pts, n, n, n)) * (0.0 if flat else 1.0)
-    chunked = tower_verdicts(vals, derivs, 4, pts, seed, 1e-8)
+    chunked = tower_verdicts(Jet(vals, derivs).__getitem__, 4, pts, seed, 1e-8)
     whole = [vanishing_report(t, vals, level, pts, seed, 1e-8)
              for level, t in enumerate(tower(vals, derivs, 4), start=1)]
     assert len(chunked) == len(whole) == 4
@@ -389,7 +413,8 @@ def test_chunked_walk_names_the_lowest_non_finite_level():
             vanishing_report(t, vals, level, pts, 0, 1e-8)
 
     messages = []
-    for walk in (whole_tower, lambda: tower_verdicts(vals, derivs, 3, pts, 0, 1e-8)):
+    jet_at = Jet(vals, derivs).__getitem__
+    for walk in (whole_tower, lambda: tower_verdicts(jet_at, 3, pts, 0, 1e-8)):
         with pytest.warns(RuntimeWarning), pytest.raises(EvalDomainError) as info:
             walk()
         messages.append(str(info.value))
@@ -408,7 +433,7 @@ def test_chunked_walk_peak_memory():
     try:
         base, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        tower_verdicts(vals, derivs, 4, pts, 0, 1e-8)
+        tower_verdicts(Jet(vals, derivs).__getitem__, 4, pts, 0, 1e-8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

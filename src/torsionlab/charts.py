@@ -57,6 +57,7 @@ __all__ = [
     "verify_diffeo",
     "jacobian_at",
     "jacobian_many",
+    "jacobian_frame",
     "pushforward_at",
     "pushforward_many",
     "pushforward_field",
@@ -188,13 +189,24 @@ def jacobian_at(c: DiffeoChart, point) -> np.ndarray:
     return jacobian_many(c, p[None, :])[0]
 
 
-def pushforward_many(a: OperatorBase, c: DiffeoChart, pts: np.ndarray) -> np.ndarray:
-    """J A J^(-1) at every source sample point (components in the y-frame)."""
+def jacobian_frame(c: DiffeoChart, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J and J^(-1) at every source point, J checked as :func:`verify_diffeo` does."""
+    jac = _checked_jacobian(c, pts)
+    return jac, np.linalg.inv(jac)
+
+
+def pushforward_many(a: OperatorBase, c: DiffeoChart, pts: np.ndarray,
+                     frame: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """J A J^(-1) at every source sample point (components in the y-frame).
+
+    ``frame``, when given, is ``jacobian_frame(c, pts)`` already computed, so
+    that callers pushing several operators through one chart compute it once.
+    """
     if a.chart != c.src:
         raise ChartMismatchError("operator must live on the source chart")
-    jac = _checked_jacobian(c, pts)
+    jac, inv = jacobian_frame(c, pts) if frame is None else frame
     vals = a.values_many(pts)
-    return jac @ vals @ np.linalg.inv(jac)
+    return jac @ vals @ inv
 
 
 def values_at_image(a: OperatorBase, c: DiffeoChart, pts: np.ndarray) -> np.ndarray:

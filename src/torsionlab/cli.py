@@ -251,9 +251,10 @@ def cmd_blockdiag(args) -> Report:
                 report.add(f"integrate {name}[{idx}]", False, error=str(exc))
 
     pts = sample_points(domain, n_pts)
+    frame = ch.jacobian_frame(chart, pts)  # one Jacobian for every operator
     golden = man.pushforward_golden.get(args.chart, {})
     for name in names:
-        mats = ch.pushforward_many(man.operators[name], chart, pts)
+        mats = ch.pushforward_many(man.operators[name], chart, pts, frame)
         part, residual = ch.detect_blocks(mats, hint, tol)
         ok = residual <= tol if hint is not None else True
         report.add(f"{name} blocks", ok,

@@ -3,8 +3,9 @@
 Operator fields are evaluated as 1-jets: a :class:`Jet` holds the entry
 values and the exact (symbolic) entry derivatives at a batch of points.  An
 :class:`OperatorField` fills its 1-jet from cached plans (:class:`_EntryPlan`):
-one broadcast copy of a float template of the constant entries, then one
-evaluation per point-dependent entry.  An entry, or the coefficient of a
+each point-dependent entry is evaluated once into a column, then one
+broadcast copy of a float template of the constant entries and one scatter
+of the columns expand them into the jet.  An entry, or the coefficient of a
 :func:`scalar_jet`, is differentiated only along the variables it contains.
 Composite operators (linear combinations with scalar-field coefficients,
 products, polynomials, powers) build their jets by ``Jet`` arithmetic, whose
@@ -30,7 +31,10 @@ and M.
 A verdict needs only max |T^(k)| at each point, so :func:`tower_verdicts`
 walks the tower in point chunks of at most ``CHUNK_BYTES`` per level and
 keeps per-point norms, whatever the sample size.  It takes the 1-jet as a
-function of a point slice, so a candidate K_a K_b or f K_a + g K_b of
+function of a point slice.  :meth:`OperatorBase.jet_slices` gives that
+function: an :class:`OperatorField` expands each chunk's jet from its
+evaluated columns, so :func:`is_vanishing` holds no whole-sample jet, and a
+candidate K_a K_b or f K_a + g K_b of
 :func:`torsionlab.algebra.check_algebra` is combined chunk by chunk from
 views of its factors' jets.  :func:`tower` and :func:`torsion_many` build
 whole levels for the callers that need the tensors.
@@ -219,9 +223,11 @@ class OperatorBase:
 
     ``jet_many(pts)`` returns the :class:`Jet` ``(A, dA)`` with
     ``A[p, i, j] = A^i_j`` and ``dA[p, l, i, j] = d_l A^i_j`` for every sample
-    point; that 1-jet is all the torsion tower needs.  Both it and
-    ``values_many`` raise :class:`EvalDomainError` at the first point with a
-    non-finite value.  Subclasses implement ``_jet(pts, derivs)``.
+    point; that 1-jet is all the torsion tower needs.  ``jet_slices(pts)``
+    returns the same jet as a function of a point slice, for
+    :func:`tower_verdicts`.  ``jet_many``, ``jet_slices`` and ``values_many``
+    raise :class:`EvalDomainError` at the first point with a non-finite
+    value.  Subclasses implement ``_jet(pts, derivs)``.
     """
 
     chart: Chart
@@ -238,6 +244,10 @@ class OperatorBase:
         jet = self._jet(pts, True)
         _require_finite(pts, "operator 1-jet", jet.vals, jet.derivs)
         return jet
+
+    def jet_slices(self, pts: np.ndarray) -> Callable[[slice], Jet]:
+        """``part -> jet_many(pts)[part]``, checked for finiteness before it returns."""
+        return self.jet_many(pts).__getitem__
 
     def at(self, point) -> "OperatorAtPoint":
         p = as_point(self.chart, point)
@@ -279,11 +289,26 @@ class OperatorField(OperatorBase):
             return Jet(vals)
         return Jet(vals, self._derivative_plan.fill(pts, (n, n, n)))
 
+    def jet_slices(self, pts: np.ndarray) -> Callable[[slice], Jet]:
+        """``part -> jet_many(pts)[part]``, expanded per slice from the
+        point-dependent entries, which are evaluated and checked for
+        finiteness once, before it returns."""
+        n = self.chart.dim
+        vplan, dplan = self._value_plan, self._derivative_plan
+        vcols, dcols = vplan.columns(pts), dplan.columns(pts)
+        # the constant entries are finite, so the columns hold the first
+        # non-finite point of the jet
+        _require_finite(pts, "operator 1-jet", vcols, dcols)
+        return lambda part: Jet(vplan.expand(vcols[part], (n, n)),
+                                dplan.expand(dcols[part], (n, n, n)))
+
 
 @dataclass(frozen=True, eq=False)
 class _EntryPlan:
     """How to fill an array of symbolic entries, given in row-major order, at
-    a batch of points.
+    a batch of points: evaluate the point-dependent entries into columns
+    (:meth:`columns`), then expand the columns of any run of points into the
+    full array (:meth:`expand`).  :meth:`fill` is both steps at once.
 
     ``template`` holds the value of each :class:`Const` entry and 0 for the
     others; ``dependent`` holds the flat indices of the other entries, whose
@@ -291,7 +316,7 @@ class _EntryPlan:
     """
 
     template: np.ndarray
-    dependent: tuple[int, ...]
+    dependent: np.ndarray
     exprs: tuple[Expr, ...]
 
     @classmethod
@@ -300,22 +325,32 @@ class _EntryPlan:
         # constant raises ConstantRangeError naming it
         template = np.array([const_value(e) if isinstance(e, Const) else 0.0
                              for e in entries])
-        dependent = tuple(k for k, e in enumerate(entries) if not isinstance(e, Const))
-        return cls(template, dependent, tuple(entries[k] for k in dependent))
+        dependent = [k for k, e in enumerate(entries) if not isinstance(e, Const)]
+        return cls(template, np.array(dependent, dtype=np.intp),
+                   tuple(entries[k] for k in dependent))
+
+    def columns(self, pts: np.ndarray) -> np.ndarray:
+        """The point-dependent entries at every row of ``pts``, shape (N, d).
+
+        Each is evaluated once, in row-major order, so an evaluation error
+        names the same entry and point as an entry-by-entry fill would.
+        """
+        cols = np.empty((pts.shape[0], len(self.exprs)))
+        for c, e in enumerate(self.exprs):
+            cols[:, c] = eval_many(e, pts)
+        return cols
+
+    def expand(self, cols: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+        """The entries at the points of ``cols``, shape ``(N, *shape)``: one
+        broadcast copy of the template, then one scatter of the columns."""
+        out = np.empty((cols.shape[0], self.template.size))
+        out[:] = self.template
+        out[:, self.dependent] = cols
+        return out.reshape(cols.shape[0], *shape)
 
     def fill(self, pts: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-        """The entries at every row of ``pts``, shape ``(N, *shape)``.
-
-        One broadcast copy of the template writes every constant entry; then
-        each point-dependent entry is evaluated once, in row-major order, so
-        an evaluation error names the same entry and point as an entry-by-entry
-        fill would.
-        """
-        out = np.empty((pts.shape[0], self.template.size))
-        out[:] = self.template
-        for k, e in zip(self.dependent, self.exprs):
-            out[:, k] = eval_many(e, pts)
-        return out.reshape(pts.shape[0], *shape)
+        """The entries at every row of ``pts``, shape ``(N, *shape)``."""
+        return self.expand(self.columns(pts), shape)
 
 
 def identity_operator(chart: Chart) -> OperatorField:
@@ -663,11 +698,12 @@ def is_vanishing(a: OperatorBase, m: int, domain: SampleDomain,
                  pts: np.ndarray | None = None) -> VanishingReport:
     """Probabilistic zero test for the level-m torsion over ``domain``.
 
-    One sample, one 1-jet and one chunked walk up the tower
-    (:func:`tower_verdicts`) judge every level; the level-m report carries
-    the verdicts on levels 1..m-1 in ``lower``.  ``pts``, when given, is the
-    sample ``sample_points(domain, n_pts)`` already drawn, so that callers
-    judging several operators draw it once.
+    One sample, one evaluation of the 1-jet (:meth:`OperatorBase.jet_slices`)
+    and one chunked walk up the tower (:func:`tower_verdicts`) judge every
+    level; the level-m report carries the verdicts on levels 1..m-1 in
+    ``lower``.  ``pts``, when given, is the sample
+    ``sample_points(domain, n_pts)`` already drawn, so that callers judging
+    several operators draw it once.
     """
     if n_pts < 1:
         raise ValueError("n_pts must be >= 1")
@@ -676,7 +712,7 @@ def is_vanishing(a: OperatorBase, m: int, domain: SampleDomain,
     elif pts.shape != (n_pts, domain.dim):
         raise DimensionMismatchError(
             f"expected {n_pts} sample points of dimension {domain.dim}, got shape {pts.shape}")
-    reports = tower_verdicts(a.jet_many(pts).__getitem__, m, pts, domain.seed, tol_rel)
+    reports = tower_verdicts(a.jet_slices(pts), m, pts, domain.seed, tol_rel)
     return replace(reports[-1], lower=tuple(reports[:-1]))
 
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import torsionlab.algebra as alg
@@ -12,7 +13,7 @@ import torsionlab.cli as cli
 import torsionlab.fields as fl
 import torsionlab.manifest as manifest_module
 from torsionlab.cli import main
-from torsionlab.errors import ManifestError
+from torsionlab.errors import EvalDomainError, ManifestError
 from torsionlab.expr import Var, sample_points
 from torsionlab.manifest import fixture_path, load_manifest
 
@@ -270,6 +271,7 @@ def test_hint_of_the_wrong_dimension_is_an_input_error_before_any_work(capsys,
         raise AssertionError("work started before the hint was checked")
 
     monkeypatch.setattr(cli.ch, "integrate_exact_one_form", no_work)
+    monkeypatch.setattr(cli.ch, "jacobian_frame", no_work)
     monkeypatch.setattr(cli.ch, "pushforward_many", no_work)
     code = main(["blockdiag", "--manifest", str(fixture_path("lfa1.json")), "--chart", "y",
                  "--hint", "1,1", "--samples", "5"])
@@ -400,6 +402,31 @@ def test_nonfinite_value_exits_2_naming_the_point(tmp_path, capsys, command):
     assert not out_json.exists()
 
 
+# 10^302 x1^64 is at most 1.2e307 on these boxes, but its derivative is
+# above the double range past x1 = 1.177: everywhere on [1.19, 1.2], and
+# first at the second sample point on [1.1, 1.2]
+@pytest.mark.parametrize("low, row", [(1.19, 0), (1.1, 1)])
+def test_derivative_only_nonfinite_exits_2_naming_the_point(tmp_path, capsys, low, row):
+    payload = {**IDENTITY_MANIFEST, "domain": {"box": [[low, 1.2], [0.5, 1.5]], "seed": 7},
+               "operators": {"A": [[f"{10 ** 302}*x1^64", "0"], ["0", "1"]]}}
+    path = write_manifest(tmp_path, payload)
+    man = load_manifest(path)
+    pts = sample_points(man.domain, 10)
+    assert np.isfinite(man.operators["A"].values_many(pts)).all()
+    # the whole-sample jet names the point the walk must name
+    with pytest.warns(RuntimeWarning), pytest.raises(EvalDomainError) as whole:
+        man.operators["A"].jet_many(pts)
+    assert str(whole.value) == \
+        f"operator 1-jet is not finite at point {tuple(pts[row].tolist())}"
+    out_json = tmp_path / "report.json"
+    with pytest.warns(RuntimeWarning):
+        code = main(["torsion", "--manifest", path, "--samples", "10",
+                     "--json", str(out_json)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {whole.value}\n"
+    assert not out_json.exists()
+
+
 @pytest.mark.parametrize("command", [["torsion"], ["algebra", "--combos", "2"], ["spectrum"]])
 def test_singular_divisor_exits_2_naming_the_point(tmp_path, capsys, command):
     man = {**IDENTITY_MANIFEST, "operators": {"A": [["1/(x1-x1)", "0"], ["0", "1"]]}}
@@ -468,8 +495,10 @@ def test_blockdiag_nonfinite_exits_2_naming_the_point(tmp_path, capsys, manifest
 
 
 def test_torsion_walks_the_tower_once_per_operator(monkeypatch, capsys):
-    # one sample per command, shared by the operators; one jet and one walk each
-    calls = {"sample": 0, "jet": 0, "nijenhuis": 0, "verdict": 0}
+    # one sample per command, shared by the operators; per operator one
+    # evaluation of each plan's point-dependent columns and one walk, whose
+    # chunks each expand both plans and take one Nijenhuis step
+    calls = {"sample": 0, "columns": 0, "expand": 0, "nijenhuis": 0, "verdict": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -479,20 +508,42 @@ def test_torsion_walks_the_tower_once_per_operator(monkeypatch, capsys):
 
     monkeypatch.setattr(fl, "sample_points", counted("sample", fl.sample_points))
     monkeypatch.setattr(cli, "sample_points", counted("sample", cli.sample_points))
-    monkeypatch.setattr(fl.OperatorBase, "jet_many",
-                        counted("jet", fl.OperatorBase.jet_many))
+    monkeypatch.setattr(fl._EntryPlan, "columns", counted("columns", fl._EntryPlan.columns))
+    monkeypatch.setattr(fl._EntryPlan, "expand", counted("expand", fl._EntryPlan.expand))
     monkeypatch.setattr(fl, "nijenhuis_from_jets",
                         counted("nijenhuis", fl.nijenhuis_from_jets))
     monkeypatch.setattr(fl, "is_vanishing", counted("verdict", fl.is_vanishing))
     man = load_manifest(fixture_path("lta.json"))
+    n_pts = 250
+    chunks = -(-n_pts // (fl.CHUNK_BYTES // (8 * man.chart.dim ** 3)))
+    assert chunks == 3
     code, out = run_cli(["torsion", "--manifest", str(fixture_path("lta.json")),
-                         "--level", "3", "--samples", "40"], capsys)
+                         "--level", "3", "--samples", str(n_pts)], capsys)
     assert code == 0
     n_ops = len(man.operators)
-    assert calls == {"sample": 1, "jet": n_ops, "nijenhuis": n_ops, "verdict": n_ops}
+    assert calls == {"sample": 1, "columns": 2 * n_ops, "expand": 2 * chunks * n_ops,
+                     "nijenhuis": chunks * n_ops, "verdict": n_ops}
     for name in man.operators:
         for m in (1, 2, 3):
             assert f"| {name} tau^({m}) |" in out
+
+
+@pytest.mark.parametrize("fixture, hint", [("lfa1.json", "1,1,1,1,3"), ("lta.json", "1,1,1,2")])
+def test_blockdiag_evaluates_the_chart_jacobian_once(fixture, hint, monkeypatch, capsys):
+    # one Jacobian, |det J| check and inverse per command, shared by the operators
+    calls = []
+    jacobian_many = cli.ch.jacobian_many
+
+    def counted(*args):
+        calls.append(args)
+        return jacobian_many(*args)
+
+    monkeypatch.setattr(cli.ch, "jacobian_many", counted)
+    code, _ = run_cli(["blockdiag", "--manifest", str(fixture_path(fixture)), "--chart", "y",
+                       "--hint", hint, "--samples", "20"], capsys)
+    assert code == 0
+    assert len(load_manifest(fixture_path(fixture)).operators) == 3
+    assert len(calls) == 1
 
 
 def test_algebra_builds_one_tower_per_product_and_per_combo(monkeypatch, capsys):

@@ -588,8 +588,11 @@ def test_jet_evaluates_each_point_dependent_entry_once(monkeypatch, lfa1):
     assert evaluated == [e for e in entries if not isinstance(e, Const)]
 
 
-@pytest.mark.parametrize("fixture, name", [*(("lfa1", f"K{k}") for k in (1, 2, 3)),
-                                           *(("lta", f"L{k}") for k in (1, 2, 3))])
+FIXTURE_OPERATORS = [*(("lfa1", f"K{k}") for k in (1, 2, 3)),
+                     *(("lta", f"L{k}") for k in (1, 2, 3))]
+
+
+@pytest.mark.parametrize("fixture, name", FIXTURE_OPERATORS)
 def test_fixture_jets_equal_entry_by_entry_reference(fixture, name, request):
     # each entry is differentiated only along the variables it contains; the
     # oracle differentiates every entry along every variable
@@ -600,6 +603,78 @@ def test_fixture_jets_equal_entry_by_entry_reference(fixture, name, request):
     vals, derivs = op.jet_many(pts)
     assert vals.tobytes() == ref_vals.tobytes()
     assert derivs.tobytes() == ref_derivs.tobytes()
+
+
+@pytest.mark.parametrize("chunk", ["one point", "default", "whole sample"])
+@pytest.mark.parametrize("fixture, name", FIXTURE_OPERATORS)
+def test_sliced_jets_equal_slices_of_the_whole_jet(fixture, name, chunk, request,
+                                                   monkeypatch):
+    # every chunk the walk asks for has the bytes of the whole-sample jet's
+    # slice, the chunks cover the sample once, and is_vanishing reports what
+    # the walk over the whole-sample jet reports
+    man = request.getfixturevalue(fixture)
+    op, n, n_pts = man.operators[name], man.chart.dim, 230
+    level = 8 * n ** 3
+    monkeypatch.setattr(fl, "CHUNK_BYTES", {"one point": level, "default": CHUNK_BYTES,
+                                            "whole sample": n_pts * level}[chunk])
+    pts = sample_points(man.domain, n_pts)
+    whole = op.jet_many(pts)
+    jet_at = op.jet_slices(pts)
+    covered = []
+
+    def compared(part):
+        got, want = jet_at(part), whole[part]
+        assert got.vals.shape == want.vals.shape and got.derivs.shape == want.derivs.shape
+        assert got.vals.tobytes() == want.vals.tobytes()
+        assert got.derivs.tobytes() == want.derivs.tobytes()
+        covered.extend(range(n_pts)[part])
+        return got
+
+    sliced = fl.tower_verdicts(compared, man.level, pts, man.domain.seed, 1e-8)
+    assert covered == list(range(n_pts))
+    assert len(sliced) == man.level and sliced[-1].vanishing
+    top = is_vanishing(op, man.level, man.domain, n_pts, 1e-8, pts=pts)
+    reference = fl.tower_verdicts(whole.__getitem__, man.level, pts, man.domain.seed, 1e-8)
+    for got, want in zip((*top.lower, top), reference, strict=True):
+        assert (got.level, got.max_residual, got.vanishing) == \
+            (want.level, want.max_residual, want.vanishing)
+        assert np.array_equal(got.worst_point, want.worst_point)
+
+
+def test_sliced_jet_raises_the_whole_jet_error():
+    # 10^302 x1^64 is finite near x1 = 1.19, but its derivative overflows
+    # there; values are checked before derivatives, so a later point with an
+    # infinite value is the one named when there is one
+    op = op_from_strings(CH2, [[f"{10 ** 302}*x1^64", "0"], ["0", "x2"]])
+    derivative_only = np.array([[1.15, 1.0], [1.19, 1.0], [1.15, 2.0]])
+    value_later = np.array([[1.15, 1.0], [1.19, 1.0], [1.15, np.inf]])
+    for pts, where in ((derivative_only, "(1.19, 1.0)"), (value_later, "(1.15, inf)")):
+        messages = []
+        for jet in (op.jet_many, op.jet_slices):
+            with pytest.warns(RuntimeWarning), pytest.raises(EvalDomainError) as info:
+                jet(pts)
+            messages.append(str(info.value))
+        assert messages == [f"operator 1-jet is not finite at point {where}"] * 2
+
+
+def test_is_vanishing_memory_does_not_grow_with_the_whole_jet(lfa1):
+    # the 1-jet is expanded chunk by chunk, so the peak grows by the
+    # point-dependent columns, not by N (n^2 + n^3) doubles of a whole jet
+    op, n = lfa1.operators["K1"], lfa1.chart.dim
+    op.jet_many(sample_points(lfa1.domain, 1))  # build the cached plans
+    sizes, peaks = (2000, 8000), []
+    for n_pts in sizes:
+        pts = sample_points(lfa1.domain, n_pts)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            is_vanishing(op, 4, lfa1.domain, n_pts, 1e-8, pts=pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - base)
+    assert peaks[1] - peaks[0] < 0.25 * (sizes[1] - sizes[0]) * 8 * (n ** 2 + n ** 3)
 
 
 def _raw_ast_strategy(dim: int):

@@ -397,24 +397,11 @@ def detect_blocks(mats: Sequence[np.ndarray], hint: BlockPartition | None = None
                 f"hint sizes sum to {hint.dim}, the matrices have dimension {n}")
         partition = hint
     else:
-        coupled = np.max(np.abs(stack), axis=0) > tol * scale
-        reach = np.arange(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if coupled[i, j] or coupled[j, i]:
-                    reach[i] = max(reach[i], j)
-        sizes = []
-        start = 0
-        end = reach[0]
-        for k in range(1, n + 1):
-            if k > end:
-                sizes.append(k - start)
-                if k < n:
-                    start = k
-                    end = reach[k]
-            elif k < n:
-                end = max(end, reach[k])
-        partition = BlockPartition(tuple(sizes))
+        big = np.max(np.abs(stack), axis=0) > tol * scale
+        coupled = big | big.T
+        # k is a block boundary iff no entry couples [0, k) with [k, n)
+        cuts = [k for k in range(1, n) if not coupled[:k, k:].any()]
+        partition = BlockPartition(tuple(np.diff([0, *cuts, n])))
     block_of = partition.block_of()
     off = block_of[:, None] != block_of[None, :]
     residual = float(np.max(np.abs(stack[:, off]))) / scale if off.any() else 0.0

@@ -11,13 +11,18 @@ rank tolerances from the manifest only.
 
 Reports are printed as markdown; ``--json OUT`` writes a machine-readable
 report that is byte-identical across reruns with the same inputs (timing is
-reported on stdout only) and never holds NaN or Infinity.  An evaluation
+reported on stdout only) and never holds NaN or Infinity.  The exit code is
+0 when every verdict passes, 1 when one fails and 2 on an input error, with
+an ``error: ...`` line on stderr.  An evaluation
 that leaves the domain, a non-finite value or a divisor below
 ``expr.SINGULARITY_EPS`` included, exits 2 and names the point; a constant
 outside the double range exits 2 and names the constant.  So does bad
 command-line input: a count below its minimum, a ``--tol`` that is negative
 or not finite, or a ``--hint`` that is not a list of positive block sizes
-summing to the chart dimension.
+summing to the chart dimension.  A manifest that cannot be read or breaks
+the format (an unknown key, a non-integer count, an empty interval, a bad
+tolerance) exits 2 naming the file or field; so do a negative ``--seed``,
+guards that reject every candidate point and an unwritable ``--json`` path.
 """
 
 from __future__ import annotations
@@ -36,13 +41,14 @@ from . import algebra as alg
 from . import charts as ch
 from . import fields as fl
 from . import spectral as sp
-from .errors import ConstantRangeError, EvalDomainError, SingularityError, TorsionLabError
+from .errors import (ConstantRangeError, DomainExhaustedError, EvalDomainError,
+                     SingularityError, TorsionLabError)
 from .expr import SampleDomain, format_expr, sample_points
 from .manifest import DEFAULT_SAMPLES, Manifest, load_manifest
 
 SCHEMA_VERSION = 1
 # exit 2, never a failed check
-_INPUT_ERRORS = (EvalDomainError, ConstantRangeError, SingularityError)
+_INPUT_ERRORS = (EvalDomainError, ConstantRangeError, SingularityError, DomainExhaustedError)
 
 
 @dataclass
@@ -96,6 +102,8 @@ class Report:
 
 def _inputs(args, min_samples: int = 1) -> tuple[Manifest, SampleDomain, int, list[str]]:
     """The manifest, its domain under ``--seed``, the sample count and the operators."""
+    if args.seed is not None:
+        _at_least(args, "seed", 0)
     man = load_manifest(args.manifest)
     domain = man.domain if args.seed is None else replace(man.domain, seed=args.seed)
     n_pts = _at_least(args, "samples", min_samples)
@@ -170,12 +178,12 @@ def cmd_spectrum(args) -> Report:
     rank_tol = man.tolerances["rank"]
     report = Report("spectrum", man.path, domain.seed,
                     {"operators": names, "samples": n_pts})
-    pts = sample_points(domain, n_pts)
+    point = sample_points(domain, 1)[0]  # the first point of every sweep
     for name in names:
         op = man.operators[name]
         try:
-            spec = sp.spectrum_at(op, pts[0], cluster, rank_tol)
-            degree = sp.minimal_poly_degree_at(op, pts[0], cluster, rank_tol)
+            spec = sp.spectrum_at(op, point, cluster, rank_tol)
+            degree = spec.minimal_poly_degree(rank_tol)
             reg = sp.regularity_check(op, domain, n_pts, cluster, rank_tol)
         except _INPUT_ERRORS:
             raise
@@ -337,8 +345,12 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:  # NaN or Infinity: not valid JSON (RFC 8259)
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.json_out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write --json {args.json_out}: {exc.strerror}", file=sys.stderr)
+            return 2
     return 0 if report.passed else 1
 
 

@@ -5,12 +5,14 @@ strings), a guarded sample domain, tolerances, and optionally coordinate
 changes, vector-field families, annihilator one-forms and golden data for
 spectra and pushforwards.  All expression strings are parsed eagerly so that
 errors carry their manifest location; within one load each distinct string
-is parsed once per chart.
+is parsed once per chart.  Unknown top-level, ``domain`` and ``tolerances``
+keys and counts or numbers of the wrong type are errors naming their field.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -31,6 +33,9 @@ DEFAULT_TOLERANCES = {
 }
 DEFAULT_SAMPLES = 200
 DEFAULT_SEED = 20220515
+TOP_LEVEL_KEYS = ("schema", "chart", "level", "domain", "tolerances", "operators", "charts",
+                  "fields", "annihilators", "spectrum", "pushforward_golden", "chains")
+DOMAIN_KEYS = ("box", "guards", "guard_eps", "seed")
 
 
 @dataclass(frozen=True)
@@ -93,6 +98,33 @@ def _parse(text: Any, chart: Chart, where: str, memo: _Memo) -> Expr:
     return memo[key]
 
 
+def _object(value: Any, where: str, known: tuple[str, ...]) -> dict:
+    """``value`` as a JSON object whose keys are all in ``known``."""
+    if not isinstance(value, dict):
+        raise ManifestError(f"{where}: expected an object, got {type(value).__name__}")
+    for key in value:
+        if key not in known:
+            raise ManifestError(f"{where}: unknown key {key!r} (known: {', '.join(known)})")
+    return value
+
+
+def _integer(value: Any, where: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ManifestError(f"{where}: expected an integer >= {minimum}, got {value!r}")
+    return value
+
+
+def _number(value: Any, where: str) -> float:
+    """``value`` as a finite double."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(num := float(value)):
+                return num
+        except OverflowError:
+            pass
+    raise ManifestError(f"{where}: expected a finite number, got {value!r}")
+
+
 def _parse_matrix(rows: Any, chart: Chart, where: str,
                   memo: _Memo) -> tuple[tuple[Expr, ...], ...]:
     n = chart.dim
@@ -126,35 +158,60 @@ def load_manifest(path: str | Path) -> Manifest:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+    except OSError as exc:
+        raise ManifestError(f"{path}: cannot read the manifest: {exc.strerror}") from exc
 
     if not isinstance(raw, dict):
         raise ManifestError(f"{path}: top level must be an object")
+    _object(raw, str(path), TOP_LEVEL_KEYS)
     schema = raw.get("schema", 1)
     if schema != 1:
         raise ManifestError(f"{path}: unsupported schema {schema!r}")
+    level = _integer(raw.get("level", 1), "level", 1)
 
     chart_spec = raw.get("chart")
     if not isinstance(chart_spec, dict) or "dim" not in chart_spec:
         raise ManifestError("chart: need an object with at least 'dim'")
-    chart = Chart(int(chart_spec["dim"]), tuple(chart_spec.get("names", ())))
+    try:
+        chart = Chart(_integer(chart_spec["dim"], "chart.dim", 1),
+                      tuple(chart_spec.get("names", ())))
+    except ValueError as exc:
+        raise ManifestError(f"chart.names: {exc}") from exc
     memo: _Memo = {}
 
-    dom_spec = raw.get("domain", {})
+    dom_spec = _object(raw.get("domain", {}), "domain", DOMAIN_KEYS)
     box = dom_spec.get("box")
     if not isinstance(box, list) or len(box) != chart.dim:
         raise ManifestError(f"domain.box: expected {chart.dim} intervals")
+    intervals = []
+    for i, interval in enumerate(box):
+        if not isinstance(interval, list) or len(interval) != 2:
+            raise ManifestError(f"domain.box[{i}]: expected an interval [lo, hi], "
+                                f"got {interval!r}")
+        lo, hi = (_number(v, f"domain.box[{i}]") for v in interval)
+        if lo > hi:
+            raise ManifestError(f"domain.box[{i}]: empty interval [{lo}, {hi}]")
+        intervals.append((lo, hi))
     guards = tuple(_parse(g, chart, f"domain.guards[{i}]", memo)
                    for i, g in enumerate(dom_spec.get("guards", [])))
+    guard_eps = _number(dom_spec.get("guard_eps", 1e-3), "domain.guard_eps")
+    if guard_eps <= 0:
+        raise ManifestError(f"domain.guard_eps: must be positive, got {guard_eps}")
     domain = SampleDomain(
-        box=tuple((float(lo), float(hi)) for lo, hi in box),
+        box=tuple(intervals),
         guards=guards,
-        guard_eps=float(dom_spec.get("guard_eps", 1e-3)),
-        seed=int(dom_spec.get("seed", DEFAULT_SEED)),
+        guard_eps=guard_eps,
+        seed=_integer(dom_spec.get("seed", DEFAULT_SEED), "domain.seed", 0),
     )
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, val in raw.get("tolerances", {}).items():
-        tolerances[str(key)] = float(val)
+    tol_spec = _object(raw.get("tolerances", {}), "tolerances", tuple(DEFAULT_TOLERANCES))
+    for key, val in tol_spec.items():
+        tolerances[key] = _number(val, f"tolerances.{key}")
+        if tolerances[key] < 0:
+            raise ManifestError(f"tolerances.{key}: must be >= 0, got {tolerances[key]}")
 
     ops_spec = raw.get("operators")
     if not isinstance(ops_spec, dict) or not ops_spec:
@@ -233,7 +290,7 @@ def load_manifest(path: str | Path) -> Manifest:
     return Manifest(
         path=str(path),
         chart=chart,
-        level=int(raw.get("level", 1)),
+        level=level,
         domain=domain,
         tolerances=tolerances,
         operators=operators,

@@ -10,9 +10,11 @@ computed.
 One batched core, :func:`_spectra`, analyses a stack of points at once: one
 ``eigvals`` call and one vectorized clustering for the whole stack, then per
 eigenvalue slot and per power one ``matmul`` and one ``svd`` over the points
-still raising that power.  A regularity sweep asks the SVD for singular
-values only and keeps integer digests; :func:`spectrum_at` is the one-point
-case, the only one that computes SVD factors and bases.
+still raising that power.  Cluster means are ``np.mean`` per cluster.  A
+regularity sweep asks the SVD for singular values only and keeps integer
+digests; :func:`spectrum_at` is the one-point case, the only one that
+computes SVD factors and bases.  It keeps the value it analysed, so the
+minimal polynomial degree is read from it without a second evaluation.
 """
 
 from __future__ import annotations
@@ -127,9 +129,12 @@ class SpectrumAtPoint:
     ``eig_bases[i]``  : orthonormal basis of ker(A - l_i I)^(rho_i), (n, r_i)
     ``char_bases[i]`` : orthonormal basis of Im (A - l_i I)^(rho_i), (n, n - r_i)
     ``annihilators[i]``: covectors killing the characteristic space, (r_i, n)
+
+    ``value`` is the operator value A(p) that was analysed.
     """
 
     point: np.ndarray
+    value: np.ndarray
     eigenvalues: tuple[float, ...]
     riesz: tuple[int, ...]
     ranks: tuple[int, ...]
@@ -142,31 +147,30 @@ class SpectrumAtPoint:
         """Structure summary invariant under reordering: (s, rho multiset, rank multiset)."""
         return _digest(self.riesz, self.ranks)
 
+    def minimal_poly_degree(self, rank_tol: float = RANK_TOL) -> int:
+        """Degree of the minimal polynomial of ``value``: the sum of the Riesz
+        indices.
 
-def _pairwise_sum(a: np.ndarray, width: int) -> np.ndarray:
-    """Sums of the rows of ``a`` (K, g) added in the order of numpy's pairwise
-    summation, whose elements are ``width`` doubles wide (1 real, 2 complex).
-
-    Below eight doubles the sum is a left fold; up to 128 doubles, eight
-    doubles of accumulators run over the full blocks and are added as a tree
-    before the rest is folded in; longer rows are split in two.
-    """
-    g = a.shape[-1]
-    n = g * width
-    if n < 8:
-        return 0.0 + np.add.accumulate(a, axis=-1)[..., -1]
-    if n > 128:
-        half = (n // 2 - n // 2 % 8) // width
-        return _pairwise_sum(a[..., :half], width) + _pairwise_sum(a[..., half:], width)
-    block = 8 // width
-    full = g - g % block
-    acc = np.add.accumulate(a[..., :full].reshape(-1, full // block, block), axis=1)[:, -1]
-    while acc.shape[-1] > 1:
-        acc = acc[:, 0::2] + acc[:, 1::2]
-    total = 0.0 + acc[:, 0]
-    for i in range(full, g):
-        total = total + a[:, i]
-    return total
+        Cross-checked against the smallest d making {I, A, ..., A^d} linearly
+        dependent (numeric rank of the vectorized powers); a mismatch raises
+        :class:`SpectralError`.
+        """
+        degree = sum(self.riesz)
+        n = self.value.shape[0]
+        rows = [np.eye(n).ravel()]
+        power = np.eye(n)
+        dep_degree = n  # Cayley-Hamilton guarantees dependence by degree n
+        for d in range(1, n + 1):
+            power = power @ self.value
+            rows.append(power.ravel() / max(1.0, np.max(np.abs(power))))
+            if numeric_rank(np.array(rows), rank_tol) < len(rows):
+                dep_degree = d
+                break
+        if dep_degree != degree:
+            raise SpectralError(
+                f"minimal polynomial degree mismatch: rank test gives {dep_degree}, "
+                f"Riesz indices give {degree}")
+        return degree
 
 
 def _cluster_means(mats: np.ndarray, radius: np.ndarray):
@@ -176,10 +180,8 @@ def _cluster_means(mats: np.ndarray, radius: np.ndarray):
     components of the graph ``|e_a - e_b| <= radius``.  A cluster is stored
     at the sorted position of its first member: returns the real and
     imaginary parts of the means, each (N, n), and the mask of the positions
-    that hold a cluster.  The means repeat ``np.mean`` bit for bit: the
-    members are summed as numpy sums them (:func:`_pairwise_sum`, by cluster
-    size), a real cluster is divided by its size g and a complex one scaled
-    by ``1/g`` the way complex division does.
+    that hold a cluster.  The means are ``np.mean`` per cluster, taken over
+    all clusters of one size and kind (real or complex matrix) at once.
     """
     raw = np.linalg.eigvals(mats)
     n_pts, n = raw.shape
@@ -201,14 +203,12 @@ def _cluster_means(mats: np.ndarray, radius: np.ndarray):
     members[rows, label, (same & np.tri(n, k=-1, dtype=bool)).sum(axis=-1)] = eigs
     size = same.sum(axis=-1)  # at a cluster's position: its member count
     cplx = np.repeat(~real_row[:, None], n, axis=1)
-    total = np.zeros_like(members[..., 0])
+    re, im = np.zeros((n_pts, n)), np.zeros((n_pts, n))
     for g, c in set(zip(size[roots].tolist(), cplx[roots].tolist())):
         at = roots & (size == g) & (cplx == c)
-        total[at] = _pairwise_sum(members[at][:, :g], 2 if c else 1)
-    sr, si = total.real, total.imag
-    inv = 1.0 / size
-    re = np.where(cplx, (sr + si * 0.0) * inv, sr / size)
-    im = np.where(cplx, (si - sr * 0.0) * inv, 0.0)
+        group = members[at][:, :g]
+        mean = np.mean(group if c else group.real, axis=-1)
+        re[at], im[at] = mean.real, mean.imag
     return re, im, roots
 
 
@@ -333,38 +333,15 @@ def _spectrum(mat: np.ndarray, p: np.ndarray, cluster_tol: float,
         for field, value in zip(fields, (float(lam[0]), rho, n - r,
                                          vh[r:].T, u[:, :r], u[:, r:].T)):
             field.append(value)
-    return SpectrumAtPoint(p, *map(tuple, fields))
+    return SpectrumAtPoint(p, mat, *map(tuple, fields))
 
 
 def minimal_poly_degree_at(a: OperatorBase, point,
                            cluster_tol: float = CLUSTER_TOL,
                            rank_tol: float = RANK_TOL) -> int:
-    """Degree of the minimal polynomial at a point: sum of Riesz indices.
-
-    Cross-checked against the smallest d making {I, A, ..., A^d} linearly
-    dependent (numeric rank of the vectorized powers).
-    """
-    p = as_point(a.chart, point)
-    mat = a.values_many(p[None, :])[0]
-    degree = sum(rho for _, _, _, rho, *_ in _spectra(mat[None], p[None], cluster_tol, rank_tol))
-    n = mat.shape[0]
-    rows = [np.eye(n).ravel()]
-    power = np.eye(n)
-    dep_degree = None
-    for d in range(1, n + 1):
-        power = power @ mat
-        rows.append(power.ravel() / max(1.0, np.max(np.abs(power))))
-        stacked = np.array(rows)
-        if numeric_rank(stacked, rank_tol) < len(rows):
-            dep_degree = d
-            break
-    if dep_degree is None:
-        dep_degree = n  # Cayley-Hamilton guarantees dependence by degree n
-    if dep_degree != degree:
-        raise SpectralError(
-            f"minimal polynomial degree mismatch: rank test gives {dep_degree}, "
-            f"Riesz indices give {degree}")
-    return degree
+    """Degree of the minimal polynomial at a point: sum of Riesz indices,
+    cross-checked by :meth:`SpectrumAtPoint.minimal_poly_degree`."""
+    return spectrum_at(a, point, cluster_tol, rank_tol).minimal_poly_degree(rank_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +478,7 @@ def joint_refinement(ops: Sequence[OperatorBase], point,
                     f"operators {ia} and {ib} do not commute at the point "
                     f"(residual {residual:.3e})")
 
-    spectra = [spectrum_at(op, p, cluster_tol, rank_tol) for op in ops]
+    spectra = [_spectrum(mat, p, cluster_tol, rank_tol) for mat in mats]
     blocks: list[tuple[tuple[int, ...], np.ndarray]] = [((), np.eye(chart.dim))]
     for spec in spectra:
         refined = []

@@ -16,6 +16,7 @@ matrix powers, where production applies it by Horner over slot actions.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -308,3 +309,20 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
     return float(np.max(np.abs(a - b)) / scale)
+
+
+def finest_block_partition(mats: np.ndarray, tol: float) -> tuple[int, ...]:
+    """Block sizes of the finest contiguous partition of ``mats`` (N, n, n)
+    whose off-block entries all stay within ``tol * max(1, max|entry|)``,
+    found by trying all 2^(n-1) sets of cut positions."""
+    n = mats.shape[1]
+    bound = tol * max(1.0, float(np.max(np.abs(mats))))
+    best: tuple[int, ...] = (n,)
+    for count in range(1, n):
+        for cuts in combinations(range(1, n), count):
+            edges = (0, *cuts, n)
+            block = np.repeat(np.arange(count + 1), np.diff(edges))
+            off = block[:, None] != block[None, :]
+            if np.all(np.abs(mats[:, off]) <= bound):
+                best = tuple(int(d) for d in np.diff(edges))
+    return best

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import torsionlab.charts as ch
-from helpers import rel_err
+from helpers import finest_block_partition, rel_err
 from torsionlab.charts import (
     BlockPartition,
     DiffeoChart,
@@ -405,6 +407,20 @@ def test_detect_blocks_lfa1_partition(lfa1):
     part, residual = detect_blocks(list(mats), None, lfa1.tolerances["block"])
     assert part.sizes == (1, 1, 1, 1, 3)
     assert residual <= lfa1.tolerances["block"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 8), n_mats=st.integers(1, 3), density=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_detect_blocks_finds_the_finest_partition(n, n_mats, density, seed):
+    # entries are zero, far below the threshold or far above it
+    rng = np.random.default_rng(seed)
+    level = rng.choice([0.0, 1e-12, 1.0], size=(n_mats, n, n),
+                       p=[1.0 - density, density / 2, density / 2])
+    mats = level * rng.uniform(0.5, 2.0, size=(n_mats, n, n))
+    part, residual = detect_blocks(list(mats), None, 1e-8)
+    assert part.sizes == finest_block_partition(mats, 1e-8)
+    assert residual <= 1e-8
 
 
 def test_detect_blocks_hint_failure_reported():

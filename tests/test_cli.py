@@ -13,7 +13,7 @@ import torsionlab.cli as cli
 import torsionlab.fields as fl
 import torsionlab.manifest as manifest_module
 from torsionlab.cli import main
-from torsionlab.errors import EvalDomainError, ManifestError
+from torsionlab.errors import DomainExhaustedError, EvalDomainError, ManifestError
 from torsionlab.expr import Var, sample_points
 from torsionlab.manifest import fixture_path, load_manifest
 
@@ -329,6 +329,84 @@ def test_manifest_parse_error_location(tmp_path, capsys):
     assert "operators.I[0][1]" in err
 
 
+def _with(path, value):
+    """IDENTITY_MANIFEST with the entry at the key ``path`` set to ``value``."""
+    man = json.loads(json.dumps(IDENTITY_MANIFEST))
+    *parents, leaf = path
+    owner = man
+    for key in parents:
+        owner = owner.setdefault(key, {})
+    owner[leaf] = value
+    return man
+
+
+@pytest.mark.parametrize("man, message", [
+    (_with(("chart", "dim"), "five"), "chart.dim: expected an integer >= 1, got 'five'"),
+    (_with(("chart", "dim"), 2.5), "chart.dim: expected an integer >= 1, got 2.5"),
+    (_with(("chart", "dim"), 0), "chart.dim: expected an integer >= 1, got 0"),
+    (_with(("level",), "abc"), "level: expected an integer >= 1, got 'abc'"),
+    (_with(("level",), 1.5), "level: expected an integer >= 1, got 1.5"),
+    (_with(("domain", "seed"), 7.9), "domain.seed: expected an integer >= 0, got 7.9"),
+    (_with(("domain", "seed"), -1), "domain.seed: expected an integer >= 0, got -1"),
+    (_with(("domain", "box"), [[0.5, 1.5, 2.0], [0.5, 1.5]]),
+     "domain.box[0]: expected an interval [lo, hi], got [0.5, 1.5, 2.0]"),
+    (_with(("domain", "box"), [[0.5, 1.5], [1.5, 0.5]]),
+     "domain.box[1]: empty interval [1.5, 0.5]"),
+    (_with(("domain", "guard_eps"), -1), "domain.guard_eps: must be positive, got -1.0"),
+    (_with(("domain", "sede"), 3), "domain: unknown key 'sede'"),
+    (_with(("tolerances", "rank"), "tiny"),
+     "tolerances.rank: expected a finite number, got 'tiny'"),
+    (_with(("tolerances", "vanish-rel"), 1e-3), "tolerances: unknown key 'vanish-rel'"),
+    (_with(("levle",), 2), "unknown key 'levle'"),
+])
+def test_bad_manifest_field_exits_2_naming_it(tmp_path, capsys, man, message):
+    # each was a traceback (exit 1, like a failed verdict) or silently absorbed
+    path = write_manifest(tmp_path, man)
+    code = main(["torsion", "--manifest", path, "--samples", "5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("case", ["directory", "latin-1", "json-dir", "seed"])
+def test_bad_path_or_seed_exits_2_naming_it(tmp_path, capsys, case):
+    argv = ["torsion", "--manifest", write_manifest(tmp_path, IDENTITY_MANIFEST),
+            "--samples", "5"]
+    if case == "directory":
+        argv[2], message = str(tmp_path), f"{tmp_path}: cannot read the manifest"
+    elif case == "latin-1":
+        (tmp_path / "bad.json").write_bytes('{"chart": "\xe9"}'.encode("latin-1"))
+        argv[2], message = str(tmp_path / "bad.json"), "bad.json: not UTF-8 text"
+    elif case == "json-dir":
+        out = tmp_path / "missing" / "out.json"
+        argv += ["--json", str(out)]
+        message = f"cannot write --json {out}"
+    else:
+        argv += ["--seed", "-1"]
+        message = "--seed must be >= 0, got -1"
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command", ["spectrum", "algebra"])
+def test_exhausted_domain_exits_2(monkeypatch, capsys, command):
+    # guards too strict for the box are a manifest error, not a failed check
+    # (``spectrum`` draws its sweep inside the operator loop)
+    def exhausted(domain, count, *args):
+        if count > 1:
+            raise DomainExhaustedError("8 consecutive rejections; guards too strict for the box")
+        return sample_points(domain, count, *args)
+
+    for module in (alg, cli.sp):
+        monkeypatch.setattr(module, "sample_points", exhausted)
+    code = main([command, "--manifest", str(fixture_path("lta.json")), "--samples", "5"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: 8 consecutive rejections; guards too strict for the box\n"
+
+
 def test_manifest_repeated_strings_parse_as_entry_by_entry(tmp_path, monkeypatch):
     # the same text on two charts whose names are swapped means different
     # variables, so the per-load memo is keyed on (text, chart)
@@ -526,6 +604,36 @@ def test_torsion_walks_the_tower_once_per_operator(monkeypatch, capsys):
     for name in man.operators:
         for m in (1, 2, 3):
             assert f"| {name} tau^({m}) |" in out
+
+
+@pytest.mark.parametrize("fixture", ["lfa1.json", "lta.json"])
+def test_spectrum_analyses_each_operator_in_two_walks(fixture, monkeypatch, capsys):
+    # per operator one evaluation and one spectral walk at the first sample
+    # point, which also gives the minimal polynomial degree, and one of each
+    # for the regularity sweep; the command itself draws only that point
+    calls = {"walk": 0, "values": 0}
+    draws = []
+    spectra, values_many = cli.sp._spectra, fl.OperatorBase.values_many
+
+    def walk(*args):
+        calls["walk"] += 1
+        return spectra(*args)
+
+    def values(self, pts):
+        calls["values"] += 1
+        return values_many(self, pts)
+
+    def draw(domain, count):
+        draws.append(count)
+        return sample_points(domain, count)
+
+    monkeypatch.setattr(cli.sp, "_spectra", walk)
+    monkeypatch.setattr(fl.OperatorBase, "values_many", values)
+    monkeypatch.setattr(cli, "sample_points", draw)
+    code, out = run_cli(["spectrum", "--manifest", fixture, "--samples", "20"], capsys)
+    assert code == 0
+    assert calls == {"walk": 6, "values": 6} and draws == [1]
+    assert out.count(" spectrum | PASS |") == 3
 
 
 @pytest.mark.parametrize("fixture, hint", [("lfa1.json", "1,1,1,1,3"), ("lta.json", "1,1,1,2")])

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torsionlab.spectral as spectral
 from helpers import basis_field, cluster_eigenvalues, spectrum_oracle
+from torsionlab.cli import main
 from torsionlab.errors import (
     ComplexEigenvalueError,
     DependentSpanningSetError,
@@ -24,7 +26,6 @@ from torsionlab.spectral import (
     RANK_TOL,
     _cluster_means,
     _intersect,
-    _pairwise_sum,
     _spectra,
     _spectrum,
     _sweep,
@@ -185,6 +186,29 @@ def test_minimal_poly_degrees(lta, lfa1):
     p7 = sample_points(lfa1.domain, 1)[0]
     assert minimal_poly_degree_at(lfa1.operators["K1"], p7, lfa1.tolerances["cluster"]) == 7
     assert minimal_poly_degree_at(identity_operator(CH3), (0.1, 0.2, 0.3)) == 1
+
+
+def test_minimal_poly_degree_is_read_from_the_analysed_value(lfa1):
+    p = sample_points(lfa1.domain, 1)[0]
+    spec = spectrum_at(lfa1.operators["K1"], p, lfa1.tolerances["cluster"])
+    assert spec.value.tobytes() == lfa1.operators["K1"].values_many(p[None, :])[0].tobytes()
+    assert spec.minimal_poly_degree() == sum(spec.riesz) == 7
+
+
+def test_minimal_poly_degree_mismatch_fails_the_spectrum_check(lta, monkeypatch, capsys):
+    # a rank test that finds {I, A} dependent disagrees with the Riesz sum 5
+    # of each of L1..L3 at the first manifest point
+    monkeypatch.setattr(spectral, "numeric_rank", lambda mat, rank_tol=RANK_TOL: 0)
+    p = sample_points(lta.domain, 1)[0]
+    message = "minimal polynomial degree mismatch: rank test gives 1, Riesz indices give 5"
+    with pytest.raises(SpectralError, match=f"^{message}$"):
+        spectrum_at(lta.operators["L1"], p).minimal_poly_degree()
+    with pytest.raises(SpectralError, match=f"^{message}$"):
+        minimal_poly_degree_at(lta.operators["L1"], p)
+    assert main(["spectrum", "--manifest", "lta.json", "--samples", "5"]) == 1
+    out = capsys.readouterr().out
+    for name in lta.operators:
+        assert f"| {name} spectrum | FAIL | `{{\"error\": \"minimal polynomial degree mismatch" in out
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +394,6 @@ def test_cluster_means_match_numpy_mean(kind, members):
         assert same_bits(im[i][roots[i]], means.imag)
         biggest = max(biggest, max(len(g) for g in groups))
     assert biggest == members
-
-
-@pytest.mark.parametrize("width", [1, 2])
-def test_pairwise_sum_matches_numpy_sum(width):
-    # every branch: left fold, blocks of accumulators, and the split of rows
-    # longer than 128 doubles
-    rng = np.random.default_rng(width)
-    for g in [1, 3, 4, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 200, 300]:
-        a = rng.standard_normal((3, g)) * 10.0 ** rng.integers(-6, 6, size=(3, g))
-        if width == 2:
-            a = a + 1j * rng.standard_normal((3, g))
-        assert same_bits(_pairwise_sum(a, width), np.array([np.sum(row) for row in a]))
 
 
 @pytest.mark.parametrize("value", ["0.1", "x1"])

@@ -9,15 +9,20 @@ by Horner over the slot actions Z, Lambda and M of
 P(z) - P(l) = (z - l) Q_P(z, l) and the identity relating the torsion of
 P(A) to that of A, whose image Q_P(Z, Lambda)^m Q_P(Z, M)^m is applied
 factor by factor, never expanded; and sampling-based module/ring closure
-verdicts, which combine each candidate K_a K_b or f K_a + g K_b inside the
-chunked tower walk, one point chunk at a time.
+verdicts.  Those judge every candidate K_a K_b and f K_a + g K_b in one
+chunk-major walk (:func:`torsionlab.fields.candidate_verdicts`): per chunk of
+points each generator's 1-jet is expanded once from its evaluated columns,
+every coefficient f and g is evaluated from one plan differentiated once,
+and the candidates are combined from those and walked up the tower one
+after another.  Beyond the sample and the generators' columns no per-point
+array outlives a chunk, so memory does not grow with the sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,14 +50,14 @@ from .fields import (
     TorsionTensor,
     VanishingReport,
     _point_max,
+    candidate_verdicts,
     identity_operator,
-    scalar_jet,
+    scalar_jets_plan,
     slot_action,
     tower_from_jets,
-    tower_verdicts,
     vanishing_report,
 )
-from .spectral import CLUSTER_TOL, RANK_TOL, _commutator_residual, minimal_poly_degree_at
+from .spectral import CLUSTER_TOL, RANK_TOL, _commutator_rule, minimal_poly_degree_at
 
 __all__ = [
     "PolySpec",
@@ -381,49 +386,57 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
     Checks pairwise commutativity at sampled points and level-m vanishing of
     K_a K_b for every ordered pair (a, b), K_a^2 included (ring law), then
     draws random function pairs (f, g) and operator pairs (K_a, K_b) and
-    verifies level-m vanishing of f K_a + g K_b (module law), each candidate
-    combined chunk by chunk inside the tower walk.
+    verifies level-m vanishing of f K_a + g K_b (module law).  One walk
+    judges every candidate, ring products first, then the combinations in
+    draw order; a non-finite tower names the lowest such candidate's lowest
+    level and first point.  A generator that is not an
+    :class:`~torsionlab.fields.OperatorField` is evaluated whole, by its
+    default :meth:`~torsionlab.fields.OperatorBase.jet_slices`.
     """
     if not ops:
         raise ValueError("need at least one operator")
     chart = ops[0].chart
+    k, n = len(ops), chart.dim
     pts = sample_points(domain, n_pts)
-    jets = [op.jet_many(pts) for op in ops]
-    vals = [j.vals for j in jets]
-
-    def verdict(jet_at: Callable[[slice], Jet]) -> VanishingReport:
-        # each candidate is combined chunk by chunk inside the walk
-        return tower_verdicts(jet_at, m, pts, domain.seed, tol)[-1]
-
-    k = len(ops)
-    commute = [[True] * k for _ in range(k)]
-    commute_worst = 0.0
-    ring_worst = 0.0
-    ring_closed = True
-    for ia in range(k):
-        for ib in range(k):
-            if ia < ib:
-                rel = _commutator_residual(vals[ia], vals[ib])
-                commute_worst = max(commute_worst, rel)
-                commute[ia][ib] = commute[ib][ia] = rel <= tol
-            ring = verdict(lambda part: jets[ia][part] @ jets[ib][part])
-            ring_worst = max(ring_worst, ring.max_residual)
-            ring_closed = ring_closed and ring.vanishing
+    generators = [op.jet_slices(pts) for op in ops]
 
     combo_seed = (domain.seed * 2654435761 + 0x5EED) % (2 ** 63)
     rng = np.random.default_rng(combo_seed)
-    module_worst = 0.0
-    module_closed = True
+    pairs, coeffs = [], []  # (a, b) and then f, g of each combination
     for _ in range(n_random_combos):
-        ia = int(rng.integers(0, k))
-        ib = int(rng.integers(0, k))
-        f = _random_combo_poly(chart, rng)
-        g = _random_combo_poly(chart, rng)
-        f_jet, g_jet = scalar_jet(f, pts), scalar_jet(g, pts)
-        module = verdict(lambda part: f_jet[part] * jets[ia][part]
-                         + g_jet[part] * jets[ib][part])
-        module_worst = max(module_worst, module.max_residual)
-        module_closed = module_closed and module.vanishing
+        pairs.append((int(rng.integers(0, k)), int(rng.integers(0, k))))
+        coeffs += [_random_combo_poly(chart, rng), _random_combo_poly(chart, rng)]
+    coeffs_at = scalar_jets_plan(coeffs, n)
+
+    # running max|K_a| and max|K_a K_b - K_b K_a| (a < b) over the chunks
+    val_max = np.zeros(k)
+    comm_max = np.zeros((k, k))
+
+    def candidates_at(part: slice) -> Iterator[Jet]:
+        gens = [jet_at(part) for jet_at in generators]
+        for ia, a in enumerate(gens):
+            val_max[ia] = max(val_max[ia], np.max(np.abs(a.vals)))
+            for ib in range(ia + 1, k):
+                comm = a.vals @ gens[ib].vals - gens[ib].vals @ a.vals
+                comm_max[ia, ib] = max(comm_max[ia, ib], np.max(np.abs(comm)))
+        for a in gens:
+            for b in gens:
+                yield a @ b
+        scalars = coeffs_at(pts[part])
+        for (ia, ib), f, g in zip(pairs, scalars[::2], scalars[1::2]):
+            yield f * gens[ia] + g * gens[ib]
+
+    tops = [reports[-1] for reports in
+            candidate_verdicts(candidates_at, m, pts, domain.seed, tol)]
+    ring, module = tops[:k * k], tops[k * k:]
+
+    commute = [[True] * k for _ in range(k)]
+    commute_worst = 0.0
+    for ia in range(k):
+        for ib in range(ia + 1, k):
+            rel = _commutator_rule(comm_max[ia, ib], val_max[ia], val_max[ib])
+            commute_worst = max(commute_worst, rel)
+            commute[ia][ib] = commute[ib][ia] = rel <= tol
 
     return AlgebraCheckReport(
         level=m,
@@ -434,10 +447,10 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
         tol=tol,
         commute=tuple(tuple(row) for row in commute),
         commute_worst=commute_worst,
-        module_closed=module_closed,
-        module_worst=module_worst,
-        ring_closed=ring_closed,
-        ring_worst=ring_worst,
+        module_closed=all(r.vanishing for r in module),
+        module_worst=max((r.max_residual for r in module), default=0.0),
+        ring_closed=all(r.vanishing for r in ring),
+        ring_worst=max((r.max_residual for r in ring), default=0.0),
     )
 
 

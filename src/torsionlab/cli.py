@@ -21,8 +21,9 @@ command-line input: a count below its minimum, a ``--tol`` that is negative
 or not finite, or a ``--hint`` that is not a list of positive block sizes
 summing to the chart dimension.  A manifest that cannot be read or breaks
 the format (an unknown key, a non-integer count, an empty interval, a bad
-tolerance) exits 2 naming the file or field; so do a negative ``--seed``,
-guards that reject every candidate point and an unwritable ``--json`` path.
+tolerance, a section of the wrong JSON type) exits 2 naming the file or
+field; so do a negative ``--seed``, guards that reject every candidate point
+and an unwritable ``--json`` path.
 """
 
 from __future__ import annotations
@@ -178,13 +179,13 @@ def cmd_spectrum(args) -> Report:
     rank_tol = man.tolerances["rank"]
     report = Report("spectrum", man.path, domain.seed,
                     {"operators": names, "samples": n_pts})
-    point = sample_points(domain, 1)[0]  # the first point of every sweep
+    pts = sample_points(domain, n_pts)  # one sample, shared by the operators
     for name in names:
         op = man.operators[name]
         try:
-            spec = sp.spectrum_at(op, point, cluster, rank_tol)
+            spec = sp.spectrum_at(op, pts[0], cluster, rank_tol)
             degree = spec.minimal_poly_degree(rank_tol)
-            reg = sp.regularity_check(op, domain, n_pts, cluster, rank_tol)
+            reg = sp.regularity_check(op, domain, n_pts, cluster, rank_tol, pts=pts)
         except _INPUT_ERRORS:
             raise
         except TorsionLabError as exc:

@@ -28,16 +28,21 @@ the level-up step is (Z - Lambda)(Z - M), and :mod:`torsionlab.algebra`
 applies a general R_S, the Bezout image included, by Horner over Z, Lambda
 and M.
 
-A verdict needs only max |T^(k)| at each point, so :func:`tower_verdicts`
-walks the tower in point chunks of at most ``CHUNK_BYTES`` per level and
-keeps per-point norms, whatever the sample size.  It takes the 1-jet as a
-function of a point slice.  :meth:`OperatorBase.jet_slices` gives that
-function: an :class:`OperatorField` expands each chunk's jet from its
-evaluated columns, so :func:`is_vanishing` holds no whole-sample jet, and a
-candidate K_a K_b or f K_a + g K_b of
-:func:`torsionlab.algebra.check_algebra` is combined chunk by chunk from
-views of its factors' jets.  :func:`tower` and :func:`torsion_many` build
-whole levels for the callers that need the tensors.
+A verdict needs only the worst residual of each level, so
+:func:`candidate_verdicts`, the one verdict walk, goes chunk-major: for each
+chunk of points (at most ``CHUNK_BYTES`` per level) it asks for the 1-jets
+of all its candidates, walks each up the tower in turn and folds the
+chunk's residuals into a running worst per candidate and level.  No
+per-point array outlives a chunk, whatever the sample size.  A caller judging
+several candidates built from shared factors, as
+:func:`torsionlab.algebra.check_algebra` does with its products K_a K_b and
+combinations f K_a + g K_b, expands the factors once per chunk for all of
+them.  :func:`tower_verdicts` and :func:`is_vanishing` are the
+one-candidate case; :meth:`OperatorBase.jet_slices` gives an operator's jet
+as a function of a point slice, and an :class:`OperatorField` expands each
+chunk's jet from its evaluated columns, so it holds no whole-sample jet.
+:func:`tower` and :func:`torsion_many` build whole levels for the callers
+that need the tensors.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -198,13 +203,36 @@ def scalar_jet(coeff: Expr, pts: np.ndarray, derivs: bool = True) -> Jet:
     Only the variables ``coeff`` contains are differentiated; the gradient
     entries along the others are the exact zeros :func:`diff` gives there.
     """
-    vals = eval_many(coeff, pts)[:, None, None]
     if not derivs:
-        return Jet(vals)
-    grad = np.zeros((pts.shape[0], pts.shape[1], 1, 1))
-    for l in variables(coeff):
-        grad[:, l, 0, 0] = eval_many(diff(coeff, l), pts)
-    return Jet(vals, grad)
+        return Jet(eval_many(coeff, pts)[:, None, None])
+    return scalar_jets_plan([coeff], pts.shape[1])(pts)[0]
+
+
+def scalar_jets_plan(coeffs: Sequence[Expr], n: int) -> Callable[[np.ndarray], list[Jet]]:
+    """``pts -> [scalar_jet(c, pts) for c in coeffs]`` for points of an n-dim chart.
+
+    The coefficients are differentiated here, once, into one
+    :class:`_EntryPlan` of all their values and gradients, so a caller
+    evaluating them chunk by chunk neither differentiates them again nor
+    fills one plan per coefficient per chunk.  Each is differentiated only
+    along the variables it contains.
+    """
+    entries: list[Expr] = []
+    for coeff in coeffs:
+        present = set(variables(coeff))
+        entries += [coeff] + [diff(coeff, l) if l in present else ZERO for l in range(n)]
+    plan = _EntryPlan.of(entries)
+
+    def jets_at(pts: np.ndarray) -> list[Jet]:
+        cols = plan.fill(pts, (len(coeffs), n + 1))
+        return [Jet(cols[:, k, :1, None], cols[:, k, 1:, None, None])
+                for k in range(len(coeffs))]
+
+    return jets_at
+
+
+def _not_finite(what: str, point: np.ndarray) -> EvalDomainError:
+    return EvalDomainError(f"{what} is not finite at point {tuple(point.tolist())}")
 
 
 def _require_finite(pts: np.ndarray, what: str, *arrays) -> None:
@@ -214,8 +242,7 @@ def _require_finite(pts: np.ndarray, what: str, *arrays) -> None:
         if arr is None or np.isfinite(arr).all():
             continue
         bad = ~np.isfinite(arr.reshape(arr.shape[0], -1)).all(axis=1)
-        point = tuple(pts[int(np.argmax(bad))].tolist())
-        raise EvalDomainError(f"{what} is not finite at point {point}")
+        raise _not_finite(what, pts[int(np.argmax(bad))])
 
 
 class OperatorBase:
@@ -246,7 +273,9 @@ class OperatorBase:
         return jet
 
     def jet_slices(self, pts: np.ndarray) -> Callable[[slice], Jet]:
-        """``part -> jet_many(pts)[part]``, checked for finiteness before it returns."""
+        """``part -> jet_many(pts)[part]``, checked for finiteness before it
+        returns.  This default holds the whole-sample jet; an
+        :class:`OperatorField` expands each slice from evaluated columns."""
         return self.jet_many(pts).__getitem__
 
     def at(self, point) -> "OperatorAtPoint":
@@ -306,17 +335,20 @@ class OperatorField(OperatorBase):
 @dataclass(frozen=True, eq=False)
 class _EntryPlan:
     """How to fill an array of symbolic entries, given in row-major order, at
-    a batch of points: evaluate the point-dependent entries into columns
-    (:meth:`columns`), then expand the columns of any run of points into the
-    full array (:meth:`expand`).  :meth:`fill` is both steps at once.
+    a batch of points: evaluate the distinct point-dependent entries into
+    columns (:meth:`columns`), then expand the columns of any run of points
+    into the full array (:meth:`expand`).  :meth:`fill` is both steps at once.
 
     ``template`` holds the value of each :class:`Const` entry and 0 for the
     others; ``dependent`` holds the flat indices of the other entries, whose
-    values depend on the point, and ``exprs`` those entries, in order.
+    values depend on the point; ``exprs`` holds the distinct expressions among
+    those entries, in order of first appearance, and ``source`` the index in
+    ``exprs`` of each dependent entry.
     """
 
     template: np.ndarray
     dependent: np.ndarray
+    source: np.ndarray
     exprs: tuple[Expr, ...]
 
     @classmethod
@@ -326,14 +358,18 @@ class _EntryPlan:
         template = np.array([const_value(e) if isinstance(e, Const) else 0.0
                              for e in entries])
         dependent = [k for k, e in enumerate(entries) if not isinstance(e, Const)]
+        column: dict[Expr, int] = {}
+        source = [column.setdefault(entries[k], len(column)) for k in dependent]
         return cls(template, np.array(dependent, dtype=np.intp),
-                   tuple(entries[k] for k in dependent))
+                   np.array(source, dtype=np.intp), tuple(column))
 
     def columns(self, pts: np.ndarray) -> np.ndarray:
-        """The point-dependent entries at every row of ``pts``, shape (N, d).
+        """The distinct point-dependent entries at every row of ``pts``,
+        shape (N, d).
 
-        Each is evaluated once, in row-major order, so an evaluation error
-        names the same entry and point as an entry-by-entry fill would.
+        Each is evaluated once, in row-major order of first appearance; a
+        repeat gives the same values, so an evaluation error names the same
+        entry and point as an entry-by-entry fill would.
         """
         cols = np.empty((pts.shape[0], len(self.exprs)))
         for c, e in enumerate(self.exprs):
@@ -345,7 +381,7 @@ class _EntryPlan:
         broadcast copy of the template, then one scatter of the columns."""
         out = np.empty((cols.shape[0], self.template.size))
         out[:] = self.template
-        out[:, self.dependent] = cols
+        out[:, self.dependent] = cols[:, self.source]
         return out.reshape(cols.shape[0], *shape)
 
     def fill(self, pts: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -629,7 +665,7 @@ CHUNK_BYTES = 96 * 1024
 
 def _point_max(arr: np.ndarray) -> np.ndarray:
     """max |arr| over every axis but the point axis 0."""
-    return np.max(np.abs(arr), axis=tuple(range(1, arr.ndim)))
+    return np.abs(arr).reshape(arr.shape[0], -1).max(axis=1)
 
 
 def _residuals(tor_norm: np.ndarray, val_norm: np.ndarray, m: int,
@@ -642,18 +678,16 @@ def _residuals(tor_norm: np.ndarray, val_norm: np.ndarray, m: int,
     return tor_norm / denom
 
 
-def _report(residuals: np.ndarray, m: int, pts: np.ndarray, seed: int,
-            tol_rel: float) -> VanishingReport:
-    worst = int(np.argmax(residuals))
-    max_residual = float(residuals[worst])
+def _verdict(max_residual: float, worst_point: np.ndarray, m: int, n_pts: int,
+             seed: int, tol_rel: float) -> VanishingReport:
     return VanishingReport(
         level=m,
-        n_points=pts.shape[0],
+        n_points=n_pts,
         seed=seed,
         tol_rel=tol_rel,
         max_residual=max_residual,
         vanishing=bool(max_residual <= tol_rel),
-        worst_point=pts[worst],
+        worst_point=worst_point,
     )
 
 
@@ -661,36 +695,88 @@ def vanishing_report(torsions: np.ndarray, vals: np.ndarray, m: int,
                      pts: np.ndarray, seed: int, tol_rel: float) -> VanishingReport:
     """Verdict on a level-m tower built whole at ``pts`` from the values
     ``vals``; :class:`EvalDomainError` names its first non-finite point."""
-    return _report(_residuals(_point_max(torsions), _point_max(vals), m, pts),
-                   m, pts, seed, tol_rel)
+    residuals = _residuals(_point_max(torsions), _point_max(vals), m, pts)
+    worst = int(np.argmax(residuals))
+    return _verdict(float(residuals[worst]), pts[worst], m, pts.shape[0], seed, tol_rel)
 
 
-def tower_verdicts(jet_at: Callable[[slice], Jet], m: int, pts: np.ndarray,
-                   seed: int, tol_rel: float) -> list[VanishingReport]:
-    """Verdicts on levels 1..m of an operator's 1-jet at the points ``pts``.
+def candidate_verdicts(candidates_at: Callable[[slice], Iterable[Jet]], m: int,
+                       pts: np.ndarray, seed: int,
+                       tol_rel: float) -> list[list[VanishingReport]]:
+    """Verdicts on levels 1..m of each of several candidate 1-jets at ``pts``.
 
-    ``jet_at(part)`` is the n-by-n 1-jet at ``pts[part]``, n = ``pts.shape[1]``
-    (``jet.__getitem__``, or a candidate combined from its factors' jets),
-    asked for one chunk of at most ``CHUNK_BYTES`` per level at a time.  Each
-    report equals :func:`vanishing_report` on the whole level, and an
-    :class:`EvalDomainError` names the lowest non-finite level and its first
-    point, as a level-by-level walk over all points would.
+    ``candidates_at(part)`` yields the n-by-n 1-jets of every candidate at
+    ``pts[part]``, n = ``pts.shape[1]``, in the same order for every part.
+    The walk calls it once per chunk of at most ``CHUNK_BYTES`` per level, in
+    point order, and asks for the next jet only when it is done with the one
+    before, so work the candidates share is done once per chunk and one
+    candidate's tower is alive at a time.  Per candidate and level it keeps
+    only the running worst residual, its first point and the first
+    non-finite points.
+
+    List c holds candidate c's reports on levels 1..m; each equals
+    :func:`vanishing_report` on the whole level.  An :class:`EvalDomainError`
+    names, of the lowest candidate with a non-finite level, the lowest such
+    level and its first point, as walking the candidates one after another,
+    each level over all points, would.
     """
     if m < 1:
         raise ValueError("torsion level must be >= 1")
     n_pts, n = pts.shape
     step = max(1, CHUNK_BYTES // (8 * n ** 3))
-    norms = np.empty((m, n_pts))
-    val_norm = np.empty(n_pts)
+    levels = np.arange(m)
+    powers = 2 * levels[:, None] + 1  # of max|A| in each level's rule
+    # per candidate, by level: the worst residual, its point and the first
+    # points where the torsion norm and the rule's denominator are not finite
+    worst: list[np.ndarray] = []
+    worst_at: list[np.ndarray] = []
+    first_bad: list[np.ndarray] = []
     for start in range(0, n_pts, step):
         part = slice(start, start + step)
-        vals, derivs = jet_at(part)
-        val_norm[part] = _point_max(vals)
-        for row, torsions in zip(norms, tower(vals, derivs, m)):
-            row[part] = _point_max(torsions)
-    for level, row in enumerate(norms, start=1):
-        row[:] = _residuals(row, val_norm, level, pts)
-    return [_report(row, level, pts, seed, tol_rel) for level, row in enumerate(norms, start=1)]
+        for cand, (vals, derivs) in enumerate(candidates_at(part)):
+            if cand == len(worst):  # the first chunk
+                worst.append(np.full(m, -np.inf))
+                worst_at.append(np.zeros(m, dtype=np.intp))
+                first_bad.append(np.full((m, 2), n_pts))
+            tor = np.array([_point_max(t) for t in tower(vals, derivs, m)])
+            denom = 1.0 + _point_max(vals) ** powers
+            if not (np.isfinite(tor).all() and np.isfinite(denom).all()):
+                for k, arr in enumerate((tor, denom)):
+                    bad = ~np.isfinite(arr)
+                    first = np.where(bad.any(axis=1), start + bad.argmax(axis=1), n_pts)
+                    np.minimum(first_bad[cand][:, k], first, out=first_bad[cand][:, k])
+            res = tor / denom
+            at = res.argmax(axis=1)
+            top = res[levels, at]
+            better = top > worst[cand]  # strictly: ties keep the earlier point
+            np.copyto(worst[cand], top, where=better)
+            np.copyto(worst_at[cand], at + start, where=better)
+    hits = np.argwhere(np.array(first_bad) < n_pts)  # in (candidate, level, array) order
+    if hits.size:
+        cand, level, k = hits[0]
+        raise _not_finite(f"level-{level + 1} torsion", pts[first_bad[cand][level, k]])
+    return [[_verdict(float(w), pts[i], level, n_pts, seed, tol_rel)
+             for level, (w, i) in enumerate(zip(w_row, at_row), start=1)]
+            for w_row, at_row in zip(worst, worst_at)]
+
+
+def tower_verdicts(jet_at: Callable[[slice], Jet], m: int, pts: np.ndarray,
+                   seed: int, tol_rel: float) -> list[VanishingReport]:
+    """Verdicts on levels 1..m of one operator's 1-jet at the points ``pts``:
+    :func:`candidate_verdicts` of the one candidate ``jet_at(part)``, e.g.
+    ``jet.__getitem__`` or :meth:`OperatorBase.jet_slices`."""
+    return candidate_verdicts(lambda part: (jet_at(part),), m, pts, seed, tol_rel)[0]
+
+
+def given_sample(domain: SampleDomain, count: int, pts: np.ndarray | None) -> np.ndarray:
+    """``sample_points(domain, count)``, or ``pts`` when a caller has drawn it
+    already, after checking that it has that sample's shape."""
+    if pts is None:
+        return sample_points(domain, count)
+    if pts.shape != (count, domain.dim):
+        raise DimensionMismatchError(
+            f"expected {count} sample points of dimension {domain.dim}, got shape {pts.shape}")
+    return pts
 
 
 def is_vanishing(a: OperatorBase, m: int, domain: SampleDomain,
@@ -707,11 +793,7 @@ def is_vanishing(a: OperatorBase, m: int, domain: SampleDomain,
     """
     if n_pts < 1:
         raise ValueError("n_pts must be >= 1")
-    if pts is None:
-        pts = sample_points(domain, n_pts)
-    elif pts.shape != (n_pts, domain.dim):
-        raise DimensionMismatchError(
-            f"expected {n_pts} sample points of dimension {domain.dim}, got shape {pts.shape}")
+    pts = given_sample(domain, n_pts, pts)
     reports = tower_verdicts(a.jet_slices(pts), m, pts, domain.seed, tol_rel)
     return replace(reports[-1], lower=tuple(reports[:-1]))
 

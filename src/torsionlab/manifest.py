@@ -6,7 +6,9 @@ changes, vector-field families, annihilator one-forms and golden data for
 spectra and pushforwards.  All expression strings are parsed eagerly so that
 errors carry their manifest location; within one load each distinct string
 is parsed once per chart.  Unknown top-level, ``domain`` and ``tolerances``
-keys and counts or numbers of the wrong type are errors naming their field.
+keys, counts or numbers of the wrong type, and an optional section, or a
+part of one, that is not the JSON object, array or string it must be, are
+errors naming their field.
 """
 
 from __future__ import annotations
@@ -98,10 +100,25 @@ def _parse(text: Any, chart: Chart, where: str, memo: _Memo) -> Expr:
     return memo[key]
 
 
+_KINDS = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _typed(value: Any, where: str, kind: type) -> Any:
+    """``value``, if it is a JSON object, array or string as ``kind`` says."""
+    if not isinstance(value, kind):
+        raise ManifestError(f"{where}: expected {_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _optional(spec: dict, key: str, parent: str, kind: type) -> Any:
+    """``spec[key]``, checked to be of ``kind``, or an empty one if it is absent;
+    ``parent`` is the path of ``spec``, empty for the top level."""
+    return _typed(spec.get(key, kind()), f"{parent}.{key}" if parent else key, kind)
+
+
 def _object(value: Any, where: str, known: tuple[str, ...]) -> dict:
     """``value`` as a JSON object whose keys are all in ``known``."""
-    if not isinstance(value, dict):
-        raise ManifestError(f"{where}: expected an object, got {type(value).__name__}")
+    _typed(value, where, dict)
     for key in value:
         if key not in known:
             raise ManifestError(f"{where}: unknown key {key!r} (known: {', '.join(known)})")
@@ -139,6 +156,17 @@ def _parse_matrix(rows: Any, chart: Chart, where: str,
     return tuple(out)
 
 
+def _chart(dim: int, spec: dict, where: str) -> Chart:
+    """A ``dim``-dimensional chart with the optional variable ``names`` of ``spec``."""
+    names = _optional(spec, "names", where, list)
+    for i, name in enumerate(names):
+        _typed(name, f"{where}.names[{i}]", str)
+    try:
+        return Chart(dim, tuple(names))
+    except ValueError as exc:
+        raise ManifestError(f"{where}.names: {exc}") from exc
+
+
 def _parse_vector(comps: Any, chart: Chart, where: str, memo: _Memo) -> tuple[Expr, ...]:
     if not isinstance(comps, list) or len(comps) != chart.dim:
         raise ManifestError(f"{where}: expected {chart.dim} components")
@@ -174,11 +202,7 @@ def load_manifest(path: str | Path) -> Manifest:
     chart_spec = raw.get("chart")
     if not isinstance(chart_spec, dict) or "dim" not in chart_spec:
         raise ManifestError("chart: need an object with at least 'dim'")
-    try:
-        chart = Chart(_integer(chart_spec["dim"], "chart.dim", 1),
-                      tuple(chart_spec.get("names", ())))
-    except ValueError as exc:
-        raise ManifestError(f"chart.names: {exc}") from exc
+    chart = _chart(_integer(chart_spec["dim"], "chart.dim", 1), chart_spec, "chart")
     memo: _Memo = {}
 
     dom_spec = _object(raw.get("domain", {}), "domain", DOMAIN_KEYS)
@@ -195,7 +219,7 @@ def load_manifest(path: str | Path) -> Manifest:
             raise ManifestError(f"domain.box[{i}]: empty interval [{lo}, {hi}]")
         intervals.append((lo, hi))
     guards = tuple(_parse(g, chart, f"domain.guards[{i}]", memo)
-                   for i, g in enumerate(dom_spec.get("guards", [])))
+                   for i, g in enumerate(_optional(dom_spec, "guards", "domain", list)))
     guard_eps = _number(dom_spec.get("guard_eps", 1e-3), "domain.guard_eps")
     if guard_eps <= 0:
         raise ManifestError(f"domain.guard_eps: must be positive, got {guard_eps}")
@@ -222,8 +246,8 @@ def load_manifest(path: str | Path) -> Manifest:
     }
 
     charts: dict[str, DiffeoChart] = {}
-    for name, spec in raw.get("charts", {}).items():
-        dst = Chart(chart.dim, tuple(spec.get("names", ())))
+    for name, spec in _optional(raw, "charts", "", dict).items():
+        dst = _chart(chart.dim, _typed(spec, f"charts.{name}", dict), f"charts.{name}")
         forward = _parse_vector(spec.get("forward"), chart, f"charts.{name}.forward", memo)
         inverse = None
         if spec.get("inverse") is not None:
@@ -231,60 +255,71 @@ def load_manifest(path: str | Path) -> Manifest:
         charts[name] = DiffeoChart(src=chart, dst=dst, forward=forward, inverse=inverse)
 
     families: dict[str, tuple[VectorFieldExpr, ...]] = {}
-    for name, vectors in raw.get("fields", {}).items():
+    for name, vectors in _optional(raw, "fields", "", dict).items():
         families[name] = tuple(
             VectorFieldExpr(chart, _parse_vector(v, chart, f"fields.{name}[{i}]", memo))
-            for i, v in enumerate(vectors))
+            for i, v in enumerate(_typed(vectors, f"fields.{name}", list)))
 
     annihilators: dict[str, tuple[OneFormExpr, ...]] = {}
-    for name, forms in raw.get("annihilators", {}).items():
+    for name, forms in _optional(raw, "annihilators", "", dict).items():
         annihilators[name] = tuple(
             OneFormExpr(chart, _parse_vector(f, chart, f"annihilators.{name}[{i}]", memo))
-            for i, f in enumerate(forms))
+            for i, f in enumerate(_typed(forms, f"annihilators.{name}", list)))
 
     spectrum = None
     if "spectrum" in raw:
-        spec = raw["spectrum"]
+        spec = _typed(raw["spectrum"], "spectrum", dict)
         eigenvalues = {
             op: tuple(_parse(e, chart, f"spectrum.eigenvalues.{op}[{i}]", memo)
-                      for i, e in enumerate(exprs))
-            for op, exprs in spec.get("eigenvalues", {}).items()
+                      for i, e in enumerate(_typed(exprs, f"spectrum.eigenvalues.{op}", list)))
+            for op, exprs in _optional(spec, "eigenvalues", "spectrum", dict).items()
         }
+
+        def bases(key: str) -> list:
+            return [_typed(basis, f"spectrum.{key}[{i}]", list)
+                    for i, basis in enumerate(_optional(spec, key, "spectrum", list))]
+
+        def counts(key: str) -> tuple[int, ...]:
+            return tuple(_integer(r, f"spectrum.{key}[{i}]", 1)
+                         for i, r in enumerate(_optional(spec, key, "spectrum", list)))
+
         distributions = tuple(
             tuple(VectorFieldExpr(chart, _parse_vector(
                       v, chart, f"spectrum.distributions[{i}][{j}]", memo))
                   for j, v in enumerate(basis))
-            for i, basis in enumerate(spec.get("distributions", [])))
+            for i, basis in enumerate(bases("distributions")))
         ann = tuple(
             tuple(OneFormExpr(chart, _parse_vector(
                       w, chart, f"spectrum.annihilators[{i}][{j}]", memo))
                   for j, w in enumerate(basis))
-            for i, basis in enumerate(spec.get("annihilators", [])))
+            for i, basis in enumerate(bases("annihilators")))
         spectrum = SpectrumGolden(
             eigenvalues=eigenvalues,
-            riesz=tuple(int(r) for r in spec.get("riesz", ())),
-            ranks=tuple(int(r) for r in spec.get("ranks", ())),
+            riesz=counts("riesz"),
+            ranks=counts("ranks"),
             distributions=distributions,
             annihilators=ann,
         )
 
     golden: dict[str, dict[str, tuple[tuple[Expr, ...], ...]]] = {}
-    for chart_name, per_op in raw.get("pushforward_golden", {}).items():
+    for chart_name, per_op in _optional(raw, "pushforward_golden", "", dict).items():
         if chart_name not in charts:
             raise ManifestError(f"pushforward_golden: unknown chart {chart_name!r}")
         dst = charts[chart_name].dst
         golden[chart_name] = {
             op: _parse_matrix(rows, dst, f"pushforward_golden.{chart_name}.{op}", memo)
-            for op, rows in per_op.items()
+            for op, rows in _typed(per_op, f"pushforward_golden.{chart_name}", dict).items()
         }
 
     chains: dict[str, ChainSpec] = {}
-    for name, spec in raw.get("chains", {}).items():
-        eigen = {op: _parse(e, chart, f"chains.{name}.eigenvalue.{op}", memo)
-                 for op, e in spec.get("eigenvalue", {}).items()}
+    for name, spec in _optional(raw, "chains", "", dict).items():
+        where = f"chains.{name}"
+        spec = _typed(spec, where, dict)
+        eigen = {op: _parse(e, chart, f"{where}.eigenvalue.{op}", memo)
+                 for op, e in _optional(spec, "eigenvalue", where, dict).items()}
         chain_fields = tuple(
-            VectorFieldExpr(chart, _parse_vector(v, chart, f"chains.{name}.fields[{i}]", memo))
-            for i, v in enumerate(spec.get("fields", [])))
+            VectorFieldExpr(chart, _parse_vector(v, chart, f"{where}.fields[{i}]", memo))
+            for i, v in enumerate(_optional(spec, "fields", where, list)))
         chains[name] = ChainSpec(eigenvalue=eigen, fields=chain_fields)
 
     return Manifest(

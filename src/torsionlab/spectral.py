@@ -34,7 +34,7 @@ from .errors import (
     TorsionLabError,
 )
 from .expr import Chart, SampleDomain, as_point, sample_points
-from .fields import OperatorBase, VectorFieldExpr, lie_bracket
+from .fields import OperatorBase, VectorFieldExpr, given_sample, lie_bracket
 
 __all__ = [
     "SpectrumAtPoint",
@@ -59,9 +59,12 @@ COMMUTE_TOL = 1e-8
 
 def _commutator_residual(a: np.ndarray, b: np.ndarray) -> float:
     """max|AB - BA| / ((1 + max|A|)(1 + max|B|)) over one matrix or a stack."""
-    comm = a @ b - b @ a
-    scale = (1.0 + np.max(np.abs(a))) * (1.0 + np.max(np.abs(b)))
-    return float(np.max(np.abs(comm)) / scale)
+    return _commutator_rule(np.max(np.abs(a @ b - b @ a)), np.max(np.abs(a)), np.max(np.abs(b)))
+
+
+def _commutator_rule(comm_max: float, a_max: float, b_max: float) -> float:
+    """The commutator residual from max|AB - BA|, max|A| and max|B|."""
+    return float(comm_max / ((1.0 + a_max) * (1.0 + b_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +364,18 @@ class RegularityReport:
 
 def regularity_check(a: OperatorBase, domain: SampleDomain, n_pts: int,
                      cluster_tol: float = CLUSTER_TOL,
-                     rank_tol: float = RANK_TOL) -> RegularityReport:
+                     rank_tol: float = RANK_TOL,
+                     pts: np.ndarray | None = None) -> RegularityReport:
     """Whether the spectral digest is the same at ``n_pts`` sample points.
 
     The operator is evaluated once and the points are analysed by one
-    batched sweep; a spectral error names the first failing point.
+    batched sweep; a spectral error names the first failing point.  ``pts``,
+    when given, is the sample ``sample_points(domain, n_pts)`` already drawn,
+    so that callers sweeping several operators draw it once.
     """
     if n_pts < 2:
         raise ValueError("regularity needs at least two sample points")
-    pts = sample_points(domain, n_pts)
+    pts = given_sample(domain, n_pts, pts)
     digests = _sweep(a.values_many(pts), pts, cluster_tol, rank_tol)
     first = digests[0]
     details = ""

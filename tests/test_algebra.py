@@ -414,6 +414,28 @@ def test_check_algebra_is_chunk_invariant(fixture, seed, request, monkeypatch):
     assert reports[0]["ring_closed"] and reports[0]["module_closed"]
 
 
+def test_check_algebra_memory_does_not_grow_with_candidate_jets(lfa1):
+    # one chunk-major walk combines every candidate from generator jets
+    # expanded per chunk, so the peak grows by the sample and the
+    # generators' point-dependent columns, not by k whole (N, n^2 + n^3)
+    # generator 1-jets
+    ops = [lfa1.operators[name] for name in sorted(lfa1.operators)]
+    n, k = lfa1.chart.dim, len(ops)
+    check_algebra(ops, lfa1.level, lfa1.domain, 20, 2, 1e-8)  # build the cached plans
+    sizes, peaks = (200, 2000), []
+    for n_pts in sizes:
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            check_algebra(ops, lfa1.level, lfa1.domain, n_pts, 5, 1e-8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - base)
+    assert peaks[1] - peaks[0] < 0.25 * (sizes[1] - sizes[0]) * 8 * k * (n ** 2 + n ** 3)
+
+
 # ---------------------------------------------------------------------------
 # cyclic bases
 # ---------------------------------------------------------------------------

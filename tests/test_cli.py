@@ -368,6 +368,53 @@ def test_bad_manifest_field_exits_2_naming_it(tmp_path, capsys, man, message):
     assert err.startswith("error: ") and message in err
 
 
+def _lta_with(path, value):
+    """The bundled lta.json with the entry at the key ``path`` set to ``value``."""
+    man = json.loads(fixture_path("lta.json").read_text(encoding="utf-8"))
+    *parents, leaf = path
+    owner = man
+    for key in parents:
+        owner = owner[key]
+    owner[leaf] = value
+    return man
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("charts",), [1], "charts: expected an object, got list"),
+    (("charts", "y"), "y", "charts.y: expected an object, got str"),
+    (("charts", "y", "names"), ["a"], "charts.y.names: need exactly one name per dimension"),
+    (("chart", "names"), 5, "chart.names: expected an array, got int"),
+    (("chart", "names"), [1, 2, 3, 4, 5], "chart.names[0]: expected a string, got int"),
+    (("domain", "guards"), "x1 > 0", "domain.guards: expected an array, got str"),
+    (("fields",), [], "fields: expected an object, got list"),
+    (("fields", "D4_span"), {}, "fields.D4_span: expected an array, got dict"),
+    (("annihilators",), "E1", "annihilators: expected an object, got str"),
+    (("annihilators", "E1"), 1, "annihilators.E1: expected an array, got int"),
+    (("spectrum",), [], "spectrum: expected an object, got list"),
+    (("spectrum", "riesz"), ["a"], "spectrum.riesz[0]: expected an integer >= 1, got 'a'"),
+    (("spectrum", "ranks"), [1.5], "spectrum.ranks[0]: expected an integer >= 1, got 1.5"),
+    (("spectrum", "eigenvalues", "L1"), "0",
+     "spectrum.eigenvalues.L1: expected an array, got str"),
+    (("spectrum", "distributions"), [1], "spectrum.distributions[0]: expected an array, got int"),
+    (("pushforward_golden",), None, "pushforward_golden: expected an object, got NoneType"),
+    (("pushforward_golden", "y"), [], "pushforward_golden.y: expected an object, got list"),
+    (("chains",), [], "chains: expected an object, got list"),
+    (("chains", "D4"), 1, "chains.D4: expected an object, got int"),
+    (("chains", "D4", "eigenvalue"), [], "chains.D4.eigenvalue: expected an object, got list"),
+    (("chains", "D4", "fields"), {}, "chains.D4.fields: expected an array, got dict"),
+])
+def test_mistyped_optional_section_exits_2_naming_it(tmp_path, capsys, path, value, message):
+    # most died with a TypeError, AttributeError or ValueError traceback,
+    # whose exit 1 reads as a failed verdict; the others were absorbed
+    # (a 1.5 rank read as 1, an object of fields read as no fields) or
+    # named the wrong field (a guards string parsed letter by letter)
+    code = main(["torsion", "--manifest", write_manifest(tmp_path, _lta_with(path, value)),
+                 "--samples", "5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("case", ["directory", "latin-1", "json-dir", "seed"])
 def test_bad_path_or_seed_exits_2_naming_it(tmp_path, capsys, case):
     argv = ["torsion", "--manifest", write_manifest(tmp_path, IDENTITY_MANIFEST),
@@ -393,13 +440,13 @@ def test_bad_path_or_seed_exits_2_naming_it(tmp_path, capsys, case):
 @pytest.mark.parametrize("command", ["spectrum", "algebra"])
 def test_exhausted_domain_exits_2(monkeypatch, capsys, command):
     # guards too strict for the box are a manifest error, not a failed check
-    # (``spectrum`` draws its sweep inside the operator loop)
+    # (``spectrum`` draws its sample in the command, ``algebra`` in the check)
     def exhausted(domain, count, *args):
         if count > 1:
             raise DomainExhaustedError("8 consecutive rejections; guards too strict for the box")
         return sample_points(domain, count, *args)
 
-    for module in (alg, cli.sp):
+    for module in (alg, cli, cli.sp):
         monkeypatch.setattr(module, "sample_points", exhausted)
     code = main([command, "--manifest", str(fixture_path("lta.json")), "--samples", "5"])
     assert code == 2
@@ -610,7 +657,8 @@ def test_torsion_walks_the_tower_once_per_operator(monkeypatch, capsys):
 def test_spectrum_analyses_each_operator_in_two_walks(fixture, monkeypatch, capsys):
     # per operator one evaluation and one spectral walk at the first sample
     # point, which also gives the minimal polynomial degree, and one of each
-    # for the regularity sweep; the command itself draws only that point
+    # for the regularity sweep; the command draws the sample once, for every
+    # operator's sweep, and analyses its first point
     calls = {"walk": 0, "values": 0}
     draws = []
     spectra, values_many = cli.sp._spectra, fl.OperatorBase.values_many
@@ -632,7 +680,7 @@ def test_spectrum_analyses_each_operator_in_two_walks(fixture, monkeypatch, caps
     monkeypatch.setattr(cli, "sample_points", draw)
     code, out = run_cli(["spectrum", "--manifest", fixture, "--samples", "20"], capsys)
     assert code == 0
-    assert calls == {"walk": 6, "values": 6} and draws == [1]
+    assert calls == {"walk": 6, "values": 6} and draws == [20]
     assert out.count(" spectrum | PASS |") == 3
 
 
@@ -655,20 +703,28 @@ def test_blockdiag_evaluates_the_chart_jacobian_once(fixture, hint, monkeypatch,
 
 
 def test_algebra_builds_one_tower_per_product_and_per_combo(monkeypatch, capsys):
-    towers = []
+    # one walk for every candidate: each chunk yields every ordered generator
+    # pair K_a K_b (ring law), then one f K_a + g K_b per combo
+    walks, per_chunk = [], []
 
-    def counted(*args):
-        towers.append(args[1])
-        return tower_verdicts(*args)
+    def counted(candidates_at, m, *args):
+        walks.append(m)
 
-    tower_verdicts = alg.tower_verdicts
-    monkeypatch.setattr(alg, "tower_verdicts", counted)
+        def counting(part):
+            per_chunk.append(0)
+            for jet in candidates_at(part):
+                per_chunk[-1] += 1
+                yield jet
+        return candidate_verdicts(counting, m, *args)
+
+    candidate_verdicts = alg.candidate_verdicts
+    monkeypatch.setattr(alg, "candidate_verdicts", counted)
     code, _ = run_cli(["algebra", "--manifest", str(fixture_path("lta.json")),
                        "--level", "3", "--combos", "2", "--samples", "20"], capsys)
     assert code == 0
     k = len(load_manifest(fixture_path("lta.json")).operators)
-    # every ordered generator pair K_a K_b (ring law) plus one f K_a + g K_b per combo
-    assert towers == [3] * (k * k + 2) == [3] * 11
+    assert walks == [3]
+    assert per_chunk == [k * k + 2] == [11]
 
 
 def test_console_entry_point():

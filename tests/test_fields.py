@@ -59,6 +59,7 @@ from torsionlab.fields import (
     ProductOperator,
     VectorFieldExpr,
     apply,
+    candidate_verdicts,
     eigenchain_formula_rhs,
     identity_operator,
     is_vanishing,
@@ -69,6 +70,7 @@ from torsionlab.fields import (
     nijenhuis_at,
     nijenhuis_from_jets,
     scalar_jet,
+    scalar_jets_plan,
     slot_action,
     torsion_at,
     torsion_many,
@@ -422,6 +424,86 @@ def test_chunked_walk_names_the_lowest_non_finite_level():
     assert messages == [expected, expected]
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([2, 3, 5, 7]),
+       size=st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (3, 2)]),
+       flat=st.lists(st.booleans(), min_size=1, max_size=4), seed=st.integers(0, 2 ** 32 - 1))
+def test_candidate_walk_equals_one_candidate_walks(n, size, flat, seed):
+    # N around the chunk boundaries: several candidates judged in one
+    # chunk-major walk get, bit for bit, the reports of one walk each and of
+    # the whole levels; the walk asks for each chunk's candidates once, in
+    # point order
+    step = max(1, CHUNK_BYTES // (8 * n ** 3))
+    n_pts = size[0] * step + size[1]
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(0.5, 1.5, size=(n_pts, n))
+    jets = [Jet(rng.uniform(-2.0, 2.0, size=(n_pts, n, n)),
+                rng.uniform(-2.0, 2.0, size=(n_pts, n, n, n)) * (0.0 if f else 1.0))
+            for f in flat]
+    parts = []
+
+    def candidates_at(part):
+        parts.append((part.start, part.stop))
+        return (jet[part] for jet in jets)
+
+    together = candidate_verdicts(candidates_at, 3, pts, seed, 1e-8)
+    assert parts == [(start, start + step) for start in range(0, n_pts, step)]
+    assert len(together) == len(jets)
+    for got, jet in zip(together, jets):
+        alone = tower_verdicts(jet.__getitem__, 3, pts, seed, 1e-8)
+        whole = [vanishing_report(t, jet.vals, level, pts, seed, 1e-8)
+                 for level, t in enumerate(tower(*jet, 3), start=1)]
+        for g, a, w in zip(got, alone, whole, strict=True):
+            for want in (a, w):
+                assert (g.level, g.n_points, g.seed, g.tol_rel) == \
+                    (want.level, want.n_points, want.seed, want.tol_rel)
+                assert g.max_residual == want.max_residual
+                assert g.vanishing == want.vanishing
+                assert np.array_equal(g.worst_point, want.worst_point)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_candidate_walk_raises_the_candidate_major_error(order):
+    # candidate A is first non-finite at level 3, at a point of the middle
+    # chunk and one of the last, and at level 4 already at a point of the
+    # first chunk; candidate B at level 1, at a point of the first chunk.
+    # The chunk-major walk meets B's level 1 and A's level 4 first, but it
+    # names what walking the candidates one after another, each level over
+    # all points, names: the first candidate's lowest level, first point.
+    n, m = 3, 4
+    step = CHUNK_BYTES // (8 * n ** 3)
+    rng = np.random.default_rng(79)
+    pts = rng.uniform(0.5, 1.5, size=(3 * step, n))
+
+    def jet():
+        return Jet(rng.uniform(1.0, 2.0, size=(pts.shape[0], n, n)),
+                   rng.uniform(1.0, 2.0, size=(pts.shape[0], n, n, n)))
+
+    a, b = jet(), jet()
+    a.vals[5] *= 1e50                 # level 4 overflows, level 3 does not
+    a.vals[step + 7] *= 1e80          # level 3 overflows
+    a.vals[2 * step + 1] *= 1e80
+    b.vals[2] *= 1e10                 # level 1 overflows
+    b.derivs[2] *= 1e300
+    cands = [(a, b)[i] for i in order]
+
+    def candidate_major():
+        for cand in cands:
+            for level, t in enumerate(tower(*cand, m), start=1):
+                vanishing_report(t, cand.vals, level, pts, 0, 1e-8)
+
+    messages = []
+    chunk_major = lambda: candidate_verdicts(  # noqa: E731
+        lambda part: (cand[part] for cand in cands), m, pts, 0, 1e-8)
+    for walk in (candidate_major, chunk_major):
+        with pytest.warns(RuntimeWarning), pytest.raises(EvalDomainError) as info:
+            walk()
+        messages.append(str(info.value))
+    level, point = (3, step + 7) if order == (0, 1) else (1, 2)
+    assert messages == [f"level-{level} torsion is not finite at point "
+                        f"{tuple(pts[point].tolist())}"] * 2
+
+
 def test_chunked_walk_peak_memory():
     # one verdict walk holds a few chunk-sized levels, not whole (N, n, n, n) ones
     rng = np.random.default_rng(71)
@@ -579,13 +661,19 @@ def test_jet_evaluates_each_point_dependent_entry_once(monkeypatch, lfa1):
     entries = [e for row in op.entries for e in row]
     derivs = [diff(op.entries[i][j], l) for l in range(n) for i in range(n) for j in range(n)]
     pts = sample_points(lfa1.domain, 10)
+
+    def distinct(exprs):
+        # in order of first appearance: a repeated entry is evaluated once
+        return list(dict.fromkeys(e for e in exprs if not isinstance(e, Const)))
+
+    assert len(distinct(entries)) < sum(not isinstance(e, Const) for e in entries)
     for _ in range(2):
         evaluated.clear()
         op.jet_many(pts)
-        assert evaluated == [e for e in entries + derivs if not isinstance(e, Const)]
+        assert evaluated == distinct(entries) + distinct(derivs)
     evaluated.clear()
     op.values_many(pts)
-    assert evaluated == [e for e in entries if not isinstance(e, Const)]
+    assert evaluated == distinct(entries)
 
 
 FIXTURE_OPERATORS = [*(("lfa1", f"K{k}") for k in (1, 2, 3)),
@@ -716,6 +804,24 @@ def test_scalar_jet_equals_every_variable_reference(coeff, salt):
     rng = np.random.default_rng(salt)
     pts = rng.uniform(-0.5, 2.0, size=(6, 4))
     assert _outcome(scalar_jet, coeff, pts) == _outcome(scalar_jet_reference, coeff, pts)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_raw_ast_strategy(4), min_size=1, max_size=3), st.integers(0, 10_000))
+def test_scalar_jets_plan_equals_the_reference(coeffs, salt):
+    # one plan of several coefficients gives each one's reference bytes, or
+    # the error the reference meets first, coefficient by coefficient
+    rng = np.random.default_rng(salt)
+    pts = rng.uniform(-0.5, 2.0, size=(6, 4))
+
+    def joined(jets):
+        return (np.concatenate([vals for vals, _ in jets], axis=1),
+                np.concatenate([grad for _, grad in jets], axis=2))
+
+    planned = _outcome(lambda _, p: joined(scalar_jets_plan(coeffs, 4)(p)), None, pts)
+    reference = _outcome(lambda _, p: joined([scalar_jet_reference(c, p) for c in coeffs]),
+                         None, pts)
+    assert planned == reference
 
 
 def test_scalar_jet_differentiates_only_present_variables(monkeypatch):

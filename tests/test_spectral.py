@@ -14,6 +14,7 @@ from torsionlab.cli import main
 from torsionlab.errors import (
     ComplexEigenvalueError,
     DependentSpanningSetError,
+    DimensionMismatchError,
     NonCommutingError,
     RankAmbiguousError,
     SpectralError,
@@ -219,6 +220,18 @@ def test_lta_regularity(lta):
     for op in lta.operators.values():
         rep = regularity_check(op, lta.domain, 10, lta.tolerances["cluster"])
         assert rep.constant
+
+
+def test_regularity_on_a_given_sample(lta):
+    # a sample drawn once by the caller gives the report of the sample drawn
+    # inside; a sample of the wrong shape is refused
+    op = lta.operators["L3"]
+    pts = sample_points(lta.domain, 12)
+    drawn = regularity_check(op, lta.domain, 12, lta.tolerances["cluster"])
+    given_pts = regularity_check(op, lta.domain, 12, lta.tolerances["cluster"], pts=pts)
+    assert vars(given_pts) == vars(drawn)
+    with pytest.raises(DimensionMismatchError, match=r"got shape \(11, 5\)"):
+        regularity_check(op, lta.domain, 12, pts=pts[:11])
 
 
 def test_degenerate_operator_not_regular():

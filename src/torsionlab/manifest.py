@@ -3,18 +3,20 @@
 A manifest declares one chart, named operator fields (matrices of expression
 strings), a guarded sample domain, tolerances, and optionally coordinate
 changes, vector-field families, annihilator one-forms and golden data for
-spectra and pushforwards.  All expression strings are parsed eagerly so that
-errors carry their manifest location; within one load each distinct string
-is parsed once per chart.  Unknown top-level, ``domain`` and ``tolerances``
-keys, counts or numbers of the wrong type, and an optional section, or a
-part of one, that is not the JSON object, array or string it must be, are
-errors naming their field.
+spectra, pushforwards and Jordan chains.  Each JSON node is checked and built
+by one reader of the table in :func:`_manifest`.  All expression strings are
+parsed eagerly so that errors carry their manifest location; within one load
+each distinct string is parsed once per chart.  ``schema`` is the integer 1;
+an unknown key at any level, a node of the wrong JSON type or range, and a
+golden entry keyed by a name that is not an operator (or a chart) are errors
+naming their path.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Container
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -35,9 +37,6 @@ DEFAULT_TOLERANCES = {
 }
 DEFAULT_SAMPLES = 200
 DEFAULT_SEED = 20220515
-TOP_LEVEL_KEYS = ("schema", "chart", "level", "domain", "tolerances", "operators", "charts",
-                  "fields", "annihilators", "spectrum", "pushforward_golden", "chains")
-DOMAIN_KEYS = ("box", "guards", "guard_eps", "seed")
 
 
 @dataclass(frozen=True)
@@ -83,94 +82,230 @@ def fixture_path(name: str) -> Path:
     return Path(str(resources.files("torsionlab") / "fixtures" / name))
 
 
-# Expressions parsed so far in one load_manifest call, keyed on (text, chart).
-# A failed parse raises before it is stored.
-_Memo = dict[tuple[str, Chart], Expr]
+# A reader takes a JSON node and its path ("" for the top level), checks the
+# node and returns what it denotes, or raises a ManifestError naming the path.
+_Reader = Callable[[Any, str], Any]
 
 
-def _parse(text: Any, chart: Chart, where: str, memo: _Memo) -> Expr:
-    if not isinstance(text, str):
-        raise ManifestError(f"{where}: expected an expression string, got {type(text).__name__}")
-    key = (text, chart)
-    if key not in memo:
-        try:
-            memo[key] = parse_expr(text, chart)
-        except ExprParseError as exc:
-            raise ManifestError(f"{where}: {exc}") from exc
-    return memo[key]
+def _fail(where: str, text: str) -> ManifestError:
+    return ManifestError(f"{where}: {text}" if where else text)
 
 
 _KINDS = {dict: "an object", list: "an array", str: "a string"}
 
 
-def _typed(value: Any, where: str, kind: type) -> Any:
+def _expect(value: Any, where: str, kind: type) -> Any:
     """``value``, if it is a JSON object, array or string as ``kind`` says."""
     if not isinstance(value, kind):
-        raise ManifestError(f"{where}: expected {_KINDS[kind]}, got {type(value).__name__}")
+        raise _fail(where, f"expected {_KINDS[kind]}, got {type(value).__name__}")
     return value
 
 
-def _optional(spec: dict, key: str, parent: str, kind: type) -> Any:
-    """``spec[key]``, checked to be of ``kind``, or an empty one if it is absent;
-    ``parent`` is the path of ``spec``, empty for the top level."""
-    return _typed(spec.get(key, kind()), f"{parent}.{key}" if parent else key, kind)
+def _fixed(fields: dict[str, tuple[_Reader, Any]], build: Callable[..., Any] = dict) -> _Reader:
+    """An object with no key outside ``fields``, which gives each key's reader
+    and the JSON value read in place of an absent key (None if it is required).
+    The keys are read in the order of ``fields``; ``build`` takes what they denote
+    as keyword arguments."""
+    known = ", ".join(fields)
+
+    def read(value: Any, where: str) -> Any:
+        for key in _expect(value, where, dict):
+            if key not in fields:
+                raise _fail(where, f"unknown key {key!r} (known: {known})")
+        return build(**{key: reader(value.get(key, default), f"{where}.{key}" if where else key)
+                        for key, (reader, default) in fields.items()})
+    return read
 
 
-def _object(value: Any, where: str, known: tuple[str, ...]) -> dict:
-    """``value`` as a JSON object whose keys are all in ``known``."""
-    _typed(value, where, dict)
-    for key in value:
-        if key not in known:
-            raise ManifestError(f"{where}: unknown key {key!r} (known: {', '.join(known)})")
-    return value
+def _names(item: _Reader, known: Container[str] | None = None, what: str = "") -> _Reader:
+    """An object of chosen names, each value read by ``item``; with ``known``,
+    every name must be one of those (a ``what``)."""
+    def read(value: Any, where: str) -> dict[str, Any]:
+        out = {}
+        for name, node in _expect(value, where, dict).items():
+            if known is not None and name not in known:
+                raise _fail(where, f"unknown {what} {name!r}")
+            out[name] = item(node, f"{where}.{name}")
+        return out
+    return read
 
 
-def _integer(value: Any, where: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ManifestError(f"{where}: expected an integer >= {minimum}, got {value!r}")
-    return value
+def _array(item: _Reader, length: int | None = None, what: str = "") -> _Reader:
+    """An array, of ``length`` entries (``what``) if it is given, each read by ``item``."""
+    def read(value: Any, where: str) -> tuple:
+        if length is None:
+            _expect(value, where, list)
+        elif not isinstance(value, list) or len(value) != length:
+            raise _fail(where, f"expected {length} {what}")
+        return tuple(item(node, f"{where}[{i}]") for i, node in enumerate(value))
+    return read
 
 
-def _number(value: Any, where: str) -> float:
-    """``value`` as a finite double."""
-    if not isinstance(value, bool) and isinstance(value, (int, float)):
-        try:
-            if math.isfinite(num := float(value)):
+def _integer(minimum: int) -> _Reader:
+    def read(value: Any, where: str) -> int:
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise _fail(where, f"expected an integer >= {minimum}, got {value!r}")
+        return value
+    return read
+
+
+def _number(bound: Callable[[float], bool] | None = None, rule: str = "") -> _Reader:
+    """A finite number as a double; with ``bound``, one it holds for (``rule``)."""
+    def read(value: Any, where: str) -> float:
+        if not isinstance(value, bool) and isinstance(value, (int, float)):
+            try:
+                num = float(value)
+            except OverflowError:
+                num = math.inf
+            if math.isfinite(num):
+                if bound is not None and not bound(num):
+                    raise _fail(where, f"must be {rule}, got {num}")
                 return num
-        except OverflowError:
-            pass
-    raise ManifestError(f"{where}: expected a finite number, got {value!r}")
+        raise _fail(where, f"expected a finite number, got {value!r}")
+    return read
 
 
-def _parse_matrix(rows: Any, chart: Chart, where: str,
-                  memo: _Memo) -> tuple[tuple[Expr, ...], ...]:
-    n = chart.dim
-    if not isinstance(rows, list) or len(rows) != n:
-        raise ManifestError(f"{where}: expected {n} rows")
-    out = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise ManifestError(f"{where}[{i}]: expected {n} entries")
-        out.append(tuple(_parse(entry, chart, f"{where}[{i}][{j}]", memo)
-                         for j, entry in enumerate(row)))
-    return tuple(out)
+def _json(value: Any, where: str) -> Any:
+    return value
 
 
-def _chart(dim: int, spec: dict, where: str) -> Chart:
-    """A ``dim``-dimensional chart with the optional variable ``names`` of ``spec``."""
-    names = _optional(spec, "names", where, list)
-    for i, name in enumerate(names):
-        _typed(name, f"{where}.names[{i}]", str)
+def _nullable(item: _Reader) -> _Reader:
+    """A node read by ``item``, or null, which denotes None."""
+    return lambda value, where: None if value is None else item(value, where)
+
+
+def _schema(value: Any, where: str) -> int:
+    if type(value) is not int or value != 1:
+        raise _fail(where, f"unsupported schema {value!r}")
+    return value
+
+
+def _interval(value: Any, where: str) -> tuple[float, float]:
+    if not isinstance(value, list) or len(value) != 2:
+        raise _fail(where, f"expected an interval [lo, hi], got {value!r}")
+    lo, hi = (_NUMBER(v, where) for v in value)
+    if lo > hi:
+        raise _fail(where, f"empty interval [{lo}, {hi}]")
+    return lo, hi
+
+
+# The readers that need no chart.
+_NUMBER = _number()
+_NAMES = _array(lambda value, where: _expect(value, where, str))
+_POSITIVE_INT = _integer(1)
+_COUNTS = _array(_POSITIVE_INT)
+_SEED = _integer(0)
+_GUARD_EPS = _number(lambda x: x > 0, "positive")
+_TOLERANCES = _fixed({key: (_number(lambda x: x >= 0, ">= 0"), default)
+                      for key, default in DEFAULT_TOLERANCES.items()})
+_DIFFEO = _fixed({"names": (_NAMES, []), "forward": (_json, None), "inverse": (_json, None)})
+
+
+def _chart(dim: int, names: tuple[str, ...], where: str) -> Chart:
+    """The chart of ``dim`` and the variable ``names`` of the chart object at ``where``."""
     try:
-        return Chart(dim, tuple(names))
+        return Chart(dim, names)
     except ValueError as exc:
-        raise ManifestError(f"{where}.names: {exc}") from exc
+        raise _fail(f"{where}.names", str(exc)) from exc
 
 
-def _parse_vector(comps: Any, chart: Chart, where: str, memo: _Memo) -> tuple[Expr, ...]:
-    if not isinstance(comps, list) or len(comps) != chart.dim:
-        raise ManifestError(f"{where}: expected {chart.dim} components")
-    return tuple(_parse(c, chart, f"{where}[{k}]", memo) for k, c in enumerate(comps))
+_CHART = _fixed({"dim": (_POSITIVE_INT, None), "names": (_NAMES, [])},
+                lambda dim, names: _chart(dim, names, "chart"))
+
+
+# Expressions parsed so far in one load_manifest call, keyed on (text, chart).
+# A failed parse raises before it is stored.
+_Memo = dict[tuple[str, Chart], Expr]
+
+
+def _on(chart: Chart, memo: _Memo) -> tuple[_Reader, _Reader, _Reader]:
+    """The expression, vector and matrix readers on ``chart``, parsing through ``memo``."""
+    def expr(value: Any, where: str) -> Expr:
+        if not isinstance(value, str):
+            raise _fail(where, f"expected an expression string, got {type(value).__name__}")
+        key = (value, chart)
+        if key not in memo:
+            try:
+                memo[key] = parse_expr(value, chart)
+            except ExprParseError as exc:
+                raise _fail(where, str(exc)) from exc
+        return memo[key]
+
+    n = chart.dim
+    return expr, _array(expr, n, "components"), _array(_array(expr, n, "entries"), n, "rows")
+
+
+def _manifest(chart: Chart, path: str) -> _Reader:
+    """The reader of a manifest whose ``chart`` has been read, as README's
+    "Manifest format" lays it out.  The sections are read in this order, so
+    ``operators`` and ``charts`` are known to the golden sections that name them."""
+    memo: _Memo = {}
+    expr, vector, matrix = _on(chart, memo)
+    # filled as they are read, before the golden sections that name their entries
+    operators: dict[str, OperatorField] = {}
+    charts: dict[str, DiffeoChart] = {}
+
+    def operator(value: Any, where: str) -> OperatorField:
+        return OperatorField(chart, matrix(value, where))
+
+    def vector_field(value: Any, where: str) -> VectorFieldExpr:
+        return VectorFieldExpr(chart, vector(value, where))
+
+    def one_form(value: Any, where: str) -> OneFormExpr:
+        return OneFormExpr(chart, vector(value, where))
+
+    def diffeo(value: Any, where: str) -> DiffeoChart:
+        spec = _DIFFEO(value, where)
+        dst = _chart(chart.dim, spec["names"], where)
+        _, dst_vector, _ = _on(dst, memo)
+        return DiffeoChart(src=chart, dst=dst, forward=vector(spec["forward"], f"{where}.forward"),
+                           inverse=_nullable(dst_vector)(spec["inverse"], f"{where}.inverse"))
+
+    def operators_section(value: Any, where: str) -> dict[str, OperatorField]:
+        if not isinstance(value, dict) or not value:
+            raise _fail(where, "need at least one named matrix")
+        operators.update(_names(operator)(value, where))
+        return operators
+
+    def charts_section(value: Any, where: str) -> dict[str, DiffeoChart]:
+        charts.update(_names(diffeo)(value, where))
+        return charts
+
+    def pushforward_golden(value: Any, where: str) -> dict:
+        out = {}
+        for name, per_op in _names(_json, charts, "chart")(value, where).items():
+            _, _, dst_matrix = _on(charts[name].dst, memo)
+            out[name] = _names(dst_matrix, operators, "operator")(per_op, f"{where}.{name}")
+        return out
+
+    return _fixed({
+        "schema": (_schema, 1),
+        "chart": (lambda value, where: chart, None),  # read first, by load_manifest
+        "level": (_POSITIVE_INT, 1),
+        "domain": (_fixed({
+            "box": (_array(_interval, chart.dim, "intervals"), None),
+            "guards": (_array(expr), []),
+            "guard_eps": (_GUARD_EPS, 1e-3),
+            "seed": (_SEED, DEFAULT_SEED),
+        }, SampleDomain), {}),
+        "tolerances": (_TOLERANCES, {}),
+        "operators": (operators_section, None),
+        "charts": (charts_section, {}),
+        "fields": (_names(_array(vector_field)), {}),
+        "annihilators": (_names(_array(one_form)), {}),
+        "spectrum": (_nullable(_fixed({
+            "eigenvalues": (_names(_array(expr), operators, "operator"), {}),
+            "riesz": (_COUNTS, []),
+            "ranks": (_COUNTS, []),
+            "distributions": (_array(_array(vector_field)), []),
+            "annihilators": (_array(_array(one_form)), []),
+        }, SpectrumGolden)), None),
+        "pushforward_golden": (pushforward_golden, {}),
+        "chains": (_names(_fixed({
+            "eigenvalue": (_names(expr, operators, "operator"), {}),
+            "fields": (_array(vector_field), []),
+        }, ChainSpec)), {}),
+    }, lambda schema, **sections: Manifest(path=path, **sections))
 
 
 def load_manifest(path: str | Path) -> Manifest:
@@ -193,146 +328,5 @@ def load_manifest(path: str | Path) -> Manifest:
 
     if not isinstance(raw, dict):
         raise ManifestError(f"{path}: top level must be an object")
-    _object(raw, str(path), TOP_LEVEL_KEYS)
-    schema = raw.get("schema", 1)
-    if schema != 1:
-        raise ManifestError(f"{path}: unsupported schema {schema!r}")
-    level = _integer(raw.get("level", 1), "level", 1)
-
-    chart_spec = raw.get("chart")
-    if not isinstance(chart_spec, dict) or "dim" not in chart_spec:
-        raise ManifestError("chart: need an object with at least 'dim'")
-    chart = _chart(_integer(chart_spec["dim"], "chart.dim", 1), chart_spec, "chart")
-    memo: _Memo = {}
-
-    dom_spec = _object(raw.get("domain", {}), "domain", DOMAIN_KEYS)
-    box = dom_spec.get("box")
-    if not isinstance(box, list) or len(box) != chart.dim:
-        raise ManifestError(f"domain.box: expected {chart.dim} intervals")
-    intervals = []
-    for i, interval in enumerate(box):
-        if not isinstance(interval, list) or len(interval) != 2:
-            raise ManifestError(f"domain.box[{i}]: expected an interval [lo, hi], "
-                                f"got {interval!r}")
-        lo, hi = (_number(v, f"domain.box[{i}]") for v in interval)
-        if lo > hi:
-            raise ManifestError(f"domain.box[{i}]: empty interval [{lo}, {hi}]")
-        intervals.append((lo, hi))
-    guards = tuple(_parse(g, chart, f"domain.guards[{i}]", memo)
-                   for i, g in enumerate(_optional(dom_spec, "guards", "domain", list)))
-    guard_eps = _number(dom_spec.get("guard_eps", 1e-3), "domain.guard_eps")
-    if guard_eps <= 0:
-        raise ManifestError(f"domain.guard_eps: must be positive, got {guard_eps}")
-    domain = SampleDomain(
-        box=tuple(intervals),
-        guards=guards,
-        guard_eps=guard_eps,
-        seed=_integer(dom_spec.get("seed", DEFAULT_SEED), "domain.seed", 0),
-    )
-
-    tolerances = dict(DEFAULT_TOLERANCES)
-    tol_spec = _object(raw.get("tolerances", {}), "tolerances", tuple(DEFAULT_TOLERANCES))
-    for key, val in tol_spec.items():
-        tolerances[key] = _number(val, f"tolerances.{key}")
-        if tolerances[key] < 0:
-            raise ManifestError(f"tolerances.{key}: must be >= 0, got {tolerances[key]}")
-
-    ops_spec = raw.get("operators")
-    if not isinstance(ops_spec, dict) or not ops_spec:
-        raise ManifestError("operators: need at least one named matrix")
-    operators = {
-        name: OperatorField(chart, _parse_matrix(rows, chart, f"operators.{name}", memo))
-        for name, rows in ops_spec.items()
-    }
-
-    charts: dict[str, DiffeoChart] = {}
-    for name, spec in _optional(raw, "charts", "", dict).items():
-        dst = _chart(chart.dim, _typed(spec, f"charts.{name}", dict), f"charts.{name}")
-        forward = _parse_vector(spec.get("forward"), chart, f"charts.{name}.forward", memo)
-        inverse = None
-        if spec.get("inverse") is not None:
-            inverse = _parse_vector(spec["inverse"], dst, f"charts.{name}.inverse", memo)
-        charts[name] = DiffeoChart(src=chart, dst=dst, forward=forward, inverse=inverse)
-
-    families: dict[str, tuple[VectorFieldExpr, ...]] = {}
-    for name, vectors in _optional(raw, "fields", "", dict).items():
-        families[name] = tuple(
-            VectorFieldExpr(chart, _parse_vector(v, chart, f"fields.{name}[{i}]", memo))
-            for i, v in enumerate(_typed(vectors, f"fields.{name}", list)))
-
-    annihilators: dict[str, tuple[OneFormExpr, ...]] = {}
-    for name, forms in _optional(raw, "annihilators", "", dict).items():
-        annihilators[name] = tuple(
-            OneFormExpr(chart, _parse_vector(f, chart, f"annihilators.{name}[{i}]", memo))
-            for i, f in enumerate(_typed(forms, f"annihilators.{name}", list)))
-
-    spectrum = None
-    if "spectrum" in raw:
-        spec = _typed(raw["spectrum"], "spectrum", dict)
-        eigenvalues = {
-            op: tuple(_parse(e, chart, f"spectrum.eigenvalues.{op}[{i}]", memo)
-                      for i, e in enumerate(_typed(exprs, f"spectrum.eigenvalues.{op}", list)))
-            for op, exprs in _optional(spec, "eigenvalues", "spectrum", dict).items()
-        }
-
-        def bases(key: str) -> list:
-            return [_typed(basis, f"spectrum.{key}[{i}]", list)
-                    for i, basis in enumerate(_optional(spec, key, "spectrum", list))]
-
-        def counts(key: str) -> tuple[int, ...]:
-            return tuple(_integer(r, f"spectrum.{key}[{i}]", 1)
-                         for i, r in enumerate(_optional(spec, key, "spectrum", list)))
-
-        distributions = tuple(
-            tuple(VectorFieldExpr(chart, _parse_vector(
-                      v, chart, f"spectrum.distributions[{i}][{j}]", memo))
-                  for j, v in enumerate(basis))
-            for i, basis in enumerate(bases("distributions")))
-        ann = tuple(
-            tuple(OneFormExpr(chart, _parse_vector(
-                      w, chart, f"spectrum.annihilators[{i}][{j}]", memo))
-                  for j, w in enumerate(basis))
-            for i, basis in enumerate(bases("annihilators")))
-        spectrum = SpectrumGolden(
-            eigenvalues=eigenvalues,
-            riesz=counts("riesz"),
-            ranks=counts("ranks"),
-            distributions=distributions,
-            annihilators=ann,
-        )
-
-    golden: dict[str, dict[str, tuple[tuple[Expr, ...], ...]]] = {}
-    for chart_name, per_op in _optional(raw, "pushforward_golden", "", dict).items():
-        if chart_name not in charts:
-            raise ManifestError(f"pushforward_golden: unknown chart {chart_name!r}")
-        dst = charts[chart_name].dst
-        golden[chart_name] = {
-            op: _parse_matrix(rows, dst, f"pushforward_golden.{chart_name}.{op}", memo)
-            for op, rows in _typed(per_op, f"pushforward_golden.{chart_name}", dict).items()
-        }
-
-    chains: dict[str, ChainSpec] = {}
-    for name, spec in _optional(raw, "chains", "", dict).items():
-        where = f"chains.{name}"
-        spec = _typed(spec, where, dict)
-        eigen = {op: _parse(e, chart, f"{where}.eigenvalue.{op}", memo)
-                 for op, e in _optional(spec, "eigenvalue", where, dict).items()}
-        chain_fields = tuple(
-            VectorFieldExpr(chart, _parse_vector(v, chart, f"{where}.fields[{i}]", memo))
-            for i, v in enumerate(_optional(spec, "fields", where, list)))
-        chains[name] = ChainSpec(eigenvalue=eigen, fields=chain_fields)
-
-    return Manifest(
-        path=str(path),
-        chart=chart,
-        level=level,
-        domain=domain,
-        tolerances=tolerances,
-        operators=operators,
-        charts=charts,
-        fields=families,
-        annihilators=annihilators,
-        spectrum=spectrum,
-        pushforward_golden=golden,
-        chains=chains,
-    )
+    # every expression depends on the chart, so it is read first
+    return _manifest(_CHART(raw.get("chart"), "chart"), str(path))(raw, "")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -358,6 +359,8 @@ def _with(path, value):
      "tolerances.rank: expected a finite number, got 'tiny'"),
     (_with(("tolerances", "vanish-rel"), 1e-3), "tolerances: unknown key 'vanish-rel'"),
     (_with(("levle",), 2), "unknown key 'levle'"),
+    (_with(("schema",), True), "unsupported schema True"),
+    (_with(("schema",), 1.0), "unsupported schema 1.0"),
 ])
 def test_bad_manifest_field_exits_2_naming_it(tmp_path, capsys, man, message):
     # each was a traceback (exit 1, like a failed verdict) or silently absorbed
@@ -368,14 +371,17 @@ def test_bad_manifest_field_exits_2_naming_it(tmp_path, capsys, man, message):
     assert err.startswith("error: ") and message in err
 
 
-def _lta_with(path, value):
-    """The bundled lta.json with the entry at the key ``path`` set to ``value``."""
-    man = json.loads(fixture_path("lta.json").read_text(encoding="utf-8"))
-    *parents, leaf = path
-    owner = man
-    for key in parents:
-        owner = owner[key]
-    owner[leaf] = value
+def _node(man, path):
+    """The node of the JSON value ``man`` at the key ``path``."""
+    for key in path:
+        man = man[key]
+    return man
+
+
+def _fixture_with(path, value, fixture="lta.json"):
+    """A bundled fixture with the entry at the key ``path`` set to ``value``."""
+    man = json.loads(fixture_path(fixture).read_text(encoding="utf-8"))
+    _node(man, path[:-1])[path[-1]] = value
     return man
 
 
@@ -408,11 +414,75 @@ def test_mistyped_optional_section_exits_2_naming_it(tmp_path, capsys, path, val
     # whose exit 1 reads as a failed verdict; the others were absorbed
     # (a 1.5 rank read as 1, an object of fields read as no fields) or
     # named the wrong field (a guards string parsed letter by letter)
-    code = main(["torsion", "--manifest", write_manifest(tmp_path, _lta_with(path, value)),
+    code = main(["torsion", "--manifest", write_manifest(tmp_path, _fixture_with(path, value)),
                  "--samples", "5"])
     err = capsys.readouterr().err
     assert code == 2
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("entries", [("pushforward_golden", "y"), ("spectrum", "eigenvalues"),
+                                     ("chains", "D4", "eigenvalue")])
+def test_golden_entry_of_no_operator_exits_2_naming_it(tmp_path, capsys, entries):
+    # a golden entry under a misspelt operator name was never checked: with
+    # pushforward_golden.y.L9, blockdiag --chart y passed and never ran
+    # "L1 matches printed matrix"
+    man = json.loads(fixture_path("lta.json").read_text(encoding="utf-8"))
+    golden = _node(man, entries)
+    golden["L9"] = golden.pop("L1")
+    code = main(["blockdiag", "--manifest", write_manifest(tmp_path, man), "--chart", "y",
+                 "--samples", "5"])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {'.'.join(entries)}: unknown operator 'L9'\n"
+
+
+# every object of the format whose keys are fixed, by fixture
+FIXED_KEY_OBJECTS = [(fixture, where) for fixture in ("lfa1.json", "lta.json")
+                     for where in [(), ("chart",), ("domain",), ("tolerances",), ("charts", "y"),
+                                   ("spectrum",), ("chains", "D4")]
+                     if fixture == "lta.json" or where != ("chains", "D4")]
+
+
+@pytest.mark.parametrize("fixture, where", FIXED_KEY_OBJECTS,
+                         ids=[f"{f}:{'.'.join(w) or 'top'}" for f, w in FIXED_KEY_OBJECTS])
+def test_unknown_key_in_a_fixed_key_object_names_its_path(tmp_path, fixture, where):
+    # chart, charts.<name>, spectrum and chains.<name> ignored unknown keys,
+    # so a misspelt chains.D4.feilds loaded as a chain with no fields
+    man = json.loads(fixture_path(fixture).read_text(encoding="utf-8"))
+    _node(man, where)["feilds"] = []
+    prefix = f"{'.'.join(where)}: " if where else ""
+    with pytest.raises(ManifestError, match=f"^{re.escape(prefix)}unknown key 'feilds' "):
+        load_manifest(write_manifest(tmp_path, man))
+
+
+def _nodes(node, path=()):
+    """The key path of ``node`` and of every node below it; of an array,
+    only the first entry is walked."""
+    yield path
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node[:1]) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def test_every_mutated_manifest_node_loads_or_raises_manifest_error(tmp_path):
+    # each node of both fixtures is replaced, in turn, by each value below;
+    # anything but a load or a ManifestError is a traceback, whose exit 1
+    # reads as a failed verdict
+    mutations = 0
+    for fixture in ("lfa1.json", "lta.json"):
+        man = json.loads(fixture_path(fixture).read_text(encoding="utf-8"))
+        for where in list(_nodes(man))[1:]:
+            for value in (1, "a", [], {}, None, 1.5, -1, [1], ["a"], True):
+                path = write_manifest(tmp_path, _fixture_with(where, value, fixture))
+                try:
+                    load_manifest(path)
+                except ManifestError:
+                    pass
+                except Exception as exc:  # name the mutation that escaped
+                    pytest.fail(f"{fixture} {where} = {value!r}: {type(exc).__name__}: {exc}")
+                mutations += 1
+    assert mutations == 1820
 
 
 @pytest.mark.parametrize("case", ["directory", "latin-1", "json-dir", "seed"])

@@ -258,6 +258,20 @@ def test_sample_points_guard_constant_outside_double_range():
         sample_points(dom, 5)
 
 
+def test_sample_points_guard_failing_every_batch_judges_row_by_row():
+    # sqrt(x1 - 3/2) leaves the real domain on about half of any batch, so
+    # each batch falls back to judging its rows one at a time
+    guard = parse_expr("sqrt(x1 - 3/2)", CH2)
+    dom = SampleDomain(box=((1, 2),) * 2, guards=(guard,), guard_eps=0.1, seed=5)
+    cands = 1 + np.random.default_rng(5).random((200, 2))
+    with pytest.raises(EvalDomainError):
+        eval_many(guard, cands[:20])  # the first batch of sample_points(dom, 20)
+    # the candidates are drawn row by row, so a longer draw is the same stream
+    kept = [row for row in cands if row[0] >= 1.5 and np.sqrt(row[0] - 1.5) > 0.1]
+    got = sample_points(dom, 20)
+    assert got.tobytes() == np.array(kept[:20]).tobytes()
+
+
 def test_sample_points_domain_exhausted():
     dom = SampleDomain(box=((0.0, 0.1),), guards=(Var(0),), guard_eps=0.5, seed=0)
     with pytest.raises(DomainExhaustedError):

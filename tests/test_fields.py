@@ -901,6 +901,19 @@ def test_composite_jets_match_symbolic():
     assert rel_err(d1, d2) <= 1e-12
 
 
+def test_composite_values_are_the_jet_values():
+    # values_many takes the value-only jets of the terms and the coefficients
+    rng = np.random.default_rng(67)
+    a, b = random_operator(CH3, rng), random_operator(CH3, rng)
+    pts = rng.uniform(0.5, 1.5, size=(6, 3))
+    f, g = random_poly_expr(CH3, rng), random_poly_expr(CH3, rng)
+    for op in (LinCombOperator(CH3, ((f, a), (g, b))), ProductOperator(a, b),
+               PolyOperator(a, (g, const(0), f)), PowerOperator(b, 3)):
+        vals = op.values_many(pts)
+        assert vals.tobytes() == op.jet_many(pts).vals.tobytes()
+        assert vals.shape == (6, 3, 3)
+
+
 # ---------------------------------------------------------------------------
 # generalized eigenvector formula
 # ---------------------------------------------------------------------------

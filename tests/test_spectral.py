@@ -246,6 +246,17 @@ def test_degenerate_operator_not_regular():
     assert not rep.constant
 
 
+def test_regularity_names_both_points_of_a_digest_change():
+    # [[1, x1], [0, 1]] is a Jordan block for x1 != 0 and the identity at x1 = 0
+    a = op_from_strings(CH2, [["1", "x1"], ["0", "1"]])
+    dom = SampleDomain(box=((0.0, 1.0), (0.0, 2.0)), seed=2)
+    pts = np.array([[0.5, 1.0], [0.0, 1.0]])
+    rep = regularity_check(a, dom, 2, pts=pts)
+    assert not rep.constant
+    assert rep.details == (f"digest {rep.digests[1]} at point [0.0, 1.0] differs "
+                           f"from {rep.digests[0]} at point [0.5, 1.0]")
+
+
 def test_constant_matrix_regular():
     a = op_from_strings(CH2, [["1", "2"], ["0", "5"]])
     dom = SampleDomain(box=((0.0, 1.0), (0.0, 1.0)), seed=2)

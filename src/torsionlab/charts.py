@@ -3,8 +3,9 @@
 A coordinate change carries an operator field by similarity with its
 Jacobian, K^(y) = J A J^(-1); exact polynomial one-forms (the annihilator
 generators of characteristic distributions) are integrated along coordinate
-axes to produce the separating coordinate functions; block structure of the
-transported matrices is verified or detected over sample points.
+axes, in exact rational arithmetic, to produce the separating coordinate
+functions; block structure of the transported matrices is verified or
+detected over sample points.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .expr import (
     diff,
     div,
     eval_many,
+    format_expr,
     mat_mul,
     mul,
     neg,
@@ -67,9 +69,6 @@ __all__ = [
 ]
 
 JACOBIAN_DET_EPS = 1e-8
-CLOSED_TOL = 1e-10
-CLOSED_PROBES = 20
-PROBE_SEED = 7_0915
 
 
 @dataclass(frozen=True)
@@ -323,53 +322,50 @@ def _monomials_to_expr(mono: dict[tuple[int, ...], Fraction]) -> Expr:
     return acc
 
 
-def _partial_many(e: Expr, var: int, pts: np.ndarray) -> np.ndarray:
-    """d e / d x^var at ``pts``; along a variable polynomial ``e`` lacks, the
-    exact zero without :func:`diff`."""
-    if var not in variables(e):
-        return np.zeros(pts.shape[0])
-    return eval_many(diff(e, var), pts)
+def _partial(mono: dict[tuple[int, ...], Fraction], var: int) -> dict[tuple[int, ...], Fraction]:
+    """d/dx^var of a polynomial {exponents: coefficient}, zero coefficients dropped."""
+    return {key[:var] + (key[var] - 1,) + key[var + 1:]: coeff * key[var]
+            for key, coeff in mono.items() if key[var] and coeff}
+
+
+def _require_equal(got: dict, want: dict, what: str, chart: Chart) -> None:
+    """Raise :class:`NotClosedError` at the first monomial, in sorted order,
+    whose exact coefficients in ``got`` and ``want`` differ."""
+    if got != want:
+        key = min(k for k in got.keys() | want.keys() if got.get(k) != want.get(k))
+        raise NotClosedError(f"{what}: monomial {format_expr(_monomials_to_expr({key: 1}), chart)} "
+                             f"has coefficient {got.get(key, 0)} against {want.get(key, 0)}")
 
 
 def integrate_exact_one_form(w: OneFormExpr) -> Expr:
     """Potential F with dF = w and F(0) = 0, for closed polynomial one-forms.
 
-    Closedness (d_i w_j = d_j w_i) is verified numerically at probe points
-    before integrating along the coordinate axes from the origin; the result
-    is re-verified against the components.  Raises :class:`NotClosedError`
-    or :class:`NonPolynomialError`.
+    The components are expanded into exact rational monomials, on which
+    closedness (d_i w_j = d_j w_i) is decided before integrating along the
+    coordinate axes from the origin, and dF = w is re-checked on the result.
+    No coefficient is rounded to a double, so neither verdict depends on the
+    scale of the form.  Raises :class:`NotClosedError` (naming the pair, the
+    first differing monomial and both coefficients) or :class:`NonPolynomialError`.
     """
     n = w.chart.dim
-    monos = [_to_monomials(c, n) for c in w.components]
-
-    rng = np.random.default_rng(PROBE_SEED)
-    probes = rng.uniform(-1.0, 1.0, size=(CLOSED_PROBES, n))
+    monos = [{k: v for k, v in _to_monomials(c, n).items() if v} for c in w.components]
     for i in range(n):
         for j in range(i + 1, n):
-            delta = _partial_many(w.components[j], i, probes) \
-                - _partial_many(w.components[i], j, probes)
-            if np.max(np.abs(delta)) > CLOSED_TOL:
-                raise NotClosedError(
-                    f"d_{i + 1} w_{j + 1} != d_{j + 1} w_{i + 1} "
-                    f"(max deviation {np.max(np.abs(delta)):.3e})")
+            _require_equal(_partial(monos[j], i), _partial(monos[i], j),
+                           f"d_{i + 1} w_{j + 1} != d_{j + 1} w_{i + 1}", w.chart)
 
-    # F(x) = sum_i  integral_0^{x_i} w_i(x_1, .., x_{i-1}, t, 0, .., 0) dt
-    total: dict[tuple[int, ...], Fraction] = {}
-    for i in range(n):
-        for key, coeff in monos[i].items():
-            if any(key[i + 1:]):
-                continue  # vanishes on the segment where later coordinates are 0
-            lifted = key[:i] + (key[i] + 1,) + key[i + 1:]
-            total[lifted] = total.get(lifted, 0) + coeff / lifted[i]
-    potential = _monomials_to_expr({k: v for k, v in total.items() if v != 0})
+    # F(x) = sum_i  integral_0^{x_i} w_i(x_1, .., x_{i-1}, t, 0, .., 0) dt; a term
+    # of w_i lifts to a monomial whose last variable is x_i, so none collide
+    potential: dict[tuple[int, ...], Fraction] = {}
+    for i, mono in enumerate(monos):
+        for key, coeff in mono.items():
+            if not any(key[i + 1:]):  # the others vanish where later coordinates are 0
+                potential[key[:i] + (key[i] + 1,) + key[i + 1:]] = coeff / (key[i] + 1)
 
     for i in range(n):
-        delta = _partial_many(potential, i, probes) - eval_many(w.components[i], probes)
-        if np.max(np.abs(delta)) > CLOSED_TOL:
-            raise NotClosedError(
-                f"potential verification failed on component {i + 1} "
-                f"(max deviation {np.max(np.abs(delta)):.3e})")
-    return potential
+        _require_equal(_partial(potential, i), monos[i],
+                       f"potential verification failed on component {i + 1}", w.chart)
+    return _monomials_to_expr(potential)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ reported on stdout only) and never holds NaN or Infinity.  The exit code is
 an ``error: ...`` line on stderr.  An evaluation
 that leaves the domain, a non-finite value or a divisor below
 ``expr.SINGULARITY_EPS`` included, exits 2 and names the point; a constant
-outside the double range exits 2 and names the constant.  So does bad
+outside the double range exits 2 and names the constant, except in an
+annihilator one-form, which ``blockdiag`` integrates in exact rationals
+without converting any constant to a double.  So does bad
 command-line input: a count below its minimum, a ``--tol`` that is negative
 or not finite, or a ``--hint`` that is not a list of positive block sizes
 summing to the chart dimension.  A manifest that cannot be read or breaks

@@ -48,7 +48,12 @@ MAX_CONSECUTIVE_REJECTIONS = 1_000_000
 
 @dataclass(frozen=True)
 class Chart:
-    """A local coordinate chart: a dimension and distinct variable names."""
+    """A local coordinate chart: a dimension and distinct variable names.
+
+    The default names ``x1`` .. ``xn`` are never spelled out: ``var_names``
+    stays empty for them (also when they are passed), so a chart costs the
+    same at every dimension and has one spelling.
+    """
 
     dim: int
     var_names: tuple[str, ...] = ()
@@ -56,15 +61,28 @@ class Chart:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("chart dimension must be >= 1")
-        names = self.var_names or tuple(f"x{i + 1}" for i in range(self.dim))
-        if len(names) != self.dim:
-            raise ValueError("need exactly one name per dimension")
-        if len(set(names)) != len(names) or any(not n for n in names):
-            raise ValueError("variable names must be distinct and nonempty")
-        object.__setattr__(self, "var_names", tuple(names))
+        names = tuple(self.var_names)
+        if names:
+            if len(names) != self.dim:
+                raise ValueError("need exactly one name per dimension")
+            if len(set(names)) != len(names) or any(not n for n in names):
+                raise ValueError("variable names must be distinct and nonempty")
+            if all(name == f"x{i + 1}" for i, name in enumerate(names)):
+                names = ()
+        object.__setattr__(self, "var_names", names)
 
-    def index_of(self, name: str) -> int:
-        return self.var_names.index(name)
+    def name(self, index: int) -> str:
+        return self.var_names[index] if self.var_names else f"x{index + 1}"
+
+    def index_of(self, name: str) -> int | None:
+        """The index of the variable called ``name``, or None if there is none."""
+        if self.var_names:
+            return self.var_names.index(name) if name in self.var_names else None
+        digits = name[1:]
+        if name[:1] != "x" or not digits.isdecimal() or len(digits) > len(str(self.dim)):
+            return None
+        k = int(digits)
+        return k - 1 if name == f"x{k}" and 1 <= k <= self.dim else None
 
 
 class Expr:
@@ -393,8 +411,9 @@ class _Parser:
                 return Sqrt(self.base())
             if val == "cbrt":
                 return Cbrt(self.base())
-            if val in self.chart.var_names:
-                return Var(self.chart.index_of(val))
+            index = self.chart.index_of(val)
+            if index is not None:
+                return Var(index)
             raise UnknownVariableError(f"unknown variable {val!r}", self.text, pos)
         if kind == "op" and val == "(":
             e = self.expr()
@@ -430,12 +449,7 @@ def _fmt_const(value: Fraction) -> str:
 
 def format_expr(e: Expr, chart: Chart | None = None) -> str:
     """Render ``e`` so that re-parsing reproduces the same AST."""
-    names = chart.var_names if chart is not None else None
-
-    def var_name(i: int) -> str:
-        if names is not None:
-            return names[i]
-        return f"x{i + 1}"
+    var_name = chart.name if chart is not None else Chart(1).name  # x1, x2, ...
 
     # precedence levels: 0 expr, 1 term, 2 factor, 3 base
     def walk(node: Expr, level: int) -> str:

@@ -413,7 +413,15 @@ class InvolutivityReport:
 
 def involutivity_check(fields: Sequence[VectorFieldExpr], domain: SampleDomain,
                        n_pts: int, tol: float) -> InvolutivityReport:
-    """Check that all pairwise brackets stay in the pointwise span of ``fields``."""
+    """Check that all pairwise brackets stay in the pointwise span of ``fields``.
+
+    One batched SVD of the (N, n, k) frame decides its rank at every point by
+    the shared rule of :func:`_rank_cut`, so the verdict does not change when
+    the fields are rescaled; the brackets are projected onto the frame's left
+    singular vectors.  Raises, naming the first failing point,
+    :class:`RankAmbiguousError` on an ambiguous cut and
+    :class:`DependentSpanningSetError` where the fields do not span k dimensions.
+    """
     if len(fields) < 1:
         raise ValueError("need at least one field")
     chart = fields[0].chart
@@ -422,22 +430,24 @@ def involutivity_check(fields: Sequence[VectorFieldExpr], domain: SampleDomain,
     pts = sample_points(domain, n_pts)
     frame = np.stack([f.eval_many(pts) for f in fields], axis=2)  # (N, n, k)
     k = len(fields)
-    for idx in range(n_pts):
-        if np.linalg.matrix_rank(frame[idx], tol=1e-10) < k:
-            raise DependentSpanningSetError(
-                f"fields dependent at sample point {pts[idx].tolist()}")
+    u, s, _ = np.linalg.svd(frame, full_matrices=False)
+    rank, ambiguous = _rank_cut(s, RANK_TOL)
+    bad = ambiguous | (rank < k)
+    if bad.any():
+        idx = int(np.argmax(bad))
+        where = f"at sample point {pts[idx].tolist()}"
+        if ambiguous[idx]:
+            raise RankAmbiguousError(f"{_ambiguity(s[idx], int(rank[idx]), RANK_TOL)} ({where})")
+        raise DependentSpanningSetError(f"fields dependent {where}")
     worst = 0.0
     worst_pair = (0, 0)
     for ia in range(k):
         for ib in range(ia + 1, k):
-            bracket = lie_bracket(fields[ia], fields[ib]).eval_many(pts)
-            for idx in range(n_pts):
-                sol, *_ = np.linalg.lstsq(frame[idx], bracket[idx], rcond=None)
-                resid = np.max(np.abs(bracket[idx] - frame[idx] @ sol))
-                scale = 1.0 + np.max(np.abs(bracket[idx]))
-                rel = resid / scale
-                if rel > worst:
-                    worst, worst_pair = rel, (ia, ib)
+            bracket = lie_bracket(fields[ia], fields[ib]).eval_many(pts)[..., None]
+            resid = np.max(np.abs(bracket - u @ (u.transpose(0, 2, 1) @ bracket)), axis=(1, 2))
+            rel = float(np.max(resid / (1.0 + np.max(np.abs(bracket), axis=(1, 2)))))
+            if rel > worst:
+                worst, worst_pair = rel, (ia, ib)
     return InvolutivityReport(involutive=bool(worst <= tol), max_residual=float(worst),
                               worst_pair=worst_pair, n_points=n_pts)
 

@@ -11,12 +11,15 @@ candidates row by row, where production fills and accepts whole batches
 and differentiates only along the variables an expression contains.  The
 representation oracle sums one ``np.einsum`` per term of a polynomial over
 matrix powers, where production applies it by Horner over slot actions.
+The monomial oracle reads coefficients off exact Taylor derivatives at the
+origin, where production expands the expression tree term by term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import factorial, prod
 
 import numpy as np
 
@@ -27,9 +30,16 @@ from torsionlab.errors import (
     SpectralError,
 )
 from torsionlab.expr import (
+    Add,
     Chart,
+    Const,
+    Div,
     Expr,
+    Mul,
+    Neg,
+    Pow,
     SampleDomain,
+    Sub,
     Var,
     _guard_mask,
     const,
@@ -41,8 +51,8 @@ from torsionlab.fields import OperatorField, VectorFieldExpr, apply, lie_bracket
 from torsionlab.spectral import IMAG_TOL, RANK_GAP_FACTOR
 
 
-def basis_field(chart: Chart, index: int) -> VectorFieldExpr:
-    comps = tuple(const(1 if i == index else 0) for i in range(chart.dim))
+def basis_field(chart: Chart, index: int, scale=1) -> VectorFieldExpr:
+    comps = tuple(const(scale if i == index else 0) for i in range(chart.dim))
     return VectorFieldExpr(chart, comps)
 
 
@@ -275,6 +285,40 @@ def central_difference(e: Expr, var: int, point, scale: float = 1e-6) -> float:
     hi[var] += h
     lo[var] -= h
     return (eval_at(e, hi) - eval_at(e, lo)) / (2 * h)
+
+
+def exact_at(e: Expr, point) -> Fraction:
+    """Value of a rational expression at a rational point, in exact arithmetic."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return Fraction(point[e.index])
+    if isinstance(e, Neg):
+        return -exact_at(e.arg, point)
+    if isinstance(e, Pow):
+        return exact_at(e.base, point) ** e.exponent
+    left, right = exact_at(e.left, point), exact_at(e.right, point)
+    ops = {Add: Fraction.__add__, Sub: Fraction.__sub__, Mul: Fraction.__mul__,
+           Div: Fraction.__truediv__}
+    return ops[type(e)](left, right)
+
+
+def exact_monomials(e: Expr, n: int, degree: int) -> dict[tuple[int, ...], Fraction]:
+    """{exponents: coefficient} of a polynomial of total degree <= ``degree`` on
+    ``n`` variables, by definition: the coefficient of x^a is the Taylor
+    coefficient d^a e(0) / a!, from repeated :func:`diff` and exact evaluation."""
+    out = {}
+    for key in product(range(degree + 1), repeat=n):
+        if sum(key) > degree:
+            continue
+        d = e
+        for var, count in enumerate(key):
+            for _ in range(count):
+                d = diff(d, var)
+        coeff = exact_at(d, (0,) * n) / prod(map(factorial, key))
+        if coeff:
+            out[key] = coeff
+    return out
 
 
 def random_poly_expr(chart: Chart, rng: np.random.Generator, max_terms: int = 3) -> Expr:

@@ -1,12 +1,14 @@
 """Jacobians, pushforwards, one-form potentials and block detection."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torsionlab.charts as ch
-from helpers import finest_block_partition, rel_err
+from helpers import exact_at, exact_monomials, finest_block_partition, random_poly_expr, rel_err
 from torsionlab.charts import (
     BlockPartition,
     DiffeoChart,
@@ -31,10 +33,12 @@ from torsionlab.expr import (
     Chart,
     SampleDomain,
     Var,
+    add,
     const,
     diff,
     eval_many,
     format_expr,
+    mul,
     parse_expr,
     sample_points,
     variables,
@@ -337,43 +341,86 @@ def test_jacobian_outcome_matches_every_variable_path(forward, monkeypatch):
         assert _same_outcome(g, w)
 
 
-def test_one_form_probe_differentiates_only_present_variables(lfa1, lta, monkeypatch):
-    # every fixture annihilator: diff runs only along the variables a
-    # component contains, and the potentials are those of the every-variable path
-    forms = [w for man in (lfa1, lta) for ws in man.annihilators.values() for w in ws]
+# each fixture annihilator's potential, as blockdiag prints it
+FIXTURE_POTENTIALS = {
+    "lfa1": {"E1": ["x2 + x3 - x4 - x6 + x7"], "E2": ["x1 + x4 - 2 * x7"], "E3": ["x1 - x4"],
+             "E4": ["x3 - x6"],
+             "E5": ["x3", "1/3 * x1^3 + x6", "x1 + x2 - x4 + x5 - x6 + x7"]},
+    "lta": {"E1": ["x1 + x2 + x4"], "E2": ["x1 - x2 - x4"], "E3": ["x3 + x5"],
+            "E4": ["x3", "x1 + x3 * x5 + x4"]},
+}
+
+
+def test_one_form_integration_evaluates_nothing(lfa1, lta, monkeypatch):
+    # closedness and dF = w are decided on exact monomials: no tree is
+    # differentiated, evaluated at points or drawn from a random generator
     diffs = _count_calls(monkeypatch, ch, "diff")
-    potentials = [integrate_exact_one_form(w) for w in forms]
-    expected = 0
-    for w, f in zip(forms, potentials):
-        comps, n = w.components, w.chart.dim
-        # the closedness probe pair by pair, then the check of dF = w
-        expected += sum((i in variables(comps[j])) + (j in variables(comps[i]))
-                        for i in range(n) for j in range(i + 1, n))
-        expected += len(variables(f))
-    assert len(diffs) == expected < sum(w.chart.dim ** 2 for w in forms)
-    _every_variable(monkeypatch)
-    assert [integrate_exact_one_form(w) for w in forms] == potentials
+    evals = _count_calls(monkeypatch, ch, "eval_many")
+    monkeypatch.setattr(np.random, "default_rng", None)
+    for key, man in (("lfa1", lfa1), ("lta", lta)):
+        got = {name: [format_expr(integrate_exact_one_form(w), man.chart) for w in forms]
+               for name, forms in man.annihilators.items()}
+        assert got == FIXTURE_POTENTIALS[key]
+    assert diffs == [] and evals == []
 
 
 FORM_CASES = [
-    ("x2", "x1", "0"),
-    ("x2", "2*x1", "0"),
-    ("x3", "x3", "x1"),
-    ("1", "x3", "x2"),
-    ("x1/x2", "1", "0"),
-    ("(10^60)^7*x2", "x1", "0"),
-    ("x2*x3", "x1*x3", "x1*x2 + 1"),
+    (("x2", "x1", "0"), "x1 * x2"),
+    (("x2", "2*x1", "0"), NotClosedError),
+    (("x3", "x3", "x1"), NotClosedError),
+    (("1", "x3", "x2"), "x1 + x2 * x3"),
+    (("x1/x2", "1", "0"), NonPolynomialError),
+    (("(10^60)^7*x2", "x1", "0"), NotClosedError),
+    (("x2*x3", "x1*x3", "x1*x2 + 1"), "x1 * x2 * x3 + x3"),
+    # d_2 w_1 = 1e-11 against d_1 w_2 = 0: exactly unequal at any scale
+    (("1/100000000000*x2", "0", "0"), NotClosedError),
+    # 10^6 d(x1^3 x2^2 / 7 + x1 x2), closed exactly though its float
+    # derivatives differ by rounding
+    (("10^6*(3/7*x1^2*x2^2 + x2)", "10^6*(2/7*x1^3*x2 + x1)", "0"),
+     "1000000/7 * x1^3 * x2^2 + 1000000 * x1 * x2"),
 ]
 
 
 @pytest.mark.parametrize("components", FORM_CASES)
-def test_one_form_outcome_matches_every_variable_path(components, monkeypatch):
-    w = OneFormExpr(CH3, tuple(parse_expr(s, CH3) for s in components))
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = _outcome(lambda: integrate_exact_one_form(w))
-        _every_variable(monkeypatch)
-        want = _outcome(lambda: integrate_exact_one_form(w))
-    assert got == want
+def test_one_form_outcome_matches_every_variable_path(components):
+    strings, expected = components
+    w = OneFormExpr(CH3, tuple(parse_expr(s, CH3) for s in strings))
+    if isinstance(expected, str):
+        assert format_expr(integrate_exact_one_form(w), CH3) == expected
+    else:
+        with pytest.raises(expected):
+            integrate_exact_one_form(w)
+
+
+def test_not_closed_names_the_first_differing_monomial():
+    # d_2 w_3 = x2 + x3 and d_3 w_2 = x2 + 3 x3^2 differ at x3 and at x3^2;
+    # x3 comes first in sorted exponent order
+    w = OneFormExpr(CH3, tuple(parse_expr(s, CH3) for s in
+                               ("0", "x2*x3 + x3^3", "1/2*x2^2 + x2*x3")))
+    with pytest.raises(NotClosedError, match=r"^d_2 w_3 != d_3 w_2: monomial x3 has "
+                                             r"coefficient 1 against 0$"):
+        integrate_exact_one_form(w)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(2, 4), k=st.integers(-12, 12), seed=st.integers(0, 10_000))
+def test_integration_recovers_every_scaled_potential(n, k, seed):
+    chart = Chart(n)
+    rng = np.random.default_rng(seed)
+    # degree <= 4: a product of two random quadratics plus a third
+    f = random_poly_expr(chart, rng) * random_poly_expr(chart, rng) + random_poly_expr(chart, rng)
+    s = Fraction(10) ** k
+    w = tuple(diff(const(s) * f, i) for i in range(n))
+    potential = integrate_exact_one_form(OneFormExpr(chart, w))
+    want = {key: s * c for key, c in exact_monomials(f, n, 4).items() if any(key)}
+    assert exact_monomials(potential, n, 4) == want
+    point = tuple(Fraction(int(v), 7) for v in rng.integers(-9, 10, size=n))
+    assert exact_at(potential, point) == s * (exact_at(f, point) - exact_at(f, (0,) * n))
+    # adding c x_j dx_i (i != j) breaks closedness at every scale c = 10^k
+    i, j = rng.choice(n, size=2, replace=False)
+    broken = tuple(add(c, mul(const(s), Var(int(j)))) if m == i else c for m, c in enumerate(w))
+    with pytest.raises(NotClosedError):
+        integrate_exact_one_form(OneFormExpr(chart, broken))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -303,7 +304,13 @@ def test_constant_outside_double_range_exits_2(tmp_path, capsys, command, where)
         man["annihilators"] = {"I": [[f"{BIG}", "0"]]}
     path = write_manifest(tmp_path, man)
     code = main(command + ["--manifest", path, "--samples", "10"])
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    if where == "annihilator":
+        # one-forms are integrated in exact rationals: the constant is never
+        # converted to a double, so the potential keeps it
+        assert code == 0 and err == ""
+        assert f"{BIG} * x1" in out
+        return
     assert code == 2
     assert f"constant {BIG} is outside the double range" in err
 
@@ -434,6 +441,21 @@ def test_golden_entry_of_no_operator_exits_2_naming_it(tmp_path, capsys, entries
                  "--samples", "5"])
     assert code == 2
     assert capsys.readouterr().err == f"error: {'.'.join(entries)}: unknown operator 'L9'\n"
+
+
+def test_chart_dim_beyond_the_box_costs_no_memory(tmp_path):
+    # the default variable names of chart.dim are not built, so a dim no
+    # box matches is rejected at the box without memory per dimension
+    path = write_manifest(tmp_path, {**IDENTITY_MANIFEST, "chart": {"dim": 10 ** 6},
+                                     "domain": {"box": [[0, 1]]}})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ManifestError, match=r"^domain\.box: expected 1000000 intervals$"):
+            load_manifest(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 # every object of the format whose keys are fixed, by fixture

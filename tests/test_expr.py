@@ -100,6 +100,20 @@ def test_parse_unknown_variable():
         parse_expr("x1 + foo", CH5)
 
 
+@pytest.mark.parametrize("name", ["x0", "x6", "x01", "x", "y1", "X1", "x" + "9" * 5000])
+def test_default_names_are_x1_to_xn(name):
+    with pytest.raises(UnknownVariableError):
+        parse_expr(name, CH5)
+
+
+def test_default_names_are_not_spelled_out():
+    assert [parse_expr(f"x{i}", CH5) for i in range(1, 6)] == [Var(i) for i in range(5)]
+    assert Chart(3, ("x1", "x2", "x3")) == Chart(3) and Chart(3).var_names == ()
+    assert Chart(3, ("x1", "x3", "x2")) != Chart(3)
+    huge = Chart(10 ** 9)
+    assert format_expr(parse_expr("x1000000000 - x1", huge), huge) == "x1000000000 - x1"
+
+
 def test_parse_exponent_bound():
     parse_expr("x1^64", CH5)
     with pytest.raises(ExprParseError):

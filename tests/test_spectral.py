@@ -1,6 +1,8 @@
 """Pointwise spectra, Riesz indices, regularity, involutivity and refinements."""
 
+import re
 from dataclasses import replace
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -543,6 +545,25 @@ def test_dependent_fields_rejected():
     dom = SampleDomain(box=((0.5, 1.5), (0.5, 1.5)), seed=6)
     with pytest.raises(DependentSpanningSetError):
         involutivity_check([x, x], dom, 5, 1e-9)
+
+
+def test_scaled_coordinate_fields_involutive():
+    # the rank rule is relative to the largest singular value, so tiny
+    # fields span as well as unit ones
+    dom = SampleDomain(box=((0.5, 1.5),) * 3, seed=4)
+    tiny = Fraction(1, 10 ** 11)
+    rep = involutivity_check([basis_field(CH3, i, tiny) for i in (0, 1)], dom, 10, 1e-9)
+    assert rep.involutive and rep.max_residual == 0.0
+
+
+def test_ambiguous_frame_rank_names_the_point():
+    # singular values 1, 2e-8, 5e-9 straddle the cut 1e-8 within a factor 10
+    dom = SampleDomain(box=((0.5, 1.5),) * 3, seed=4)
+    fields = [basis_field(CH3, i, c)
+              for i, c in enumerate((1, Fraction(2, 10 ** 8), Fraction(5, 10 ** 9)))]
+    first = sample_points(dom, 5)[0].tolist()
+    with pytest.raises(RankAmbiguousError, match=rf"straddle .* \(at sample point {re.escape(str(first))}\)$"):
+        involutivity_check(fields, dom, 5, 1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,15 @@ P(A) to that of A, whose image Q_P(Z, Lambda)^m Q_P(Z, M)^m is applied
 factor by factor, never expanded; and sampling-based module/ring closure
 verdicts.  Those judge every candidate K_a K_b and f K_a + g K_b in one
 chunk-major walk (:func:`torsionlab.fields.candidate_verdicts`): per chunk of
-points each generator's 1-jet is expanded once from its evaluated columns,
-every coefficient f and g is evaluated from one plan differentiated once,
-and the candidates are combined from those and walked up the tower one
-after another.  Beyond the sample and the generators' columns no per-point
-array outlives a chunk, so memory does not grow with the sample.
+points each generator's 1-jet is expanded once from its evaluated columns
+and stacked as X_a = [K_a; dK_a], every coefficient f and g is evaluated
+from one plan differentiated once, each product K_a K_b is formed by the
+``Jet`` product rule and each combination as F_f X_a + F_g X_b, two small
+batched matrix products with the blocks F_f = [[f, 0], [grad f, f I]].  Each
+candidate is judged at level m alone, on the factored image
+:func:`torsionlab.fields.level_image`, and dropped before the next.  Beyond
+the sample and the generators' columns no per-point array outlives a chunk,
+so memory does not grow with the sample.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from .fields import (
     _point_max,
     candidate_verdicts,
     identity_operator,
+    multiplier_blocks,
     scalar_jets_plan,
     slot_action,
     tower_from_jets,
@@ -379,6 +384,15 @@ def _random_combo_poly(chart: Chart, rng: np.random.Generator) -> Expr:
     return e
 
 
+def combination(f: np.ndarray, x_a: np.ndarray, g: np.ndarray, x_b: np.ndarray) -> Jet:
+    """The 1-jet of f K_a + g K_b from the :func:`~torsionlab.fields.multiplier_blocks`
+    F_f, F_g and the stacked 1-jets X_a, X_b: F_f X_a + F_g X_b, two batched
+    (n+1)-by-(n+1) matrix products and one sum."""
+    out = np.matmul(f, x_a)
+    out += np.matmul(g, x_b)
+    return Jet.from_stacked(out)
+
+
 def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
                   n_pts: int, n_random_combos: int, tol: float) -> AlgebraCheckReport:
     """Sample the closure laws of a generalized torsion-free operator family.
@@ -387,9 +401,9 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
     K_a K_b for every ordered pair (a, b), K_a^2 included (ring law), then
     draws random function pairs (f, g) and operator pairs (K_a, K_b) and
     verifies level-m vanishing of f K_a + g K_b (module law).  One walk
-    judges every candidate, ring products first, then the combinations in
-    draw order; a non-finite tower names the lowest such candidate's lowest
-    level and first point.  A generator that is not an
+    judges every candidate at level m alone, ring products first, then the
+    combinations in draw order; a non-finite level-m torsion names the lowest
+    such candidate and its first point.  A generator that is not an
     :class:`~torsionlab.fields.OperatorField` is evaluated whole, by its
     default :meth:`~torsionlab.fields.OperatorBase.jet_slices`.
     """
@@ -413,7 +427,8 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
     comm_max = np.zeros((k, k))
 
     def candidates_at(part: slice) -> Iterator[Jet]:
-        gens = [jet_at(part) for jet_at in generators]
+        stacks = [jet_at(part).stacked() for jet_at in generators]
+        gens = [Jet.from_stacked(x) for x in stacks]
         for ia, a in enumerate(gens):
             val_max[ia] = max(val_max[ia], np.max(np.abs(a.vals)))
             for ib in range(ia + 1, k):
@@ -422,12 +437,13 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
         for a in gens:
             for b in gens:
                 yield a @ b
-        scalars = coeffs_at(pts[part])
-        for (ia, ib), f, g in zip(pairs, scalars[::2], scalars[1::2]):
-            yield f * gens[ia] + g * gens[ib]
+        cols = coeffs_at(pts[part])
+        for c, (ia, ib) in enumerate(pairs):
+            f, g = multiplier_blocks(cols[:, 2 * c:2 * c + 2]).swapaxes(0, 1)
+            yield combination(f, stacks[ia], g, stacks[ib])
 
-    tops = [reports[-1] for reports in
-            candidate_verdicts(candidates_at, m, pts, domain.seed, tol)]
+    tops = [reports[0] for reports in
+            candidate_verdicts(candidates_at, m, pts, domain.seed, tol, top_only=True)]
     ring, module = tops[:k * k], tops[k * k:]
 
     commute = [[True] * k for _ in range(k)]

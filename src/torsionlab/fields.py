@@ -9,7 +9,10 @@ of the columns expand them into the jet.  An entry, or the coefficient of a
 :func:`scalar_jet`, is differentiated only along the variables it contains.
 Composite operators (linear combinations with scalar-field coefficients,
 products, polynomials, powers) build their jets by ``Jet`` arithmetic, whose
-``@`` holds the one copy of the product rule.
+``@`` holds the one copy of the product rule.  A caller forming many
+f K + g K' stacks each 1-jet as one (N, n + 1, n^2) array [A; dA]
+(:meth:`Jet.stacked`), on which the product rule for a scalar factor f is the
+(n + 1)-by-(n + 1) matrix :func:`multiplier_blocks` [[f, 0], [grad f, f I]].
 
 The level-1 torsion comes from the coordinate expansion
 
@@ -26,21 +29,26 @@ into one index of a batch of (1,2)-tensors, which gives the actions Z, Lambda
 and M of z, lambda and mu.  The level-1 torsion is two slot actions on dA,
 the level-up step is (Z - Lambda)(Z - M), and :mod:`torsionlab.algebra`
 applies a general R_S, the Bezout image included, by Horner over Z, Lambda
-and M.
+and M.  :func:`tower` walks every level; :func:`level_image` builds T^(m)
+alone as (Z - Lambda)^(m-1) (Z - M)^(m-1) T^(1), factor by factor, and takes
+the exact skew part once instead of at every level.
 
 A verdict needs only the worst residual of each level, so
 :func:`candidate_verdicts`, the one verdict walk, goes chunk-major: for each
 chunk of points (at most ``CHUNK_BYTES`` per level) it asks for the 1-jets
 of all its candidates, walks each up the tower in turn and folds the
-chunk's residuals into a running worst per candidate and level.  No
-per-point array outlives a chunk, whatever the sample size.  A caller judging
-several candidates built from shared factors, as
+chunk's residuals into a running worst per candidate and level.  Every
+tower level is exactly skew, so one max reduction per point gives its
+max |T|.  No per-point array outlives a chunk, whatever the sample size.  A
+caller judging several candidates built from shared factors, as
 :func:`torsionlab.algebra.check_algebra` does with its products K_a K_b and
 combinations f K_a + g K_b, expands the factors once per chunk for all of
-them.  :func:`tower_verdicts` and :func:`is_vanishing` are the
-one-candidate case; :meth:`OperatorBase.jet_slices` gives an operator's jet
-as a function of a point slice, and an :class:`OperatorField` expands each
-chunk's jet from its evaluated columns, so it holds no whole-sample jet.
+them; a caller that reports level m alone asks the walk for it, and each
+candidate is then judged on its :func:`level_image`.  :func:`tower_verdicts`
+and :func:`is_vanishing` are the one-candidate case, on every level;
+:meth:`OperatorBase.jet_slices` gives an operator's jet as a function of a
+point slice, and an :class:`OperatorField` expands each chunk's jet from its
+evaluated columns, so it holds no whole-sample jet.
 :func:`tower` and :func:`torsion_many` build whole levels for the callers
 that need the tensors.
 """
@@ -196,6 +204,21 @@ class Jet:
         return Jet(vals, product(self.derivs, other.vals[:, None])
                    + product(self.vals[:, None], other.derivs))
 
+    def stacked(self) -> np.ndarray:
+        """The n-by-n 1-jet as one (N, n + 1, n^2) array [A; d_1 A; ..; d_n A],
+        on which a :func:`multiplier_blocks` matrix acts by ``matmul``."""
+        n_pts, n = self.vals.shape[:2]
+        out = np.empty((n_pts, n + 1, n * n))
+        out[:, 0] = self.vals.reshape(n_pts, n * n)
+        out[:, 1:] = self.derivs.reshape(n_pts, n, n * n)
+        return out
+
+    @classmethod
+    def from_stacked(cls, stack: np.ndarray) -> "Jet":
+        """The 1-jet of a :meth:`stacked` array, made of two views of it."""
+        n_pts, n = stack.shape[0], stack.shape[1] - 1
+        return cls(stack[:, 0].reshape(n_pts, n, n), stack[:, 1:].reshape(n_pts, n, n, n))
+
 
 def scalar_jet(coeff: Expr, pts: np.ndarray, derivs: bool = True) -> Jet:
     """Value and gradient of a scalar field at ``pts``, shaped to scale a matrix jet.
@@ -205,11 +228,14 @@ def scalar_jet(coeff: Expr, pts: np.ndarray, derivs: bool = True) -> Jet:
     """
     if not derivs:
         return Jet(eval_many(coeff, pts)[:, None, None])
-    return scalar_jets_plan([coeff], pts.shape[1])(pts)[0]
+    cols = scalar_jets_plan([coeff], pts.shape[1])(pts)[:, 0]
+    return Jet(cols[:, :1, None], cols[:, 1:, None, None])
 
 
-def scalar_jets_plan(coeffs: Sequence[Expr], n: int) -> Callable[[np.ndarray], list[Jet]]:
-    """``pts -> [scalar_jet(c, pts) for c in coeffs]`` for points of an n-dim chart.
+def scalar_jets_plan(coeffs: Sequence[Expr], n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``pts -> cols``, the 1-jets of several scalar fields at points of an
+    n-dim chart: ``cols[p, c]``, of shape (n + 1,), holds the value, then the
+    gradient, of ``coeffs[c]`` at ``pts[p]``.
 
     The coefficients are differentiated here, once, into one
     :class:`_EntryPlan` of all their values and gradients, so a caller
@@ -222,13 +248,20 @@ def scalar_jets_plan(coeffs: Sequence[Expr], n: int) -> Callable[[np.ndarray], l
         present = set(variables(coeff))
         entries += [coeff] + [diff(coeff, l) if l in present else ZERO for l in range(n)]
     plan = _EntryPlan.of(entries)
+    return lambda pts: plan.fill(pts, (len(coeffs), n + 1))
 
-    def jets_at(pts: np.ndarray) -> list[Jet]:
-        cols = plan.fill(pts, (len(coeffs), n + 1))
-        return [Jet(cols[:, k, :1, None], cols[:, k, 1:, None, None])
-                for k in range(len(coeffs))]
 
-    return jets_at
+def multiplier_blocks(cols: np.ndarray) -> np.ndarray:
+    """F_f = [[f, 0], [grad f, f I]] from a scalar field's value and gradient
+    ``cols[..., :]`` (as :func:`scalar_jets_plan` gives them), shape
+    ``(..., n + 1, n + 1)``: ``F_f @ K.stacked()`` is ``(f * K).stacked()`` up
+    to rounding, the product rule d(f K) = df K + f dK as one small matrix
+    product."""
+    blocks = np.zeros(cols.shape + cols.shape[-1:])
+    blocks[..., 0] = cols
+    diag = np.arange(1, cols.shape[-1])
+    blocks[..., diag, diag] = cols[..., :1]
+    return blocks
 
 
 def _not_finite(what: str, point: np.ndarray) -> EvalDomainError:
@@ -597,6 +630,42 @@ def tower(vals: np.ndarray, derivs: np.ndarray, m: int) -> Iterator[np.ndarray]:
         yield torsions
 
 
+def level_image(vals: np.ndarray, derivs: np.ndarray, m: int) -> np.ndarray:
+    """T^(m) = (Z - Lambda)^(m-1) (Z - M)^(m-1) T^(1), the last level of
+    :func:`tower` without the levels below it.
+
+    R_sigma^(m-1) applied factor by factor, the way
+    :func:`torsionlab.algebra._quotient_image` applies the Bezout image: m - 1
+    steps Y <- (Z - M) Y, one swap of the argument slots, m - 1 more steps,
+    which act as Z - Lambda on the swapped layout, and the exact skew part
+    once.  The tower takes it at every level, so the two agree up to rounding
+    (bitwise for m <= 2).  Three (N, n, n, n) buffers serve every step.
+    """
+    if m < 1:
+        raise ValueError("torsion level must be >= 1")
+    y = nijenhuis_from_jets(vals, derivs)
+    if m == 1:
+        return y
+    vals_t = vals.swapaxes(1, 2)
+    spare, term = np.empty(y.shape), np.empty(y.shape)
+
+    def z_minus_mu(y, spare):
+        for _ in range(m - 1):
+            slot_action(vals, y, 1, out=spare)
+            spare -= slot_action(vals_t, y, 3, out=term)
+            y, spare = spare, y
+        return y, spare
+
+    y, spare = z_minus_mu(y, spare)
+    np.copyto(spare, y.swapaxes(2, 3))
+    # W[p, i, k, j] = (R_sigma^(m-1) T)^i_jk
+    y, spare = z_minus_mu(spare, y)
+    # the skew part; exact, since fl(a - b) = -fl(b - a)
+    np.subtract(y.swapaxes(2, 3), y, out=spare)
+    spare *= 0.5
+    return spare
+
+
 def tower_from_jets(vals: np.ndarray, derivs: np.ndarray, m: int) -> np.ndarray:
     """T^(m), the last level of :func:`tower`."""
     for torsions in tower(vals, derivs, m):
@@ -668,6 +737,17 @@ def _point_max(arr: np.ndarray) -> np.ndarray:
     return np.abs(arr).reshape(arr.shape[0], -1).max(axis=1)
 
 
+def _level_max(level: np.ndarray) -> np.ndarray:
+    """:func:`_point_max` of an exactly skew tower level, by one reduction.
+
+    Every level ends in a pair fl(a - b), fl(b - a), so each entry's negation
+    is an entry too and max T = max |T| per point.  ``np.abs`` of the maxima
+    turns the -0.0 of an all-zero level into 0.0 and clears the sign bit a
+    NaN may carry, so the result is bitwise :func:`_point_max`'s.
+    """
+    return np.abs(level.reshape(level.shape[0], -1).max(axis=1))
+
+
 def _residuals(tor_norm: np.ndarray, val_norm: np.ndarray, m: int,
                pts: np.ndarray) -> np.ndarray:
     """The residual rule max|T^(m)| / (1 + max|A|^(2m-1)) per point, from those
@@ -701,8 +781,8 @@ def vanishing_report(torsions: np.ndarray, vals: np.ndarray, m: int,
 
 
 def candidate_verdicts(candidates_at: Callable[[slice], Iterable[Jet]], m: int,
-                       pts: np.ndarray, seed: int,
-                       tol_rel: float) -> list[list[VanishingReport]]:
+                       pts: np.ndarray, seed: int, tol_rel: float,
+                       top_only: bool = False) -> list[list[VanishingReport]]:
     """Verdicts on levels 1..m of each of several candidate 1-jets at ``pts``.
 
     ``candidates_at(part)`` yields the n-by-n 1-jets of every candidate at
@@ -718,14 +798,17 @@ def candidate_verdicts(candidates_at: Callable[[slice], Iterable[Jet]], m: int,
     :func:`vanishing_report` on the whole level.  An :class:`EvalDomainError`
     names, of the lowest candidate with a non-finite level, the lowest such
     level and its first point, as walking the candidates one after another,
-    each level over all points, would.
+    each level over all points, would.  With ``top_only`` the walk judges
+    level m alone, built by :func:`level_image` instead of the tower, and
+    list c holds that one report.
     """
     if m < 1:
         raise ValueError("torsion level must be >= 1")
     n_pts, n = pts.shape
     step = max(1, CHUNK_BYTES // (8 * n ** 3))
-    levels = np.arange(m)
-    powers = 2 * levels[:, None] + 1  # of max|A| in each level's rule
+    levels = np.array([m]) if top_only else np.arange(1, m + 1)
+    rows = np.arange(len(levels))
+    powers = 2 * levels[:, None] - 1  # of max|A| in each level's rule
     # per candidate, by level: the worst residual, its point and the first
     # points where the torsion norm and the rule's denominator are not finite
     worst: list[np.ndarray] = []
@@ -735,10 +818,13 @@ def candidate_verdicts(candidates_at: Callable[[slice], Iterable[Jet]], m: int,
         part = slice(start, start + step)
         for cand, (vals, derivs) in enumerate(candidates_at(part)):
             if cand == len(worst):  # the first chunk
-                worst.append(np.full(m, -np.inf))
-                worst_at.append(np.zeros(m, dtype=np.intp))
-                first_bad.append(np.full((m, 2), n_pts))
-            tor = np.array([_point_max(t) for t in tower(vals, derivs, m)])
+                worst.append(np.full(len(levels), -np.inf))
+                worst_at.append(np.zeros(len(levels), dtype=np.intp))
+                first_bad.append(np.full((len(levels), 2), n_pts))
+            if top_only:
+                tor = _level_max(level_image(vals, derivs, m))[None]
+            else:
+                tor = np.array([_level_max(t) for t in tower(vals, derivs, m)])
             denom = 1.0 + _point_max(vals) ** powers
             if not (np.isfinite(tor).all() and np.isfinite(denom).all()):
                 for k, arr in enumerate((tor, denom)):
@@ -747,16 +833,16 @@ def candidate_verdicts(candidates_at: Callable[[slice], Iterable[Jet]], m: int,
                     np.minimum(first_bad[cand][:, k], first, out=first_bad[cand][:, k])
             res = tor / denom
             at = res.argmax(axis=1)
-            top = res[levels, at]
+            top = res[rows, at]
             better = top > worst[cand]  # strictly: ties keep the earlier point
             np.copyto(worst[cand], top, where=better)
             np.copyto(worst_at[cand], at + start, where=better)
     hits = np.argwhere(np.array(first_bad) < n_pts)  # in (candidate, level, array) order
     if hits.size:
-        cand, level, k = hits[0]
-        raise _not_finite(f"level-{level + 1} torsion", pts[first_bad[cand][level, k]])
-    return [[_verdict(float(w), pts[i], level, n_pts, seed, tol_rel)
-             for level, (w, i) in enumerate(zip(w_row, at_row), start=1)]
+        cand, row, k = hits[0]
+        raise _not_finite(f"level-{levels[row]} torsion", pts[first_bad[cand][row, k]])
+    return [[_verdict(float(w), pts[i], int(level), n_pts, seed, tol_rel)
+             for level, w, i in zip(levels, w_row, at_row)]
             for w_row, at_row in zip(worst, worst_at)]
 
 

@@ -31,16 +31,19 @@ from torsionlab.expr import (
     sample_points,
 )
 from torsionlab.fields import (
+    Jet,
     OperatorAtPoint,
     OperatorField,
     PowerOperator,
     TorsionTensor,
+    candidate_verdicts,
     identity_operator,
     is_vanishing,
+    multiplier_blocks,
     scalar_jet,
+    scalar_jets_plan,
     torsion_at,
     torsion_many,
-    tower_verdicts,
 )
 
 CH2 = Chart(2)
@@ -373,23 +376,27 @@ def test_commute_worst_is_the_scaled_commutator(lta):
 
 def _whole_array_worsts(man, m, n_pts, n_combos, seed):
     """ring_worst and module_worst with every candidate 1-jet built over the
-    whole sample first, then judged by ``tower_verdicts``."""
+    whole sample first, by the same products and combinations, then judged by
+    the same level-m walk."""
     domain = dataclasses.replace(man.domain, seed=seed)
     ops = [man.operators[name] for name in man.operators]
     pts = sample_points(domain, n_pts)
-    jets = [op.jet_many(pts) for op in ops]
+    stacks = [op.jet_many(pts).stacked() for op in ops]
+    jets = [Jet.from_stacked(x) for x in stacks]
 
     def worst(jet):
-        return tower_verdicts(jet.__getitem__, m, pts, seed, 1e-8)[-1].max_residual
+        return candidate_verdicts(lambda part: (jet[part],), m, pts, seed, 1e-8,
+                                  top_only=True)[0][0].max_residual
 
     ring = max(worst(a @ b) for a in jets for b in jets)
     rng = np.random.default_rng((seed * 2654435761 + 0x5EED) % (2 ** 63))
     module = 0.0
     for _ in range(n_combos):
         ia, ib = int(rng.integers(0, len(ops))), int(rng.integers(0, len(ops)))
-        f = alg._random_combo_poly(man.chart, rng)
-        g = alg._random_combo_poly(man.chart, rng)
-        module = max(module, worst(scalar_jet(f, pts) * jets[ia] + scalar_jet(g, pts) * jets[ib]))
+        f, g = (multiplier_blocks(scalar_jets_plan([alg._random_combo_poly(man.chart, rng)],
+                                                   man.chart.dim)(pts)[:, 0])
+                for _ in range(2))
+        module = max(module, worst(alg.combination(f, stacks[ia], g, stacks[ib])))
     return ring, module
 
 
@@ -398,7 +405,8 @@ def _whole_array_worsts(man, m, n_pts, n_combos, seed):
 def test_check_algebra_is_chunk_invariant(fixture, seed, request, monkeypatch):
     # candidates are combined chunk by chunk inside the walk: one point per
     # chunk, the default chunks and one chunk for the whole sample give the
-    # same report, and the worsts of whole-array candidate jets
+    # same report, and the worsts of whole-array candidate jets judged by the
+    # same level-m walk
     man = request.getfixturevalue(fixture)
     m, n_pts, n_combos = man.level, 90, 6
     domain = dataclasses.replace(man.domain, seed=seed)
@@ -412,6 +420,31 @@ def test_check_algebra_is_chunk_invariant(fixture, seed, request, monkeypatch):
     ring, module = _whole_array_worsts(man, m, n_pts, n_combos, seed)
     assert (reports[0]["ring_worst"], reports[0]["module_worst"]) == (ring, module)
     assert reports[0]["ring_closed"] and reports[0]["module_closed"]
+
+
+@pytest.mark.parametrize("fixture", ["lfa1", "lta"])
+def test_combination_matches_scalar_jet_products(fixture, request):
+    # F_f X_a + F_g X_b against scalar_jet(f) * K_a + scalar_jet(g) * K_b,
+    # per point, for a != b and a = b
+    man = request.getfixturevalue(fixture)
+    ops = [man.operators[name] for name in sorted(man.operators)]
+    pts = sample_points(man.domain, 23)
+    jets = [op.jet_many(pts) for op in ops]
+    stacks = [jet.stacked() for jet in jets]
+    for x, jet in zip(stacks, jets):
+        back = Jet.from_stacked(x)
+        assert np.array_equal(back.vals, jet.vals) and np.array_equal(back.derivs, jet.derivs)
+    rng = np.random.default_rng(103)
+    for ia, ib in ((0, 1), (2, 0), (1, 1)):
+        f, g = (alg._random_combo_poly(man.chart, rng) for _ in range(2))
+        blocks = multiplier_blocks(scalar_jets_plan([f, g], man.chart.dim)(pts))
+        got = alg.combination(blocks[:, 0], stacks[ia], blocks[:, 1], stacks[ib])
+        want = scalar_jet(f, pts) * jets[ia] + scalar_jet(g, pts) * jets[ib]
+        for part in (got.vals, got.derivs):
+            assert part.base is not None  # views of one product
+        for p in range(len(pts)):
+            assert rel_err(got.vals[p], want.vals[p]) <= 1e-14
+            assert rel_err(got.derivs[p], want.derivs[p]) <= 1e-14
 
 
 def test_check_algebra_memory_does_not_grow_with_candidate_jets(lfa1):

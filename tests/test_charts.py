@@ -1,5 +1,6 @@
 """Jacobians, pushforwards, one-form potentials and block detection."""
 
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from torsionlab.errors import (
     NonPolynomialError,
     NotClosedError,
     SingularJacobianError,
+    TorsionLabError,
 )
 from torsionlab.expr import (
     Chart,
@@ -362,6 +364,21 @@ def test_one_form_integration_evaluates_nothing(lfa1, lta, monkeypatch):
                for name, forms in man.annihilators.items()}
         assert got == FIXTURE_POTENTIALS[key]
     assert diffs == [] and evals == []
+
+
+def test_monomial_expansion_is_bounded(lfa1, lta):
+    # (x1 + .. + x7)^64 has about 1.3e8 monomials: the expansion stops at the
+    # first step over MAX_MONOMIAL_PRODUCTS instead of running for hours,
+    # while every fixture annihilator still integrates to its potential
+    w = OneFormExpr(CH7, (parse_expr("(x1+x2+x3+x4+x5+x6+x7)^64", CH7),) + (const(0),) * 6)
+    start = time.perf_counter()
+    with pytest.raises(TorsionLabError, match=r"\(21021 products; at most 20000 allowed\)$"):
+        integrate_exact_one_form(w)
+    assert time.perf_counter() - start < 1.0
+    for key, man in (("lfa1", lfa1), ("lta", lta)):
+        got = {name: [format_expr(integrate_exact_one_form(form), man.chart) for form in forms]
+               for name, forms in man.annihilators.items()}
+        assert got == FIXTURE_POTENTIALS[key]
 
 
 FORM_CASES = [

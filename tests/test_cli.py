@@ -166,6 +166,22 @@ def test_blockdiag_lta(tmp_path, capsys):
     assert any(c.get("potential") == "x1 + x2 + x4" for c in payload["checks"])
 
 
+def test_blockdiag_reports_an_oversized_expansion_as_a_failed_integration(tmp_path, capsys):
+    n = 7
+    man = {**IDENTITY_MANIFEST, "chart": {"dim": n}, "domain": {"box": [[0.5, 1.5]] * n, "seed": 7},
+           "operators": {"I": [["1" if i == j else "0" for j in range(n)] for i in range(n)]},
+           "charts": {"y": {"forward": [f"x{i + 1}" for i in range(n)]}},
+           "annihilators": {"E": [["(x1+x2+x3+x4+x5+x6+x7)^64"] + ["0"] * (n - 1)]}}
+    out_json = tmp_path / "report.json"
+    code, _ = run_cli(["blockdiag", "--manifest", write_manifest(tmp_path, man), "--chart", "y",
+                       "--samples", "10", "--json", str(out_json)], capsys)
+    assert code == 1
+    check = next(c for c in json.loads(out_json.read_text())["checks"]
+                 if c["name"] == "integrate E[0]")
+    assert not check["passed"]
+    assert check["error"].endswith("(21021 products; at most 20000 allowed)")
+
+
 def test_blockdiag_identity_chart(tmp_path, capsys):
     man = dict(IDENTITY_MANIFEST)
     man["operators"] = {"A": [["x1", "1"], ["0", "x2"]]}
@@ -619,6 +635,27 @@ def test_nonfinite_value_exits_2_naming_the_point(tmp_path, capsys, command):
     assert not out_json.exists()
 
 
+# finite generator entries whose level-1 torsion c^2 (x2 - x1) overflows at
+# every point, and with it every higher level
+OVERFLOW_TOWER_MANIFEST = {
+    **IDENTITY_MANIFEST,
+    "operators": {"A": [[f"{10 ** 200}*x2", "0"], ["0", f"{10 ** 200}*x1"]]},
+}
+
+
+@pytest.mark.parametrize("level", [1, 2, 3])
+def test_algebra_overflow_names_level_m(tmp_path, capsys, level):
+    # algebra judges level m alone, so it names level m and the first point
+    path = write_manifest(tmp_path, OVERFLOW_TOWER_MANIFEST)
+    with pytest.warns(RuntimeWarning):
+        code = main(["algebra", "--manifest", path, "--level", str(level),
+                     "--combos", "2", "--samples", "10"])
+    err = capsys.readouterr().err
+    first = sample_points(load_manifest(path).domain, 1)[0]
+    assert code == 2
+    assert err == f"error: level-{level} torsion is not finite at point {tuple(first.tolist())}\n"
+
+
 # 10^302 x1^64 is at most 1.2e307 on these boxes, but its derivative is
 # above the double range past x1 = 1.177: everywhere on [1.19, 1.2], and
 # first at the second sample point on [1.1, 1.2]
@@ -799,7 +836,7 @@ def test_algebra_builds_one_tower_per_product_and_per_combo(monkeypatch, capsys)
     # pair K_a K_b (ring law), then one f K_a + g K_b per combo
     walks, per_chunk = [], []
 
-    def counted(candidates_at, m, *args):
+    def counted(candidates_at, m, *args, **kwargs):
         walks.append(m)
 
         def counting(part):
@@ -807,7 +844,7 @@ def test_algebra_builds_one_tower_per_product_and_per_combo(monkeypatch, capsys)
             for jet in candidates_at(part):
                 per_chunk[-1] += 1
                 yield jet
-        return candidate_verdicts(counting, m, *args)
+        return candidate_verdicts(counting, m, *args, **kwargs)
 
     candidate_verdicts = alg.candidate_verdicts
     monkeypatch.setattr(alg, "candidate_verdicts", counted)

@@ -64,6 +64,7 @@ from torsionlab.fields import (
     identity_operator,
     is_vanishing,
     TorsionTensor,
+    level_image,
     level_up,
     level_up_many,
     lie_bracket,
@@ -242,6 +243,61 @@ def test_level_up_many_matches_definition_oracle(lfa1):
         for m in (1, 2, 3):
             image = rep_apply(TriPoly.sigma(), TorsionTensor(m, point, levels[m - 1][p]), ap)
             assert rel_err(levels[m][p], image.components) <= 1e-12
+
+
+def _nijenhuis_definition(vals, derivs):
+    """T^i_jk = D^i_jk - D^i_kj, D^i_jk = A^l_j d_l A^i_k - A^i_l d_j A^l_k, by einsum."""
+    d = (np.einsum("plj,plik->pijk", vals, derivs)
+         - np.einsum("pil,pjlk->pijk", vals, derivs))
+    return d - d.swapaxes(2, 3)
+
+
+def test_level_image_matches_the_chained_definition_oracle():
+    # 7 distinct random points per case: T^(m) from the einsum definition of
+    # T^(1) and m - 1 steps of level_up_oracle, each made skew, against the
+    # factored image, which is made skew once; and against the tower's top
+    rng = np.random.default_rng(97)
+    for n in (3, 5, 7):
+        vals = rng.uniform(-2.0, 2.0, size=(7, n, n))
+        derivs = rng.uniform(-2.0, 2.0, size=(7, n, n, n))
+        want = _nijenhuis_definition(vals, derivs)
+        top = None
+        for m, level in zip(range(1, 6), tower(vals, derivs, 5)):
+            if m > 1:
+                want = level_up_oracle(want, vals)
+                want = (want - want.swapaxes(2, 3)) / 2
+            got = level_image(vals, derivs, m)
+            for g, w, t in zip(got, want, level):
+                assert rel_err(g, w) <= 1e-13
+                assert rel_err(g, t) <= 1e-13
+            assert np.array_equal(got, -got.swapaxes(2, 3))
+            if m <= 2:  # the same operations as the tower's first step
+                assert got.tobytes() == level.tobytes()
+            top = got
+        assert np.abs(top).max() > 0
+    with pytest.raises(ValueError):
+        level_image(vals, derivs, 0)
+
+
+def test_level_max_is_the_point_max_of_a_skew_level():
+    # bitwise, on tower levels, on levels that are all zero (where max T
+    # reads -0.0) and on levels holding an infinity or a NaN (whose sign bit
+    # max T may keep)
+    rng = np.random.default_rng(101)
+    n = 4
+    vals = rng.uniform(-2.0, 2.0, size=(9, n, n))
+    derivs = rng.uniform(-2.0, 2.0, size=(9, n, n, n))
+    levels = list(tower(vals, derivs, 3))
+    zero = np.zeros((5, n, n, n))
+    zero[1::2] = -0.0
+    levels.append(zero)
+    odd = levels[0].copy()
+    odd[0, 1, 2, 3], odd[0, 1, 3, 2] = np.inf, -np.inf
+    odd[1, 0, 0, 1] = odd[1, 0, 1, 0] = np.nan
+    odd[2, n - 1, n - 1, n - 2] = odd[2, n - 1, n - 2, n - 1] = -np.nan
+    levels.append(odd)
+    for level in levels:
+        assert fl._level_max(level).tobytes() == fl._point_max(level).tobytes()
 
 
 def test_slot_action_contracts_one_index():
@@ -818,7 +874,11 @@ def test_scalar_jets_plan_equals_the_reference(coeffs, salt):
         return (np.concatenate([vals for vals, _ in jets], axis=1),
                 np.concatenate([grad for _, grad in jets], axis=2))
 
-    planned = _outcome(lambda _, p: joined(scalar_jets_plan(coeffs, 4)(p)), None, pts)
+    def planned_jets(cols):
+        return [(cols[:, c, :1, None], cols[:, c, 1:, None, None]) for c in range(len(coeffs))]
+
+    planned = _outcome(lambda _, p: joined(planned_jets(scalar_jets_plan(coeffs, 4)(p))),
+                       None, pts)
     reference = _outcome(lambda _, p: joined([scalar_jet_reference(c, p) for c in coeffs]),
                          None, pts)
     assert planned == reference

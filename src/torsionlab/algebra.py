@@ -8,18 +8,23 @@ by Horner over the slot actions Z, Lambda and M of
 :func:`torsionlab.fields.slot_action`; the Bezout quotient Q_P with
 P(z) - P(l) = (z - l) Q_P(z, l) and the identity relating the torsion of
 P(A) to that of A, whose image Q_P(Z, Lambda)^m Q_P(Z, M)^m is applied
-factor by factor, never expanded; and sampling-based module/ring closure
-verdicts.  Those judge every candidate K_a K_b and f K_a + g K_b in one
-chunk-major walk (:func:`torsionlab.fields.candidate_verdicts`): per chunk of
-points each generator's 1-jet is expanded once from its evaluated columns
-and stacked as X_a = [K_a; dK_a], every coefficient f and g is evaluated
-from one plan differentiated once, each product K_a K_b is formed by the
-``Jet`` product rule and each combination as F_f X_a + F_g X_b, two small
-batched matrix products with the blocks F_f = [[f, 0], [grad f, f I]].  Each
-candidate is judged at level m alone, on the factored image
-:func:`torsionlab.fields.level_image`, and dropped before the next.  Beyond
-the sample and the generators' columns no per-point array outlives a chunk,
-so memory does not grow with the sample.
+factor by factor, never expanded; and sampling-based verdicts on the
+preservation of vanishing under P and on module/ring closure.
+
+Every verdict here is one chunk-major walk
+(:func:`torsionlab.fields.candidate_verdicts`) over the chunks of
+:func:`torsionlab.fields.chunks`, and every candidate is judged at level m
+alone, on the factored image :func:`torsionlab.fields.level_image`, and
+dropped before the next.  The preservation check judges A and P(A) and keeps
+the Bezout identity residual as a running maximum over the same chunk jets;
+:func:`bezout_identity_residual` walks the same chunks.  The closure check
+judges every K_a K_b and f K_a + g K_b: per chunk each generator's 1-jet is
+expanded once and stacked as X_a = [K_a; dK_a], every coefficient f and g is
+evaluated from one plan differentiated once, each product K_a K_b is formed
+by the ``Jet`` product rule and each combination as F_f X_a + F_g X_b, two
+small batched matrix products with the blocks F_f = [[f, 0], [grad f, f I]].
+Beyond the sample and the generators' evaluated columns no per-point array
+outlives a chunk, so memory does not grow with the sample.
 """
 
 from __future__ import annotations
@@ -55,12 +60,12 @@ from .fields import (
     VanishingReport,
     _point_max,
     candidate_verdicts,
+    chunks,
     identity_operator,
+    level_image,
     multiplier_blocks,
     scalar_jets_plan,
     slot_action,
-    tower_from_jets,
-    vanishing_report,
 )
 from .spectral import CLUSTER_TOL, RANK_TOL, _commutator_rule, minimal_poly_degree_at
 
@@ -284,15 +289,20 @@ def _quotient_image(q: Mapping[tuple[int, int], np.ndarray], m: int, t_base: np.
 def bezout_identity_residual(a: OperatorBase, p: PolySpec, m: int,
                              pts: np.ndarray) -> float:
     """Max relative deviation of T^(m)_{P(A)} from the quotient representation
-    R_{Q_P(z,l)^m Q_P(z,mu)^m} T^(m)_A over the given points."""
+    R_{Q_P(z,l)^m Q_P(z,mu)^m} T^(m)_A over the given points, chunk by chunk."""
     if m < 2:
         raise ValueError("the quotient identity applies for levels m >= 2")
-    vals, derivs = a.jet_many(pts)
-    rhs = _quotient_image(bezout_quotient(p).eval_coeffs_many(pts), m,
-                          tower_from_jets(vals, derivs, m), vals)
-    t_poly = tower_from_jets(*PolyOperator(a, p.coeffs).jet_many(pts), m)
-    scale = np.maximum(1.0, np.maximum(_point_max(t_poly), _point_max(rhs)))
-    return float(np.max(_point_max(t_poly - rhs) / scale))
+    q = bezout_quotient(p)
+    base_at, poly_at = a.jet_slices(pts), PolyOperator(a, p.coeffs).jet_slices(pts)
+    worst = -np.inf
+    for part in chunks(*pts.shape):
+        vals, derivs = base_at(part)
+        rhs = _quotient_image(q.eval_coeffs_many(pts[part]), m,
+                              level_image(vals, derivs, m), vals)
+        t_poly = level_image(*poly_at(part), m)
+        scale = np.maximum(1.0, np.maximum(_point_max(t_poly), _point_max(rhs)))
+        worst = np.maximum(worst, np.max(_point_max(t_poly - rhs) / scale))
+    return float(worst)
 
 
 def check_polynomial_preservation(a: OperatorBase, p: PolySpec, m: int,
@@ -303,38 +313,44 @@ def check_polynomial_preservation(a: OperatorBase, p: PolySpec, m: int,
     Precondition: A itself passes the level-m vanishing test.  Also checks
     the pointwise identity through the Bezout quotient, normalized by the
     representation's amplification bound (see :class:`PreservationReport`).
+    One walk (:func:`~torsionlab.fields.candidate_verdicts`) judges A and P(A)
+    at level m alone, and the identity residual is a running maximum over
+    the same chunk jets.
     """
     pts = sample_points(domain, n_pts)
-    vals, derivs = a.jet_many(pts)
-    t_base = tower_from_jets(vals, derivs, m)
-    base = vanishing_report(t_base, vals, m, pts, domain.seed, tol)
-    if not base.vanishing:
+    q = bezout_quotient(p)
+    base_at, poly_at = a.jet_slices(pts), PolyOperator(a, p.coeffs).jet_slices(pts)
+    identity_max = np.array(-np.inf)
+
+    def candidates_at(part: slice) -> tuple[Jet, Jet]:
+        base, poly = base_at(part), poly_at(part)
+        vals = base.vals
+        t_base = level_image(*base, m)
+        q_at = q.eval_coeffs_many(pts[part])
+        rhs = _quotient_image(q_at, m, t_base, vals)
+        # the amplification sums |s_ijk| beta^(i+j+k) over S's terms, per point
+        q_m = {(0, 0): np.ones(vals.shape[0])}
+        for _ in range(m):
+            q_m = poly_mul(q_m, q_at)
+        terms = poly_mul({(i, j, 0): c for (i, j), c in q_m.items()},
+                         {(i, 0, j): c for (i, j), c in q_m.items()})
+        beta = np.maximum(1.0, np.max(np.sum(np.abs(vals), axis=2), axis=1))
+        amplification = sum(np.abs(c) * beta ** sum(key) for key, c in terms.items())
+        denom = 1.0 + amplification * (1.0 + _point_max(t_base))
+        resid = _point_max(level_image(*poly, m) - rhs) / denom
+        np.maximum(identity_max, np.max(resid), out=identity_max)
+        return base, poly
+
+    base_rep, poly_rep = (reports[0] for reports in candidate_verdicts(
+        candidates_at, m, pts, domain.seed, tol, top_only=True))
+    if not base_rep.vanishing:
         raise PreconditionError(
-            f"operator is not level-{m} vanishing (residual {base.max_residual:.3e})")
-    poly_vals, poly_derivs = PolyOperator(a, p.coeffs).jet_many(pts)
-    t_poly = tower_from_jets(poly_vals, poly_derivs, m)
-    poly_rep = vanishing_report(t_poly, poly_vals, m, pts, domain.seed, tol)
-
-    q = bezout_quotient(p).eval_coeffs_many(pts)
-    rhs = _quotient_image(q, m, t_base, vals)
-    # the amplification sums |s_ijk| beta^(i+j+k) over S's terms, per point
-    q_m = {(0, 0): np.ones(pts.shape[0])}
-    for _ in range(m):
-        q_m = poly_mul(q_m, q)
-    terms = poly_mul({(i, j, 0): c for (i, j), c in q_m.items()},
-                     {(i, 0, j): c for (i, j), c in q_m.items()})
-    beta = np.maximum(1.0, np.max(np.sum(np.abs(vals), axis=2), axis=1))
-    amplification = np.zeros(pts.shape[0])
-    for (i, j, k), coeff in terms.items():
-        amplification += np.abs(coeff) * beta ** (i + j + k)
-    denom = 1.0 + amplification * (1.0 + _point_max(t_base))
-    identity_res = float(np.max(_point_max(t_poly - rhs) / denom))
-
+            f"operator is not level-{m} vanishing (residual {base_rep.max_residual:.3e})")
     return PreservationReport(
         level=m,
-        base_report=base,
+        base_report=base_rep,
         poly_report=poly_rep,
-        identity_max_residual=identity_res,
+        identity_max_residual=float(identity_max),
         identity_tol=tol,
     )
 
@@ -403,12 +419,14 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
     verifies level-m vanishing of f K_a + g K_b (module law).  One walk
     judges every candidate at level m alone, ring products first, then the
     combinations in draw order; a non-finite level-m torsion names the lowest
-    such candidate and its first point.  A generator that is not an
-    :class:`~torsionlab.fields.OperatorField` is evaluated whole, by its
-    default :meth:`~torsionlab.fields.OperatorBase.jet_slices`.
+    such candidate and its first point.  Every generator's 1-jet comes chunk
+    by chunk from its :meth:`~torsionlab.fields.OperatorBase.jet_slices`, a
+    composite generator's included.
     """
     if not ops:
         raise ValueError("need at least one operator")
+    if n_random_combos < 0:
+        raise ValueError("n_random_combos must be >= 0")
     chart = ops[0].chart
     k, n = len(ops), chart.dim
     pts = sample_points(domain, n_pts)

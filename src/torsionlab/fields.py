@@ -27,30 +27,26 @@ the polynomial representation R_S of sigma = (z - lambda)(z - mu).  One
 kernel, :func:`slot_action`, writes every tower map: it contracts a matrix
 into one index of a batch of (1,2)-tensors, which gives the actions Z, Lambda
 and M of z, lambda and mu.  The level-1 torsion is two slot actions on dA,
-the level-up step is (Z - Lambda)(Z - M), and :mod:`torsionlab.algebra`
-applies a general R_S, the Bezout image included, by Horner over Z, Lambda
-and M.  :func:`tower` walks every level; :func:`level_image` builds T^(m)
-alone as (Z - Lambda)^(m-1) (Z - M)^(m-1) T^(1), factor by factor, and takes
-the exact skew part once instead of at every level.
+and :mod:`torsionlab.algebra` applies a general R_S, the Bezout image
+included, by Horner over Z, Lambda and M.  One function, :func:`sigma_power`,
+applies R_sigma^k = (Z - Lambda)^k (Z - M)^k factor by factor and takes the
+exact skew part once: :func:`tower` walks every level by steps k = 1, and
+:func:`level_image` builds T^(m) alone with k = m - 1.
 
 A verdict needs only the worst residual of each level, so
 :func:`candidate_verdicts`, the one verdict walk, goes chunk-major: for each
-chunk of points (at most ``CHUNK_BYTES`` per level) it asks for the 1-jets
-of all its candidates, walks each up the tower in turn and folds the
-chunk's residuals into a running worst per candidate and level.  Every
-tower level is exactly skew, so one max reduction per point gives its
-max |T|.  No per-point array outlives a chunk, whatever the sample size.  A
-caller judging several candidates built from shared factors, as
-:func:`torsionlab.algebra.check_algebra` does with its products K_a K_b and
-combinations f K_a + g K_b, expands the factors once per chunk for all of
-them; a caller that reports level m alone asks the walk for it, and each
-candidate is then judged on its :func:`level_image`.  :func:`tower_verdicts`
-and :func:`is_vanishing` are the one-candidate case, on every level;
-:meth:`OperatorBase.jet_slices` gives an operator's jet as a function of a
-point slice, and an :class:`OperatorField` expands each chunk's jet from its
-evaluated columns, so it holds no whole-sample jet.
-:func:`tower` and :func:`torsion_many` build whole levels for the callers
-that need the tensors.
+chunk of points (:func:`chunks`, at most ``CHUNK_BYTES`` per level) it asks
+for the 1-jets of all its candidates, walks each up the tower in turn (or
+builds its level image alone) and folds the chunk's residuals into a running
+worst per candidate and level.  Every tower level is exactly skew, so one max
+reduction per point gives its max |T|.  No per-point array outlives a chunk,
+whatever the sample size: :meth:`OperatorBase.jet_slices` gives an
+operator's jet as a function of a point slice, an :class:`OperatorField`
+expands each chunk's jet from its evaluated columns and a composite
+evaluates it at the chunk's points, from coefficient plans differentiated
+once.  :func:`tower_verdicts` and :func:`is_vanishing` are the one-candidate
+case; :func:`torsion_many` builds whole levels for the callers that need the
+tensors.
 """
 
 from __future__ import annotations
@@ -226,10 +222,8 @@ def scalar_jet(coeff: Expr, pts: np.ndarray, derivs: bool = True) -> Jet:
     Only the variables ``coeff`` contains are differentiated; the gradient
     entries along the others are the exact zeros :func:`diff` gives there.
     """
-    if not derivs:
-        return Jet(eval_many(coeff, pts)[:, None, None])
-    cols = scalar_jets_plan([coeff], pts.shape[1])(pts)[:, 0]
-    return Jet(cols[:, :1, None], cols[:, 1:, None, None])
+    plan = scalar_jets_plan([coeff], pts.shape[1]) if derivs else None
+    return _coefficient_jets([coeff], plan, pts)[0]
 
 
 def scalar_jets_plan(coeffs: Sequence[Expr], n: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -249,6 +243,17 @@ def scalar_jets_plan(coeffs: Sequence[Expr], n: int) -> Callable[[np.ndarray], n
         entries += [coeff] + [diff(coeff, l) if l in present else ZERO for l in range(n)]
     plan = _EntryPlan.of(entries)
     return lambda pts: plan.fill(pts, (len(coeffs), n + 1))
+
+
+def _coefficient_jets(coeffs: Sequence[Expr], plan: Callable[[np.ndarray], np.ndarray] | None,
+                      pts: np.ndarray) -> list[Jet]:
+    """The :func:`scalar_jet` of each of ``coeffs`` at ``pts``: from ``plan``,
+    their :func:`scalar_jets_plan`, or values alone, by ``eval_many``, when
+    ``plan`` is None."""
+    if plan is None:
+        return [Jet(eval_many(coeff, pts)[:, None, None]) for coeff in coeffs]
+    cols = plan(pts)
+    return [Jet(cols[:, c, :1, None], cols[:, c, 1:, None, None]) for c in range(len(coeffs))]
 
 
 def multiplier_blocks(cols: np.ndarray) -> np.ndarray:
@@ -284,10 +289,10 @@ class OperatorBase:
     ``jet_many(pts)`` returns the :class:`Jet` ``(A, dA)`` with
     ``A[p, i, j] = A^i_j`` and ``dA[p, l, i, j] = d_l A^i_j`` for every sample
     point; that 1-jet is all the torsion tower needs.  ``jet_slices(pts)``
-    returns the same jet as a function of a point slice, for
-    :func:`tower_verdicts`.  ``jet_many``, ``jet_slices`` and ``values_many``
-    raise :class:`EvalDomainError` at the first point with a non-finite
-    value.  Subclasses implement ``_jet(pts, derivs)``.
+    returns the same jet as a function of a point slice, built for that slice
+    alone, for the verdict walk.  ``jet_many``, ``jet_slices`` and
+    ``values_many`` raise :class:`EvalDomainError` at the first point with a
+    non-finite value.  Subclasses implement ``_jet(pts, derivs)``.
     """
 
     chart: Chart
@@ -306,10 +311,10 @@ class OperatorBase:
         return jet
 
     def jet_slices(self, pts: np.ndarray) -> Callable[[slice], Jet]:
-        """``part -> jet_many(pts)[part]``, checked for finiteness before it
-        returns.  This default holds the whole-sample jet; an
-        :class:`OperatorField` expands each slice from evaluated columns."""
-        return self.jet_many(pts).__getitem__
+        """``part -> jet_many(pts)[part]``, evaluated at ``pts[part]`` alone;
+        an :class:`OperatorField` expands each slice from columns evaluated
+        and checked once, before it returns."""
+        return lambda part: self.jet_many(pts[part])
 
     def at(self, point) -> "OperatorAtPoint":
         p = as_point(self.chart, point)
@@ -444,12 +449,15 @@ class LinCombOperator(OperatorBase):
             if op.chart != self.chart:
                 raise ChartMismatchError("all terms must share one chart")
 
+    @cached_property
+    def _coeff_plan(self) -> Callable[[np.ndarray], np.ndarray]:
+        return scalar_jets_plan([coeff for coeff, _ in self.terms], self.chart.dim)
+
     def _jet(self, pts, derivs):
-        out = None
-        for coeff, op in self.terms:
-            term = scalar_jet(coeff, pts, derivs) * op._jet(pts, derivs)
-            out = term if out is None else out + term
-        return out
+        coeffs = _coefficient_jets([coeff for coeff, _ in self.terms],
+                                   self._coeff_plan if derivs else None, pts)
+        terms = [f * op._jet(pts, derivs) for f, (_, op) in zip(coeffs, self.terms)]
+        return sum(terms[1:], terms[0])
 
 
 @dataclass(frozen=True)
@@ -484,14 +492,19 @@ class PolyOperator(OperatorBase):
 
     chart: Chart = None
 
+    @cached_property
+    def _coeff_plan(self) -> Callable[[np.ndarray], np.ndarray]:
+        return scalar_jets_plan(self.coeffs, self.chart.dim)
+
     def _jet(self, pts, derivs):
         # Horner: P(A) = (..(c_N A + c_(N-1)) A + ..) A + c_0
         base = self.base._jet(pts, derivs)
         eye = Jet(np.broadcast_to(np.eye(self.chart.dim), base.vals.shape),
                   None if base.derivs is None else np.zeros_like(base.derivs))
-        out = scalar_jet(self.coeffs[-1], pts, derivs) * eye
-        for c in reversed(self.coeffs[:-1]):
-            out = out @ base + scalar_jet(c, pts, derivs) * eye
+        coeffs = _coefficient_jets(self.coeffs, self._coeff_plan if derivs else None, pts)
+        out = coeffs[-1] * eye
+        for c in reversed(coeffs[:-1]):
+            out = out @ base + c * eye
         return out
 
 
@@ -593,89 +606,64 @@ def nijenhuis_from_jets(vals: np.ndarray, derivs: np.ndarray) -> np.ndarray:
     return np.subtract(d, d.swapaxes(2, 3), out=np.empty(derivs.shape))
 
 
-def level_up_many(torsions: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """A^2 T(X,Y) + T(AX,AY) - A(T(X,AY) + T(AX,Y)), i.e. R_sigma T, made skew.
+def sigma_power(t: np.ndarray, vals: np.ndarray, k: int) -> np.ndarray:
+    """skew(R_sigma^k T) = skew((Z - Lambda)^k (Z - M)^k T), for k >= 1.
 
-    R_sigma = (Z - Lambda)(Z - M) is four slot actions: Y = (Z - M) T, then
-    (Z - M) on Y with its argument slots swapped, which is (Z - Lambda) Y with
-    its slots swapped.  ``torsions`` need not be skew.  Besides the input, at
-    most three (N, n, n, n) arrays are alive at once, the result included.
+    The one level-up kernel: k steps Y <- (Z - M) Y, one swap of the argument
+    slots, k more steps, which act as Z - Lambda on the swapped layout, and
+    the exact skew part once.  At k = 1 it is the level-up step
+    A^2 T(X,Y) + T(AX,AY) - A(T(X,AY) + T(AX,Y)), made skew.  ``t`` need not
+    be skew and is not written to.  Besides the input, at most three
+    (N, n, n, n) arrays are alive at once, the result included.
     """
     vals_t = vals.swapaxes(1, 2)
-    # Y = (Z - M) T
-    y = slot_action(vals, torsions, 1)
-    y -= slot_action(vals_t, torsions, 3)
-    ys = y.swapaxes(2, 3).copy()
-    # W = (Z - M) Ys, into Y's buffer: W[p, i, k, j] = (R_sigma T)^i_jk
-    slot_action(vals, ys, 1, out=y)
-    y -= slot_action(vals_t, ys, 3)
-    # the skew part, into Ys' buffer; exact, since fl(a - b) = -fl(b - a)
-    np.subtract(y.swapaxes(2, 3), y, out=ys)
-    ys *= 0.5
-    return ys
+    y = t
+    for step in range(2 * k):
+        if step == k:  # ends in W[p, i, c, b] = (R_sigma^k T)^i_bc
+            y = y.swapaxes(2, 3).copy()
+        z = slot_action(vals, y, 1)
+        z -= slot_action(vals_t, y, 3)
+        y = z
+    # the skew part; exact, since fl(a - b) = -fl(b - a)
+    out = np.subtract(y.swapaxes(2, 3), y, out=np.empty(y.shape))
+    out *= 0.5
+    return out
 
 
 def tower(vals: np.ndarray, derivs: np.ndarray, m: int) -> Iterator[np.ndarray]:
     """Yield T^(1), .., T^(m) at every point of the 1-jet ``(vals, derivs)``.
 
-    The one walk up the tower: Nijenhuis first, then level-up steps.  Only
-    the level being built and the one before it are alive at a time.
+    The one walk up the tower: Nijenhuis first, then level-up steps
+    :func:`sigma_power` ``(T, vals, 1)``.  Only the level being built and the
+    one before it are alive at a time.
     """
     if m < 1:
         raise ValueError("torsion level must be >= 1")
     torsions = nijenhuis_from_jets(vals, derivs)
     yield torsions
     for _ in range(m - 1):
-        torsions = level_up_many(torsions, vals)
+        torsions = sigma_power(torsions, vals, 1)
         yield torsions
 
 
 def level_image(vals: np.ndarray, derivs: np.ndarray, m: int) -> np.ndarray:
-    """T^(m) = (Z - Lambda)^(m-1) (Z - M)^(m-1) T^(1), the last level of
-    :func:`tower` without the levels below it.
+    """T^(m) = skew(R_sigma^(m-1) T^(1)), the last level of :func:`tower`
+    without the levels below it.
 
-    R_sigma^(m-1) applied factor by factor, the way
-    :func:`torsionlab.algebra._quotient_image` applies the Bezout image: m - 1
-    steps Y <- (Z - M) Y, one swap of the argument slots, m - 1 more steps,
-    which act as Z - Lambda on the swapped layout, and the exact skew part
-    once.  The tower takes it at every level, so the two agree up to rounding
-    (bitwise for m <= 2).  Three (N, n, n, n) buffers serve every step.
+    :func:`sigma_power` takes the exact skew part once, where the tower takes
+    it at every level, so the two agree up to rounding (bitwise for m <= 2).
     """
     if m < 1:
         raise ValueError("torsion level must be >= 1")
-    y = nijenhuis_from_jets(vals, derivs)
-    if m == 1:
-        return y
-    vals_t = vals.swapaxes(1, 2)
-    spare, term = np.empty(y.shape), np.empty(y.shape)
-
-    def z_minus_mu(y, spare):
-        for _ in range(m - 1):
-            slot_action(vals, y, 1, out=spare)
-            spare -= slot_action(vals_t, y, 3, out=term)
-            y, spare = spare, y
-        return y, spare
-
-    y, spare = z_minus_mu(y, spare)
-    np.copyto(spare, y.swapaxes(2, 3))
-    # W[p, i, k, j] = (R_sigma^(m-1) T)^i_jk
-    y, spare = z_minus_mu(spare, y)
-    # the skew part; exact, since fl(a - b) = -fl(b - a)
-    np.subtract(y.swapaxes(2, 3), y, out=spare)
-    spare *= 0.5
-    return spare
-
-
-def tower_from_jets(vals: np.ndarray, derivs: np.ndarray, m: int) -> np.ndarray:
-    """T^(m), the last level of :func:`tower`."""
-    for torsions in tower(vals, derivs, m):
-        pass
-    return torsions
+    t = nijenhuis_from_jets(vals, derivs)
+    return t if m == 1 else sigma_power(t, vals, m - 1)
 
 
 def torsion_many(a: OperatorBase, m: int, pts: np.ndarray) -> np.ndarray:
     """Level-m torsion components at every row of ``pts``; shape (N, n, n, n)."""
-    return tower_from_jets(*a.jet_many(pts), m)
+    for torsions in tower(*a.jet_many(pts), m):
+        pass
+    return torsions
 
 
 def nijenhuis_at(a: OperatorBase, point) -> TorsionTensor:
@@ -689,7 +677,7 @@ def level_up(torsion: TorsionTensor, ap: OperatorAtPoint) -> TorsionTensor:
         raise DimensionMismatchError("torsion and operator dimensions differ")
     if torsion.point.shape != ap.point.shape or not np.array_equal(torsion.point, ap.point):
         raise PreconditionError("torsion and operator must be evaluated at the same point")
-    comps = level_up_many(torsion.components[None], ap.matrix[None])[0]
+    comps = sigma_power(torsion.components[None], ap.matrix[None], 1)[0]
     return TorsionTensor(torsion.level + 1, torsion.point, comps)
 
 
@@ -732,6 +720,14 @@ class VanishingReport:
 CHUNK_BYTES = 96 * 1024
 
 
+def chunks(n_pts: int, n: int) -> Iterator[slice]:
+    """The consecutive slices of ``range(n_pts)`` a verdict walk takes, each
+    of at most ``CHUNK_BYTES`` per (n, n, n) tower level, and of one point at
+    least."""
+    step = max(1, CHUNK_BYTES // (8 * n ** 3))
+    return (slice(start, start + step) for start in range(0, n_pts, step))
+
+
 def _point_max(arr: np.ndarray) -> np.ndarray:
     """max |arr| over every axis but the point axis 0."""
     return np.abs(arr).reshape(arr.shape[0], -1).max(axis=1)
@@ -748,16 +744,6 @@ def _level_max(level: np.ndarray) -> np.ndarray:
     return np.abs(level.reshape(level.shape[0], -1).max(axis=1))
 
 
-def _residuals(tor_norm: np.ndarray, val_norm: np.ndarray, m: int,
-               pts: np.ndarray) -> np.ndarray:
-    """The residual rule max|T^(m)| / (1 + max|A|^(2m-1)) per point, from those
-    norms; :class:`EvalDomainError` names the first point where either the
-    torsion norm or the normalization is not finite."""
-    denom = 1.0 + val_norm ** (2 * m - 1)
-    _require_finite(pts, f"level-{m} torsion", tor_norm, denom)
-    return tor_norm / denom
-
-
 def _verdict(max_residual: float, worst_point: np.ndarray, m: int, n_pts: int,
              seed: int, tol_rel: float) -> VanishingReport:
     return VanishingReport(
@@ -771,15 +757,6 @@ def _verdict(max_residual: float, worst_point: np.ndarray, m: int, n_pts: int,
     )
 
 
-def vanishing_report(torsions: np.ndarray, vals: np.ndarray, m: int,
-                     pts: np.ndarray, seed: int, tol_rel: float) -> VanishingReport:
-    """Verdict on a level-m tower built whole at ``pts`` from the values
-    ``vals``; :class:`EvalDomainError` names its first non-finite point."""
-    residuals = _residuals(_point_max(torsions), _point_max(vals), m, pts)
-    worst = int(np.argmax(residuals))
-    return _verdict(float(residuals[worst]), pts[worst], m, pts.shape[0], seed, tol_rel)
-
-
 def candidate_verdicts(candidates_at: Callable[[slice], Iterable[Jet]], m: int,
                        pts: np.ndarray, seed: int, tol_rel: float,
                        top_only: bool = False) -> list[list[VanishingReport]]:
@@ -787,15 +764,15 @@ def candidate_verdicts(candidates_at: Callable[[slice], Iterable[Jet]], m: int,
 
     ``candidates_at(part)`` yields the n-by-n 1-jets of every candidate at
     ``pts[part]``, n = ``pts.shape[1]``, in the same order for every part.
-    The walk calls it once per chunk of at most ``CHUNK_BYTES`` per level, in
-    point order, and asks for the next jet only when it is done with the one
-    before, so work the candidates share is done once per chunk and one
-    candidate's tower is alive at a time.  Per candidate and level it keeps
-    only the running worst residual, its first point and the first
-    non-finite points.
+    The walk calls it once per chunk of :func:`chunks`, in point order, and
+    asks for the next jet only when it is done with the one before, so work
+    the candidates share is done once per chunk and one candidate's tower is
+    alive at a time.  Per candidate and level it keeps only the running worst
+    residual, its first point and the first non-finite points.
 
-    List c holds candidate c's reports on levels 1..m; each equals
-    :func:`vanishing_report` on the whole level.  An :class:`EvalDomainError`
+    List c holds candidate c's reports on levels 1..m: level l is judged by
+    the residual max|T^(l)| / (1 + max|A|^(2l-1)) per point, over all of
+    ``pts``, and names the first worst point.  An :class:`EvalDomainError`
     names, of the lowest candidate with a non-finite level, the lowest such
     level and its first point, as walking the candidates one after another,
     each level over all points, would.  With ``top_only`` the walk judges
@@ -805,7 +782,6 @@ def candidate_verdicts(candidates_at: Callable[[slice], Iterable[Jet]], m: int,
     if m < 1:
         raise ValueError("torsion level must be >= 1")
     n_pts, n = pts.shape
-    step = max(1, CHUNK_BYTES // (8 * n ** 3))
     levels = np.array([m]) if top_only else np.arange(1, m + 1)
     rows = np.arange(len(levels))
     powers = 2 * levels[:, None] - 1  # of max|A| in each level's rule
@@ -814,8 +790,8 @@ def candidate_verdicts(candidates_at: Callable[[slice], Iterable[Jet]], m: int,
     worst: list[np.ndarray] = []
     worst_at: list[np.ndarray] = []
     first_bad: list[np.ndarray] = []
-    for start in range(0, n_pts, step):
-        part = slice(start, start + step)
+    for part in chunks(n_pts, n):
+        start = part.start
         for cand, (vals, derivs) in enumerate(candidates_at(part)):
             if cand == len(worst):  # the first chunk
                 worst.append(np.full(len(levels), -np.inf))

@@ -12,7 +12,9 @@ and differentiates only along the variables an expression contains.  The
 representation oracle sums one ``np.einsum`` per term of a polynomial over
 matrix powers, where production applies it by Horner over slot actions.
 The monomial oracle reads coefficients off exact Taylor derivatives at the
-origin, where production expands the expression tree term by term.
+origin, where production expands the expression tree term by term.  The
+verdict reference judges a whole tower level at once, where production folds
+chunk after chunk into running maxima.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 from torsionlab.errors import (
     ComplexEigenvalueError,
     DomainExhaustedError,
+    EvalDomainError,
     RankAmbiguousError,
     SpectralError,
 )
@@ -47,7 +50,13 @@ from torsionlab.expr import (
     eval_at,
     eval_many,
 )
-from torsionlab.fields import OperatorField, VectorFieldExpr, apply, lie_bracket
+from torsionlab.fields import (
+    OperatorField,
+    VanishingReport,
+    VectorFieldExpr,
+    apply,
+    lie_bracket,
+)
 from torsionlab.spectral import IMAG_TOL, RANK_GAP_FACTOR
 
 
@@ -115,6 +124,31 @@ def level_up_oracle(t: np.ndarray, a: np.ndarray) -> np.ndarray:
             + np.einsum("pilm,plj,pmk->pijk", t, a, a)
             - np.einsum("pil,pljm,pmk->pijk", a, t, a)
             - np.einsum("pil,plmk,pmj->pijk", a, t, a))
+
+
+def vanishing_report(torsions: np.ndarray, vals: np.ndarray, m: int,
+                     pts: np.ndarray, seed: int, tol_rel: float) -> VanishingReport:
+    """Verdict on a whole level-m tower, from the residual rule on whole arrays.
+
+    The residual at each point is max|T^(m)| / (1 + max|A|^(2m-1)); the
+    report names the first point of the largest, and an ``EvalDomainError``
+    names the first point where the torsion norm or the rule's denominator
+    is not finite.  Production folds the same rule chunk by chunk.
+    """
+    n_pts = pts.shape[0]
+    tor_norm = np.abs(torsions).reshape(n_pts, -1).max(axis=1)
+    denom = 1.0 + np.abs(vals).reshape(n_pts, -1).max(axis=1) ** (2 * m - 1)
+    for arr in (tor_norm, denom):
+        if not np.isfinite(arr).all():
+            point = pts[int(np.argmax(~np.isfinite(arr)))]
+            raise EvalDomainError(
+                f"level-{m} torsion is not finite at point {tuple(point.tolist())}")
+    residuals = tor_norm / denom
+    worst = int(np.argmax(residuals))
+    return VanishingReport(level=m, n_points=n_pts, seed=seed, tol_rel=tol_rel,
+                           max_residual=float(residuals[worst]),
+                           vanishing=bool(residuals[worst] <= tol_rel),
+                           worst_point=pts[worst])
 
 
 def rep_oracle(terms, t: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -469,6 +469,63 @@ def test_check_algebra_memory_does_not_grow_with_candidate_jets(lfa1):
     assert peaks[1] - peaks[0] < 0.25 * (sizes[1] - sizes[0]) * 8 * k * (n ** 2 + n ** 3)
 
 
+def _peak_growth(run, sizes):
+    """Traced peak allocation of ``run(n_pts)`` at each size, run once first
+    at the smallest size to build the cached plans."""
+    run(sizes[0])
+    peaks = []
+    for n_pts in sizes:
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            run(n_pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak - base)
+    return peaks
+
+
+def test_preservation_memory_does_not_grow_with_the_whole_jets(lta):
+    # A and P(A) are judged chunk by chunk, and the identity residual is a
+    # running maximum, so the peak does not grow by whole (N, n^2 + n^3)
+    # jets of A and P(A) and their level-m tensors
+    a, n = lta.operators["L1"], lta.chart.dim
+    p = PolySpec((Var(4), Var(0), const(1)))  # x5 + x1 z + z^2
+    sizes = (1000, 4000)
+    peaks = _peak_growth(
+        lambda n_pts: check_polynomial_preservation(a, p, 3, lta.domain, n_pts, 1e-8), sizes)
+    assert peaks[1] - peaks[0] < 0.25 * (sizes[1] - sizes[0]) * 8 * (n ** 2 + n ** 3)
+
+
+def test_bezout_identity_memory_does_not_grow_with_the_whole_jets(lta):
+    a, n = lta.operators["L1"], lta.chart.dim
+    p = PolySpec((Var(4), Var(0), const(1)))
+    sizes = (1000, 4000)
+    samples = {n_pts: sample_points(lta.domain, n_pts) for n_pts in sizes}
+    peaks = _peak_growth(
+        lambda n_pts: alg.bezout_identity_residual(a, p, 3, samples[n_pts]), sizes)
+    assert peaks[1] - peaks[0] < 0.25 * (sizes[1] - sizes[0]) * 8 * (n ** 2 + n ** 3)
+
+
+def test_check_algebra_memory_does_not_grow_with_composite_generator_jets(lta):
+    # a composite generator's jet is evaluated chunk by chunk too
+    l1, n = lta.operators["L1"], lta.chart.dim
+    ops = [l1, PowerOperator(l1, 2)]
+    sizes = (1000, 4000)
+    peaks = _peak_growth(
+        lambda n_pts: check_algebra(ops, 3, lta.domain, n_pts, 2, 1e-8), sizes)
+    assert peaks[1] - peaks[0] < 0.25 * (sizes[1] - sizes[0]) * 8 * (n ** 2 + n ** 3)
+
+
+def test_check_algebra_rejects_a_negative_combination_count(lta):
+    ops = list(lta.operators.values())
+    with pytest.raises(ValueError, match="n_random_combos"):
+        check_algebra(ops, 3, lta.domain, 3, -1, 1e-8)
+    assert check_algebra(ops, 3, lta.domain, 3, 0, 1e-8).n_combos == 0
+
+
 # ---------------------------------------------------------------------------
 # cyclic bases
 # ---------------------------------------------------------------------------

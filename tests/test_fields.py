@@ -18,6 +18,7 @@ from helpers import (
     random_poly_expr,
     rel_err,
     scalar_jet_reference,
+    vanishing_report,
 )
 import torsionlab.fields as fl
 from torsionlab.algebra import TriPoly, rep_apply
@@ -43,8 +44,10 @@ from torsionlab.expr import (
     Sqrt,
     Sub,
     Var,
+    add,
     const,
     diff,
+    mul,
     parse_expr,
     sample_points,
 )
@@ -66,18 +69,17 @@ from torsionlab.fields import (
     TorsionTensor,
     level_image,
     level_up,
-    level_up_many,
     lie_bracket,
     nijenhuis_at,
     nijenhuis_from_jets,
     scalar_jet,
     scalar_jets_plan,
+    sigma_power,
     slot_action,
     torsion_at,
     torsion_many,
     tower,
     tower_verdicts,
-    vanishing_report,
 )
 
 CH2 = Chart(2)
@@ -219,7 +221,7 @@ def test_level_up_matches_haantjes_oracle():
         assert rel_err(t2.components, oracle) <= 1e-10
 
 
-def test_level_up_many_matches_definition_oracle(lfa1):
+def test_sigma_power_step_matches_definition_oracle(lfa1):
     # 9 distinct random points per dimension, a skew tower tensor and a
     # non-skew one: the step is the skew part of R_sigma T for any T
     rng = np.random.default_rng(59)
@@ -227,7 +229,7 @@ def test_level_up_many_matches_definition_oracle(lfa1):
         vals = rng.uniform(-2.0, 2.0, size=(9, n, n))
         derivs = rng.uniform(-2.0, 2.0, size=(9, n, n, n))
         for t in (nijenhuis_from_jets(vals, derivs), rng.standard_normal((9, n, n, n))):
-            got = level_up_many(t, vals)
+            got = sigma_power(t, vals, 1)
             want = level_up_oracle(t, vals)
             want = (want - want.swapaxes(2, 3)) / 2
             for g, w in zip(got, want):
@@ -250,6 +252,27 @@ def _nijenhuis_definition(vals, derivs):
     d = (np.einsum("plj,plik->pijk", vals, derivs)
          - np.einsum("pil,pjlk->pijk", vals, derivs))
     return d - d.swapaxes(2, 3)
+
+
+def test_sigma_power_matches_chained_definition_oracle():
+    # 6 distinct random points per case, T not skew: k unskewed steps of
+    # level_up_oracle, then the skew part, against the factored power, which
+    # leaves its input as it was.  The error is relative to R_sigma^k T, not
+    # to its skew part, which cancels to roundoff for n = 2 and k >= 2.
+    rng = np.random.default_rng(107)
+    for n in (2, 3, 5, 7):
+        vals = rng.uniform(-2.0, 2.0, size=(6, n, n))
+        t = rng.standard_normal((6, n, n, n))
+        before = t.copy()
+        want = t
+        for k in range(1, 5):
+            want = level_up_oracle(want, vals)
+            got = sigma_power(t, vals, k)
+            for g, w in zip(got, want):
+                skew = (w - w.swapaxes(1, 2)) / 2
+                assert np.max(np.abs(g - skew)) <= 1e-13 * max(1.0, np.max(np.abs(w)))
+            assert np.array_equal(got, -got.swapaxes(2, 3))
+            assert t.tobytes() == before.tobytes()
 
 
 def test_level_image_matches_the_chained_definition_oracle():
@@ -323,20 +346,22 @@ def test_slot_action_contracts_one_index():
         slot_action(mat, t, 0)
 
 
-def test_level_up_many_peak_memory():
-    # one call holds at most three (N, n, n, n) arrays, its result included
+def test_sigma_power_peak_memory():
+    # one call holds at most three (N, n, n, n) arrays, its result included,
+    # for one step and for several
     rng = np.random.default_rng(61)
     t = rng.standard_normal((2000, 7, 7, 7))
     vals = rng.standard_normal((2000, 7, 7))
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        level_up_many(t, vals)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - base <= 3 * t.nbytes * 1.05
+    for k in (1, 3):
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            sigma_power(t, vals, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 3 * t.nbytes * 1.05
 
 
 @settings(max_examples=30, deadline=None)
@@ -783,6 +808,64 @@ def test_sliced_jets_equal_slices_of_the_whole_jet(fixture, name, chunk, request
         assert (got.level, got.max_residual, got.vanishing) == \
             (want.level, want.max_residual, want.vanishing)
         assert np.array_equal(got.worst_point, want.worst_point)
+
+
+def _composites(man):
+    """One composite operator of each kind over the fixture's operators."""
+    (_, a), (_, b) = sorted(man.operators.items())[:2]
+    x = [Var(i) for i in range(man.chart.dim)]
+    return [LinCombOperator(man.chart, ((add(x[0], x[1]), a), (mul(x[2], x[2]), b))),
+            ProductOperator(a, b),
+            PolyOperator(a, (x[-1], x[0], const(1))),
+            PowerOperator(b, 3)]
+
+
+@pytest.mark.parametrize("chunk", ["one point", "default", "whole sample"])
+@pytest.mark.parametrize("fixture", ["lfa1", "lta"])
+def test_composite_jets_are_evaluated_per_chunk(fixture, chunk, request, monkeypatch):
+    # every chunk of a composite's sliced jet has the bytes of the slice of
+    # its whole-sample jet, without diff being called again per chunk
+    man = request.getfixturevalue(fixture)
+    n, n_pts = man.chart.dim, 230
+    level = 8 * n ** 3
+    monkeypatch.setattr(fl, "CHUNK_BYTES", {"one point": level, "default": CHUNK_BYTES,
+                                            "whole sample": n_pts * level}[chunk])
+    pts = sample_points(man.domain, n_pts)
+    for op in _composites(man):
+        whole = op.jet_many(pts)
+        jet_at = op.jet_slices(pts)
+        diffs = []
+        monkeypatch.setattr(fl, "diff", lambda *args: diffs.append(args) or diff(*args))
+        for part in fl.chunks(n_pts, n):
+            got, want = jet_at(part), whole[part]
+            assert got.vals.tobytes() == want.vals.tobytes()
+            assert got.derivs.tobytes() == want.derivs.tobytes()
+        monkeypatch.setattr(fl, "diff", diff)
+        assert diffs == []
+
+
+def test_composite_jet_overflow_in_a_later_chunk_names_the_whole_jet_point():
+    # 10^302 x1^64 is finite at x1 = 1.15 and 1.19, its derivative only at
+    # 1.15; the first chunk is finite, a point of the second chunk is not
+    op = op_from_strings(CH2, [[f"{10 ** 302}*x1^64", "0"], ["0", "x2"]])
+    n_pts = 3 * CHUNK_BYTES // (8 * 2 ** 3)
+    pts = np.tile([1.15, 1.0], (n_pts, 1))
+    pts[n_pts // 2] = [1.19, 1.0]
+    composites = [LinCombOperator(CH2, ((Var(1), op),)),
+                  ProductOperator(op, identity_operator(CH2)),
+                  PolyOperator(op, (const(0), Var(1))),
+                  PowerOperator(op, 1)]
+    for composite in composites:
+        jet_at = composite.jet_slices(pts)
+        parts = list(fl.chunks(n_pts, 2))
+        assert len(parts) == 3 and parts[1].start <= n_pts // 2 < parts[1].stop
+        assert np.isfinite(jet_at(parts[0]).derivs).all()
+        messages = []
+        for jet in (lambda: composite.jet_many(pts), lambda: [jet_at(p) for p in parts]):
+            with pytest.warns(RuntimeWarning), pytest.raises(EvalDomainError) as info:
+                jet()
+            messages.append(str(info.value))
+        assert messages == ["operator 1-jet is not finite at point (1.19, 1.0)"] * 2
 
 
 def test_sliced_jet_raises_the_whole_jet_error():

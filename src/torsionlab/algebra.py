@@ -14,15 +14,17 @@ preservation of vanishing under P and on module/ring closure.
 Every verdict here is one chunk-major walk
 (:func:`torsionlab.fields.candidate_verdicts`) over the chunks of
 :func:`torsionlab.fields.chunks`, and every candidate is judged at level m
-alone, on the factored image :func:`torsionlab.fields.level_image`, and
-dropped before the next.  The preservation check judges A and P(A) and keeps
-the Bezout identity residual as a running maximum over the same chunk jets;
-:func:`bezout_identity_residual` walks the same chunks.  The closure check
-judges every K_a K_b and f K_a + g K_b: per chunk each generator's 1-jet is
-expanded once and stacked as X_a = [K_a; dK_a], every coefficient f and g is
-evaluated from one plan differentiated once, each product K_a K_b is formed
-by the ``Jet`` product rule and each combination as F_f X_a + F_g X_b, two
-small batched matrix products with the blocks F_f = [[f, 0], [grad f, f I]].
+alone, on the factored image :func:`torsionlab.fields.level_image`, built
+here and dropped before the next.  The preservation check judges the images
+of A and P(A) and keeps the Bezout identity residual, from the same two
+images, as a running maximum; :func:`bezout_identity_residual` walks the
+same chunks.  The closure check judges every K_a K_b and f K_a + g K_b: per
+chunk each generator's stacked 1-jet [K_a; dK_a] is expanded once, every
+coefficient f and g is evaluated from one plan differentiated once, and the
+candidates come from the two product rules of :class:`torsionlab.fields.Jet`:
+``@`` for K_a K_b, and :func:`torsionlab.fields.scaled` for each f K_a,
+the small matrix [[f, 0], [grad f, f I]] times the flat jet, which is also
+how a composite operator takes a scalar factor.
 Beyond the sample and the generators' evaluated columns no per-point array
 outlives a chunk, so memory does not grow with the sample.
 """
@@ -63,8 +65,8 @@ from .fields import (
     chunks,
     identity_operator,
     level_image,
-    multiplier_blocks,
     scalar_jets_plan,
+    scaled,
     slot_action,
 )
 from .spectral import CLUSTER_TOL, RANK_TOL, _commutator_rule, minimal_poly_degree_at
@@ -322,10 +324,10 @@ def check_polynomial_preservation(a: OperatorBase, p: PolySpec, m: int,
     base_at, poly_at = a.jet_slices(pts), PolyOperator(a, p.coeffs).jet_slices(pts)
     identity_max = np.array(-np.inf)
 
-    def candidates_at(part: slice) -> tuple[Jet, Jet]:
+    def candidates_at(part: slice) -> tuple[tuple[np.ndarray, tuple[np.ndarray]], ...]:
         base, poly = base_at(part), poly_at(part)
         vals = base.vals
-        t_base = level_image(*base, m)
+        t_base, t_poly = level_image(*base, m), level_image(*poly, m)
         q_at = q.eval_coeffs_many(pts[part])
         rhs = _quotient_image(q_at, m, t_base, vals)
         # the amplification sums |s_ijk| beta^(i+j+k) over S's terms, per point
@@ -337,12 +339,12 @@ def check_polynomial_preservation(a: OperatorBase, p: PolySpec, m: int,
         beta = np.maximum(1.0, np.max(np.sum(np.abs(vals), axis=2), axis=1))
         amplification = sum(np.abs(c) * beta ** sum(key) for key, c in terms.items())
         denom = 1.0 + amplification * (1.0 + _point_max(t_base))
-        resid = _point_max(level_image(*poly, m) - rhs) / denom
+        resid = _point_max(t_poly - rhs) / denom
         np.maximum(identity_max, np.max(resid), out=identity_max)
-        return base, poly
+        return (vals, (t_base,)), (poly.vals, (t_poly,))
 
     base_rep, poly_rep = (reports[0] for reports in candidate_verdicts(
-        candidates_at, m, pts, domain.seed, tol, top_only=True))
+        candidates_at, (m,), pts, domain.seed, tol))
     if not base_rep.vanishing:
         raise PreconditionError(
             f"operator is not level-{m} vanishing (residual {base_rep.max_residual:.3e})")
@@ -400,15 +402,6 @@ def _random_combo_poly(chart: Chart, rng: np.random.Generator) -> Expr:
     return e
 
 
-def combination(f: np.ndarray, x_a: np.ndarray, g: np.ndarray, x_b: np.ndarray) -> Jet:
-    """The 1-jet of f K_a + g K_b from the :func:`~torsionlab.fields.multiplier_blocks`
-    F_f, F_g and the stacked 1-jets X_a, X_b: F_f X_a + F_g X_b, two batched
-    (n+1)-by-(n+1) matrix products and one sum."""
-    out = np.matmul(f, x_a)
-    out += np.matmul(g, x_b)
-    return Jet.from_stacked(out)
-
-
 def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
                   n_pts: int, n_random_combos: int, tol: float) -> AlgebraCheckReport:
     """Sample the closure laws of a generalized torsion-free operator family.
@@ -444,9 +437,11 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
     val_max = np.zeros(k)
     comm_max = np.zeros((k, k))
 
-    def candidates_at(part: slice) -> Iterator[Jet]:
-        stacks = [jet_at(part).stacked() for jet_at in generators]
-        gens = [Jet.from_stacked(x) for x in stacks]
+    def level_m(jet: Jet) -> tuple[np.ndarray, tuple[np.ndarray]]:
+        return jet.vals, (level_image(*jet, m),)
+
+    def candidates_at(part: slice) -> Iterator[tuple[np.ndarray, tuple[np.ndarray]]]:
+        gens = [jet_at(part) for jet_at in generators]
         for ia, a in enumerate(gens):
             val_max[ia] = max(val_max[ia], np.max(np.abs(a.vals)))
             for ib in range(ia + 1, k):
@@ -454,14 +449,13 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
                 comm_max[ia, ib] = max(comm_max[ia, ib], np.max(np.abs(comm)))
         for a in gens:
             for b in gens:
-                yield a @ b
+                yield level_m(a @ b)
         cols = coeffs_at(pts[part])
         for c, (ia, ib) in enumerate(pairs):
-            f, g = multiplier_blocks(cols[:, 2 * c:2 * c + 2]).swapaxes(0, 1)
-            yield combination(f, stacks[ia], g, stacks[ib])
+            yield level_m(scaled(cols[:, 2 * c], gens[ia]) + scaled(cols[:, 2 * c + 1], gens[ib]))
 
     tops = [reports[0] for reports in
-            candidate_verdicts(candidates_at, m, pts, domain.seed, tol, top_only=True)]
+            candidate_verdicts(candidates_at, (m,), pts, domain.seed, tol)]
     ring, module = tops[:k * k], tops[k * k:]
 
     commute = [[True] * k for _ in range(k)]

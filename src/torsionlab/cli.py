@@ -20,12 +20,13 @@ outside the double range exits 2 and names the constant, except in an
 annihilator one-form, which ``blockdiag`` integrates in exact rationals
 without converting any constant to a double.  So does bad
 command-line input: a count below its minimum, a ``--tol`` that is negative
-or not finite, or a ``--hint`` that is not a list of positive block sizes
-summing to the chart dimension.  A manifest that cannot be read or breaks
-the format (an unknown key, a non-integer count, an empty interval, a bad
-tolerance, a section of the wrong JSON type) exits 2 naming the file or
-field; so do a negative ``--seed``, guards that reject every candidate point
-and an unwritable ``--json`` path.
+or not finite, a ``--hint`` that is not a list of positive block sizes
+summing to the chart dimension, or an ``--operator`` named twice.  A
+manifest that cannot be read or breaks the format (an unknown key, a
+non-integer count, an empty interval, a bad tolerance, a section of the
+wrong JSON type) exits 2 naming the file or field; so do a negative
+``--seed``, guards that reject every candidate point and an unwritable
+``--json`` path.
 """
 
 from __future__ import annotations
@@ -143,10 +144,12 @@ def _block_hint(text: str) -> ch.BlockPartition:
 def _select_operators(man: Manifest, names: list[str]) -> list[str]:
     if not names:
         return sorted(man.operators)
-    for name in names:
+    for i, name in enumerate(names):
         if name not in man.operators:
             raise TorsionLabError(
                 f"operator {name!r} not in manifest (have: {', '.join(sorted(man.operators))})")
+        if name in names[:i]:
+            raise TorsionLabError(f"operator {name!r} is named twice")
     return names
 
 

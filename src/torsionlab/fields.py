@@ -1,18 +1,21 @@
 """Vector fields, operator fields and the generalized torsion tower.
 
-Operator fields are evaluated as 1-jets: a :class:`Jet` holds the entry
-values and the exact (symbolic) entry derivatives at a batch of points.  An
-:class:`OperatorField` fills its 1-jet from cached plans (:class:`_EntryPlan`):
-each point-dependent entry is evaluated once into a column, then one
-broadcast copy of a float template of the constant entries and one scatter
-of the columns expand them into the jet.  An entry, or the coefficient of a
-:func:`scalar_jet`, is differentiated only along the variables it contains.
-Composite operators (linear combinations with scalar-field coefficients,
-products, polynomials, powers) build their jets by ``Jet`` arithmetic, whose
-``@`` holds the one copy of the product rule.  A caller forming many
-f K + g K' stacks each 1-jet as one (N, n + 1, n^2) array [A; dA]
-(:meth:`Jet.stacked`), on which the product rule for a scalar factor f is the
-(n + 1)-by-(n + 1) matrix :func:`multiplier_blocks` [[f, 0], [grad f, f I]].
+Operator fields are evaluated as 1-jets: a :class:`Jet` is one (N, r, n, n)
+array whose row 0 holds the entry values and rows 1..n the exact (symbolic)
+entry derivatives d_1 A .. d_n A at a batch of points (r = 1 for values
+alone).  An :class:`OperatorField` fills it from a cached plan
+(:class:`_EntryPlan`) of its value entries followed by its derivative
+entries: each point-dependent entry is evaluated once into a column, then
+one broadcast copy of a float template of the constant entries and one
+scatter of the columns expand them into the jet.  An entry, or a scalar
+coefficient of :func:`scalar_jets_plan`, is differentiated only along the
+variables it contains.  Composite operators (linear combinations with
+scalar-field coefficients, products, polynomials, powers) build their jets
+by two product rules on that one layout: ``@`` for a matrix factor, and
+:func:`scaled` for a scalar factor f, the small matrix
+[[f, 0], [grad f, f I]] acting on the flat (N, r, n^2) view of the jet (its
+derivative rows by one batched matrix product), which also forms the
+f K + g K' of :mod:`torsionlab.algebra`.
 
 The level-1 torsion comes from the coordinate expansion
 
@@ -36,17 +39,17 @@ exact skew part once: :func:`tower` walks every level by steps k = 1, and
 A verdict needs only the worst residual of each level, so
 :func:`candidate_verdicts`, the one verdict walk, goes chunk-major: for each
 chunk of points (:func:`chunks`, at most ``CHUNK_BYTES`` per level) it asks
-for the 1-jets of all its candidates, walks each up the tower in turn (or
-builds its level image alone) and folds the chunk's residuals into a running
-worst per candidate and level.  Every tower level is exactly skew, so one max
-reduction per point gives its max |T|.  No per-point array outlives a chunk,
-whatever the sample size: :meth:`OperatorBase.jet_slices` gives an
-operator's jet as a function of a point slice, an :class:`OperatorField`
-expands each chunk's jet from its evaluated columns and a composite
-evaluates it at the chunk's points, from coefficient plans differentiated
-once.  :func:`tower_verdicts` and :func:`is_vanishing` are the one-candidate
-case; :func:`torsion_many` builds whole levels for the callers that need the
-tensors.
+for the values and the judged torsion levels of all its candidates, each
+built by the caller (a :func:`tower`, or a level image alone), and folds
+the chunk's residuals into a running worst per candidate and level.  Every
+tower level is exactly skew, so one max reduction per point gives its
+max |T|.  No per-point array outlives a chunk, whatever the sample size:
+:meth:`OperatorBase.jet_slices` gives an operator's jet as a function of a
+point slice, an :class:`OperatorField` expands each chunk's jet from its
+evaluated columns and a composite evaluates it at the chunk's points, from
+coefficient plans differentiated once.  :func:`tower_verdicts` and
+:func:`is_vanishing` are the one-candidate case; :func:`torsion_many` builds
+whole levels for the callers that need the tensors.
 """
 
 from __future__ import annotations
@@ -164,109 +167,91 @@ def apply(a: "OperatorField", x: VectorFieldExpr) -> VectorFieldExpr:
 
 @dataclass(frozen=True, eq=False)
 class Jet:
-    """Values and first derivatives of a matrix field over a batch of points.
+    """Values and first derivatives of a matrix field over a batch of points,
+    as one (N, r, n, n) array.
 
-    ``vals[p, i, j] = A^i_j`` and ``derivs[p, l, i, j] = d_l A^i_j``.  A scalar
-    field is the jet with ``vals`` of shape (N, 1, 1) and ``derivs`` of shape
-    (N, n, 1, 1), so ``*`` scales a matrix jet by it.  ``derivs`` is None for
-    a value-only jet.  A jet unpacks as ``vals, derivs``; ``jet[part]``, for
-    a slice ``part`` of the points, is the jet at those points, made of views.
+    ``stack[p, 0] = A`` and ``stack[p, l] = d_l A`` for l = 1..n, so r = n + 1;
+    a value-only jet has r = 1.  ``vals`` (N, n, n) and ``derivs``
+    (N, r - 1, n, n) are views of the stack, and a jet unpacks as
+    ``vals, derivs``; ``jet[part]``, for a slice ``part`` of the points, is
+    the jet at those points, a view.  ``@`` is the product rule of two matrix
+    fields and :func:`scaled` that of a scalar factor.
     """
 
-    vals: np.ndarray
-    derivs: np.ndarray | None = None
+    stack: np.ndarray
+
+    @property
+    def vals(self) -> np.ndarray:
+        return self.stack[:, 0]
+
+    @property
+    def derivs(self) -> np.ndarray:
+        return self.stack[:, 1:]
 
     def __iter__(self):
         return iter((self.vals, self.derivs))
 
     def __getitem__(self, part: slice) -> "Jet":
-        return Jet(self.vals[part], None if self.derivs is None else self.derivs[part])
+        return Jet(self.stack[part])
 
     def __add__(self, other: "Jet") -> "Jet":
-        derivs = None if self.derivs is None else self.derivs + other.derivs
-        return Jet(self.vals + other.vals, derivs)
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        return self._leibniz(np.multiply, other)
+        return Jet(self.stack + other.stack)
 
     def __matmul__(self, other: "Jet") -> "Jet":
-        return self._leibniz(np.matmul, other)
-
-    def _leibniz(self, product, other: "Jet") -> "Jet":
-        # the product rule d(ab) = da b + a db, for entrywise and matrix products
-        vals = product(self.vals, other.vals)
-        if self.derivs is None:
-            return Jet(vals)
-        return Jet(vals, product(self.derivs, other.vals[:, None])
-                   + product(self.vals[:, None], other.derivs))
-
-    def stacked(self) -> np.ndarray:
-        """The n-by-n 1-jet as one (N, n + 1, n^2) array [A; d_1 A; ..; d_n A],
-        on which a :func:`multiplier_blocks` matrix acts by ``matmul``."""
-        n_pts, n = self.vals.shape[:2]
-        out = np.empty((n_pts, n + 1, n * n))
-        out[:, 0] = self.vals.reshape(n_pts, n * n)
-        out[:, 1:] = self.derivs.reshape(n_pts, n, n * n)
-        return out
-
-    @classmethod
-    def from_stacked(cls, stack: np.ndarray) -> "Jet":
-        """The 1-jet of a :meth:`stacked` array, made of two views of it."""
-        n_pts, n = stack.shape[0], stack.shape[1] - 1
-        return cls(stack[:, 0].reshape(n_pts, n, n), stack[:, 1:].reshape(n_pts, n, n, n))
+        # the product rule [AB; dA B + A dB]
+        out = np.matmul(self.stack, other.vals[:, None])
+        out[:, 1:] += np.matmul(self.vals[:, None], other.derivs)
+        return Jet(out)
 
 
-def scalar_jet(coeff: Expr, pts: np.ndarray, derivs: bool = True) -> Jet:
-    """Value and gradient of a scalar field at ``pts``, shaped to scale a matrix jet.
+def scaled(f: np.ndarray, jet: Jet) -> Jet:
+    """The jet of f K, from the value and gradient ``f`` (N, r) of a scalar
+    field, as a column of :func:`scalar_jets_plan` gives them, and the jet of
+    K with r rows.
 
-    Only the variables ``coeff`` contains are differentiated; the gradient
-    entries along the others are the exact zeros :func:`diff` gives there.
+    The one product rule for a scalar factor, d(f K) = df K + f dK, in the
+    blocks F_f = [[f, 0], [grad f, f I]] acting on the flat (N, r, n^2) view X
+    of K's stack: the value row is f A, entrywise, and the derivative rows
+    are the blocks' rows [grad f, f I] times X, one batched matrix product.
+    A value-only jet (r = 1) takes the same value row, so the values of f K
+    are those of its value-only jet bit for bit, and a non-finite derivative
+    of K never reaches them.
     """
-    plan = scalar_jets_plan([coeff], pts.shape[1]) if derivs else None
-    return _coefficient_jets([coeff], plan, pts)[0]
+    n_pts, r, n = jet.stack.shape[:3]
+    flat = jet.stack.reshape(n_pts, r, n * n)
+    blocks = np.zeros((n_pts, r - 1, r))
+    blocks[:, :, 0] = f[:, 1:]
+    blocks.reshape(n_pts, (r - 1) * r)[:, 1::r + 1] = f[:, :1]  # f I
+    out = np.empty(flat.shape)
+    np.multiply(f[:, :1, None], flat[:, :1], out=out[:, :1])
+    np.matmul(blocks, flat, out=out[:, 1:])
+    return Jet(out.reshape(jet.stack.shape))
+
+
+def _jet_rows(exprs: Sequence[Expr], n: int) -> list[list[Expr]]:
+    """``[exprs, d_1 exprs, .., d_n exprs]``, the rows of their stacked 1-jet.
+
+    Each expression is differentiated only along the variables it contains;
+    along the others its derivative is the exact zero :func:`diff` gives.
+    """
+    present = [set(variables(e)) for e in exprs]
+    return [list(exprs)] + [[diff(e, l) if l in have else ZERO for e, have in zip(exprs, present)]
+                            for l in range(n)]
 
 
 def scalar_jets_plan(coeffs: Sequence[Expr], n: int) -> Callable[[np.ndarray], np.ndarray]:
     """``pts -> cols``, the 1-jets of several scalar fields at points of an
     n-dim chart: ``cols[p, c]``, of shape (n + 1,), holds the value, then the
-    gradient, of ``coeffs[c]`` at ``pts[p]``.
+    gradient, of ``coeffs[c]`` at ``pts[p]``.  At n = 0 it holds the value
+    alone, the column that scales a value-only jet.
 
     The coefficients are differentiated here, once, into one
     :class:`_EntryPlan` of all their values and gradients, so a caller
     evaluating them chunk by chunk neither differentiates them again nor
-    fills one plan per coefficient per chunk.  Each is differentiated only
-    along the variables it contains.
+    fills one plan per coefficient per chunk.
     """
-    entries: list[Expr] = []
-    for coeff in coeffs:
-        present = set(variables(coeff))
-        entries += [coeff] + [diff(coeff, l) if l in present else ZERO for l in range(n)]
-    plan = _EntryPlan.of(entries)
+    plan = _EntryPlan.of([e for coeff in coeffs for (e,) in _jet_rows([coeff], n)])
     return lambda pts: plan.fill(pts, (len(coeffs), n + 1))
-
-
-def _coefficient_jets(coeffs: Sequence[Expr], plan: Callable[[np.ndarray], np.ndarray] | None,
-                      pts: np.ndarray) -> list[Jet]:
-    """The :func:`scalar_jet` of each of ``coeffs`` at ``pts``: from ``plan``,
-    their :func:`scalar_jets_plan`, or values alone, by ``eval_many``, when
-    ``plan`` is None."""
-    if plan is None:
-        return [Jet(eval_many(coeff, pts)[:, None, None]) for coeff in coeffs]
-    cols = plan(pts)
-    return [Jet(cols[:, c, :1, None], cols[:, c, 1:, None, None]) for c in range(len(coeffs))]
-
-
-def multiplier_blocks(cols: np.ndarray) -> np.ndarray:
-    """F_f = [[f, 0], [grad f, f I]] from a scalar field's value and gradient
-    ``cols[..., :]`` (as :func:`scalar_jets_plan` gives them), shape
-    ``(..., n + 1, n + 1)``: ``F_f @ K.stacked()`` is ``(f * K).stacked()`` up
-    to rounding, the product rule d(f K) = df K + f dK as one small matrix
-    product."""
-    blocks = np.zeros(cols.shape + cols.shape[-1:])
-    blocks[..., 0] = cols
-    diag = np.arange(1, cols.shape[-1])
-    blocks[..., diag, diag] = cols[..., :1]
-    return blocks
 
 
 def _not_finite(what: str, point: np.ndarray) -> EvalDomainError:
@@ -277,7 +262,7 @@ def _require_finite(pts: np.ndarray, what: str, *arrays) -> None:
     """Raise :class:`EvalDomainError` naming the first point where an array,
     indexed by point along axis 0, holds a NaN or an infinity."""
     for arr in arrays:
-        if arr is None or np.isfinite(arr).all():
+        if np.isfinite(arr).all():
             continue
         bad = ~np.isfinite(arr.reshape(arr.shape[0], -1)).all(axis=1)
         raise _not_finite(what, pts[int(np.argmax(bad))])
@@ -292,7 +277,9 @@ class OperatorBase:
     returns the same jet as a function of a point slice, built for that slice
     alone, for the verdict walk.  ``jet_many``, ``jet_slices`` and
     ``values_many`` raise :class:`EvalDomainError` at the first point with a
-    non-finite value.  Subclasses implement ``_jet(pts, derivs)``.
+    non-finite value, values before derivatives.  Subclasses implement
+    ``_jet(pts, derivs)``, which gives the 1-jet, or with ``derivs`` false
+    the value-only jet.
     """
 
     chart: Chart
@@ -343,31 +330,29 @@ class OperatorField(OperatorBase):
         return _EntryPlan.of([e for row in self.entries for e in row])
 
     @cached_property
-    def _derivative_plan(self) -> "_EntryPlan":
-        n = self.chart.dim
-        present = [[set(variables(e)) for e in row] for row in self.entries]
-        return _EntryPlan.of([diff(self.entries[i][j], l) if l in present[i][j] else ZERO
-                              for l in range(n) for i in range(n) for j in range(n)])
+    def _jet_plan(self) -> "_EntryPlan":
+        # the value entries come first, so its first columns are the value plan's
+        rows = _jet_rows([e for row in self.entries for e in row], self.chart.dim)
+        return _EntryPlan.of([e for row in rows for e in row])
 
     def _jet(self, pts, derivs):
         n = self.chart.dim
-        vals = self._value_plan.fill(pts, (n, n))
-        if not derivs:
-            return Jet(vals)
-        return Jet(vals, self._derivative_plan.fill(pts, (n, n, n)))
+        if derivs:
+            return Jet(self._jet_plan.fill(pts, (n + 1, n, n)))
+        return Jet(self._value_plan.fill(pts, (1, n, n)))
 
     def jet_slices(self, pts: np.ndarray) -> Callable[[slice], Jet]:
         """``part -> jet_many(pts)[part]``, expanded per slice from the
         point-dependent entries, which are evaluated and checked for
         finiteness once, before it returns."""
         n = self.chart.dim
-        vplan, dplan = self._value_plan, self._derivative_plan
-        vcols, dcols = vplan.columns(pts), dplan.columns(pts)
+        plan = self._jet_plan
+        cols = plan.columns(pts)
         # the constant entries are finite, so the columns hold the first
-        # non-finite point of the jet
-        _require_finite(pts, "operator 1-jet", vcols, dcols)
-        return lambda part: Jet(vplan.expand(vcols[part], (n, n)),
-                                dplan.expand(dcols[part], (n, n, n)))
+        # non-finite point of the jet; the value columns are checked first
+        values = len(self._value_plan.exprs)
+        _require_finite(pts, "operator 1-jet", cols[:, :values], cols[:, values:])
+        return lambda part: Jet(plan.expand(cols[part], (n + 1, n, n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,8 +420,27 @@ def identity_operator(chart: Chart) -> OperatorField:
     )
 
 
+class _ScalarCoefficients(OperatorBase):
+    """An operator with scalar-field coefficients ``coeffs``, whose columns
+    (:func:`scalar_jets_plan`) come from plans built once, at first use: of
+    their values alone, or of their values and gradients."""
+
+    coeffs: Sequence[Expr]
+
+    @cached_property
+    def _value_columns(self) -> Callable[[np.ndarray], np.ndarray]:
+        return scalar_jets_plan(self.coeffs, 0)
+
+    @cached_property
+    def _jet_columns(self) -> Callable[[np.ndarray], np.ndarray]:
+        return scalar_jets_plan(self.coeffs, self.chart.dim)
+
+    def _columns(self, pts: np.ndarray, derivs: bool) -> np.ndarray:
+        return (self._jet_columns if derivs else self._value_columns)(pts)
+
+
 @dataclass(frozen=True)
-class LinCombOperator(OperatorBase):
+class LinCombOperator(_ScalarCoefficients):
     """f_1 K_1 + ... + f_r K_r with scalar fields f_k."""
 
     chart: Chart
@@ -449,14 +453,13 @@ class LinCombOperator(OperatorBase):
             if op.chart != self.chart:
                 raise ChartMismatchError("all terms must share one chart")
 
-    @cached_property
-    def _coeff_plan(self) -> Callable[[np.ndarray], np.ndarray]:
-        return scalar_jets_plan([coeff for coeff, _ in self.terms], self.chart.dim)
+    @property
+    def coeffs(self) -> tuple[Expr, ...]:
+        return tuple(coeff for coeff, _ in self.terms)
 
     def _jet(self, pts, derivs):
-        coeffs = _coefficient_jets([coeff for coeff, _ in self.terms],
-                                   self._coeff_plan if derivs else None, pts)
-        terms = [f * op._jet(pts, derivs) for f, (_, op) in zip(coeffs, self.terms)]
+        cols = self._columns(pts, derivs)
+        terms = [scaled(cols[:, c], op._jet(pts, derivs)) for c, (_, op) in enumerate(self.terms)]
         return sum(terms[1:], terms[0])
 
 
@@ -479,7 +482,7 @@ class ProductOperator(OperatorBase):
 
 
 @dataclass(frozen=True)
-class PolyOperator(OperatorBase):
+class PolyOperator(_ScalarCoefficients):
     """P(A) = sum_k c_k(x) A^k with scalar-field coefficients."""
 
     base: OperatorBase
@@ -492,19 +495,15 @@ class PolyOperator(OperatorBase):
 
     chart: Chart = None
 
-    @cached_property
-    def _coeff_plan(self) -> Callable[[np.ndarray], np.ndarray]:
-        return scalar_jets_plan(self.coeffs, self.chart.dim)
-
     def _jet(self, pts, derivs):
-        # Horner: P(A) = (..(c_N A + c_(N-1)) A + ..) A + c_0
+        # Horner: P(A) = (..(c_N A + c_(N-1)) A + ..) A + c_0, with c_k I = c_k [I; 0]
         base = self.base._jet(pts, derivs)
-        eye = Jet(np.broadcast_to(np.eye(self.chart.dim), base.vals.shape),
-                  None if base.derivs is None else np.zeros_like(base.derivs))
-        coeffs = _coefficient_jets(self.coeffs, self._coeff_plan if derivs else None, pts)
-        out = coeffs[-1] * eye
-        for c in reversed(coeffs[:-1]):
-            out = out @ base + c * eye
+        cols = self._columns(pts, derivs)
+        eye = Jet(np.zeros(base.stack.shape))
+        eye.vals[:] = np.eye(self.chart.dim)
+        out = scaled(cols[:, -1], eye)
+        for c in range(len(self.coeffs) - 2, -1, -1):
+            out = out @ base + scaled(cols[:, c], eye)
         return out
 
 
@@ -566,33 +565,27 @@ class TorsionTensor:
 # the tower
 # ---------------------------------------------------------------------------
 
-def slot_action(mat: np.ndarray, t: np.ndarray, axis: int,
-                out: np.ndarray | None = None) -> np.ndarray:
+def slot_action(mat: np.ndarray, t: np.ndarray, axis: int) -> np.ndarray:
     """Contract the n-by-n matrices ``mat`` into one index of the tensors ``t``.
 
     ``out[p, .., x, ..] = sum_l mat[p, x, l] t[p, .., l, ..]`` with x, l at
     ``axis`` of the (N, n, n, n) array ``t``: 1 is the value index, 2 the first
     argument, 3 the second.  ``mat`` is (N, n, n) or (1, n, n).  One batched
     ``matmul`` per call: on the flat view (N, n, n^2) for axis 1, stacked for
-    axis 2, on the flat view (N, n^2, n) for axis 3.  ``out``, when given, is a
-    C-contiguous (N, n, n, n) array other than ``t`` that takes the result.
-    The actions Z, Lambda and M of z, lambda and mu, which commute, are A at
-    axis 1, A^T at axis 2 and A^T at axis 3: A T(X, Y), T(AX, Y), T(X, AY).
+    axis 2, on the flat view (N, n^2, n) for axis 3.  The actions Z, Lambda
+    and M of z, lambda and mu, which commute, are A at axis 1, A^T at axis 2
+    and A^T at axis 3: A T(X, Y), T(AX, Y), T(X, AY).
     """
     n_pts, n = t.shape[0], t.shape[-1]
     if axis == 1:
-        flat = (n_pts, n, n * n)
-        left, right = mat, t.reshape(flat)
+        left, right = mat, t.reshape(n_pts, n, n * n)
     elif axis == 2:
-        flat = t.shape
         left, right = mat[:, None], t
     elif axis == 3:
-        flat = (n_pts, n * n, n)
-        left, right = t.reshape(flat), mat.swapaxes(1, 2)
+        left, right = t.reshape(n_pts, n * n, n), mat.swapaxes(1, 2)
     else:
         raise ValueError(f"slot axis must be 1, 2 or 3, got {axis}")
-    res = np.matmul(left, right, out=None if out is None else out.reshape(flat))
-    return res.reshape(t.shape)
+    return np.matmul(left, right).reshape(t.shape)
 
 
 def nijenhuis_from_jets(vals: np.ndarray, derivs: np.ndarray) -> np.ndarray:
@@ -757,32 +750,30 @@ def _verdict(max_residual: float, worst_point: np.ndarray, m: int, n_pts: int,
     )
 
 
-def candidate_verdicts(candidates_at: Callable[[slice], Iterable[Jet]], m: int,
-                       pts: np.ndarray, seed: int, tol_rel: float,
-                       top_only: bool = False) -> list[list[VanishingReport]]:
-    """Verdicts on levels 1..m of each of several candidate 1-jets at ``pts``.
+def candidate_verdicts(candidates_at: Callable[[slice], Iterable[tuple[np.ndarray, Iterable]]],
+                       levels: Sequence[int], pts: np.ndarray, seed: int,
+                       tol_rel: float) -> list[list[VanishingReport]]:
+    """Verdicts on the torsion ``levels`` of each of several candidates at ``pts``.
 
-    ``candidates_at(part)`` yields the n-by-n 1-jets of every candidate at
-    ``pts[part]``, n = ``pts.shape[1]``, in the same order for every part.
-    The walk calls it once per chunk of :func:`chunks`, in point order, and
-    asks for the next jet only when it is done with the one before, so work
-    the candidates share is done once per chunk and one candidate's tower is
-    alive at a time.  Per candidate and level it keeps only the running worst
-    residual, its first point and the first non-finite points.
+    ``candidates_at(part)`` yields, for every candidate in the same order for
+    every part, ``(vals, tensors)``: its n-by-n values at ``pts[part]``,
+    n = ``pts.shape[1]``, and its torsions there at each of ``levels`` in
+    turn, e.g. :func:`tower` or ``(level_image(..),)``.  The walk calls it
+    once per chunk of :func:`chunks`, in point order, and asks for the next
+    candidate only when it is done with the one before, so work the
+    candidates share is done once per chunk and one candidate's torsions are
+    alive at a time.  Per candidate and level it keeps only the running
+    worst residual, its first point and the first non-finite points.
 
-    List c holds candidate c's reports on levels 1..m: level l is judged by
+    List c holds candidate c's reports on ``levels``: level l is judged by
     the residual max|T^(l)| / (1 + max|A|^(2l-1)) per point, over all of
     ``pts``, and names the first worst point.  An :class:`EvalDomainError`
     names, of the lowest candidate with a non-finite level, the lowest such
     level and its first point, as walking the candidates one after another,
-    each level over all points, would.  With ``top_only`` the walk judges
-    level m alone, built by :func:`level_image` instead of the tower, and
-    list c holds that one report.
+    each level over all points, would.
     """
-    if m < 1:
-        raise ValueError("torsion level must be >= 1")
     n_pts, n = pts.shape
-    levels = np.array([m]) if top_only else np.arange(1, m + 1)
+    levels = np.asarray(levels)
     rows = np.arange(len(levels))
     powers = 2 * levels[:, None] - 1  # of max|A| in each level's rule
     # per candidate, by level: the worst residual, its point and the first
@@ -791,17 +782,17 @@ def candidate_verdicts(candidates_at: Callable[[slice], Iterable[Jet]], m: int,
     worst_at: list[np.ndarray] = []
     first_bad: list[np.ndarray] = []
     for part in chunks(n_pts, n):
-        start = part.start
-        for cand, (vals, derivs) in enumerate(candidates_at(part)):
+        start, cand = part.start, 0
+        for vals, tensors in candidates_at(part):
             if cand == len(worst):  # the first chunk
                 worst.append(np.full(len(levels), -np.inf))
                 worst_at.append(np.zeros(len(levels), dtype=np.intp))
                 first_bad.append(np.full((len(levels), 2), n_pts))
-            if top_only:
-                tor = _level_max(level_image(vals, derivs, m))[None]
-            else:
-                tor = np.array([_level_max(t) for t in tower(vals, derivs, m)])
+            tor = np.array([_level_max(t) for t in tensors])
             denom = 1.0 + _point_max(vals) ** powers
+            # drop the candidate before the caller builds the next one (an
+            # enumerate would keep it alive in its reused result tuple)
+            del vals, tensors
             if not (np.isfinite(tor).all() and np.isfinite(denom).all()):
                 for k, arr in enumerate((tor, denom)):
                     bad = ~np.isfinite(arr)
@@ -813,6 +804,7 @@ def candidate_verdicts(candidates_at: Callable[[slice], Iterable[Jet]], m: int,
             better = top > worst[cand]  # strictly: ties keep the earlier point
             np.copyto(worst[cand], top, where=better)
             np.copyto(worst_at[cand], at + start, where=better)
+            cand += 1
     hits = np.argwhere(np.array(first_bad) < n_pts)  # in (candidate, level, array) order
     if hits.size:
         cand, row, k = hits[0]
@@ -825,9 +817,13 @@ def candidate_verdicts(candidates_at: Callable[[slice], Iterable[Jet]], m: int,
 def tower_verdicts(jet_at: Callable[[slice], Jet], m: int, pts: np.ndarray,
                    seed: int, tol_rel: float) -> list[VanishingReport]:
     """Verdicts on levels 1..m of one operator's 1-jet at the points ``pts``:
-    :func:`candidate_verdicts` of the one candidate ``jet_at(part)``, e.g.
+    :func:`candidate_verdicts` of the :func:`tower` of ``jet_at(part)``, e.g.
     ``jet.__getitem__`` or :meth:`OperatorBase.jet_slices`."""
-    return candidate_verdicts(lambda part: (jet_at(part),), m, pts, seed, tol_rel)[0]
+    def candidates_at(part: slice) -> Iterator[tuple[np.ndarray, Iterator[np.ndarray]]]:
+        jet = jet_at(part)
+        yield jet.vals, tower(*jet, m)
+
+    return candidate_verdicts(candidates_at, range(1, m + 1), pts, seed, tol_rel)[0]
 
 
 def given_sample(domain: SampleDomain, count: int, pts: np.ndarray | None) -> np.ndarray:

@@ -6,7 +6,9 @@ applications exactly as defined, then evaluated pointwise.  The spectral
 oracle analyses one matrix at a time, with a union-find clustering,
 ``np.mean`` and its own rank rule, where the production core batches points.
 The 1-jet oracle fills an operator entry by entry, the scalar-jet oracle
-differentiates along every variable and the sampling oracle accepts
+differentiates along every variable, the composite 1-jet oracle applies the
+product rules entrywise and by ``np.einsum`` where production multiplies
+stacked jets by small matrices, and the sampling oracle accepts
 candidates row by row, where production fills and accepts whole batches
 and differentiates only along the variables an expression contains.  The
 representation oracle sums one ``np.einsum`` per term of a polynomial over
@@ -51,7 +53,10 @@ from torsionlab.expr import (
     eval_many,
 )
 from torsionlab.fields import (
+    Jet,
+    LinCombOperator,
     OperatorField,
+    ProductOperator,
     VanishingReport,
     VectorFieldExpr,
     apply,
@@ -186,12 +191,61 @@ def jet_reference(a: OperatorField, pts: np.ndarray, derivs: bool = True):
 
 
 def scalar_jet_reference(coeff: Expr, pts: np.ndarray):
-    """``(f, df)`` at ``pts``, shaped as :func:`torsionlab.fields.scalar_jet`
-    gives them: the value, then the symbolic derivative along every variable
-    of the chart in order, each evaluated with ``eval_many``."""
+    """``(f, df)`` at ``pts``, shaped (N, 1, 1) and (N, n, 1, 1) to scale a
+    matrix jet entrywise: the value, then the symbolic derivative along every
+    variable of the chart in order, each evaluated with ``eval_many``."""
     vals = eval_many(coeff, pts)[:, None, None]
     grad = np.stack([eval_many(diff(coeff, l), pts) for l in range(pts.shape[1])], axis=1)
     return vals, grad[:, :, None, None]
+
+
+def composite_jet_reference(op, pts: np.ndarray):
+    """``(A, dA)`` of an operator at ``pts`` by the entrywise product rules.
+
+    A symbolic operator's jet is :func:`jet_reference`'s.  A scalar factor
+    takes f K and grad f (x) K + f dK entrywise, from
+    :func:`scalar_jet_reference`, and a matrix product K L and
+    dK L + K dL by ``np.einsum``; a polynomial runs Horner over these, with
+    c_k I as the scalar factor c_k times the constant identity.
+    """
+    if isinstance(op, OperatorField):
+        return jet_reference(op, pts)
+
+    def times(f, jet):
+        (fv, fd), (vals, derivs) = f, jet
+        return fv * vals, fd * vals[:, None] + fv[:, None] * derivs
+
+    def matmul(left, right):
+        (a, da), (b, db) = left, right
+        return (np.einsum("pij,pjk->pik", a, b),
+                np.einsum("plij,pjk->plik", da, b) + np.einsum("pij,pljk->plik", a, db))
+
+    def plus(left, right):
+        return left[0] + right[0], left[1] + right[1]
+
+    if isinstance(op, LinCombOperator):
+        terms = [times(scalar_jet_reference(f, pts), composite_jet_reference(k, pts))
+                 for f, k in op.terms]
+        out = terms[0]
+        for term in terms[1:]:
+            out = plus(out, term)
+        return out
+    if isinstance(op, ProductOperator):
+        return matmul(composite_jet_reference(op.left, pts),
+                      composite_jet_reference(op.right, pts))
+    base = composite_jet_reference(op.base, pts)
+    n_pts, n = pts.shape
+    eye = (np.broadcast_to(np.eye(n), (n_pts, n, n)), np.zeros((n_pts, n, n, n)))
+    out = times(scalar_jet_reference(op.coeffs[-1], pts), eye)
+    for coeff in reversed(op.coeffs[:-1]):
+        out = plus(matmul(out, base), times(scalar_jet_reference(coeff, pts), eye))
+    return out
+
+
+def stacked_jet(vals: np.ndarray, derivs: np.ndarray) -> Jet:
+    """The :class:`~torsionlab.fields.Jet` with values ``vals`` (N, n, n) and
+    derivatives ``derivs`` (N, n, n, n), copied into one stacked array."""
+    return Jet(np.concatenate((vals[:, None], derivs), axis=1))
 
 
 def sample_points_reference(domain: SampleDomain, count: int,

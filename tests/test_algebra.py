@@ -6,7 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import random_operator, random_poly_expr, rel_err, rep_oracle
+from helpers import (
+    composite_jet_reference,
+    random_operator,
+    random_poly_expr,
+    rel_err,
+    rep_oracle,
+)
 import torsionlab.algebra as alg
 import torsionlab.fields as fl
 from torsionlab.algebra import (
@@ -31,17 +37,19 @@ from torsionlab.expr import (
     sample_points,
 )
 from torsionlab.fields import (
-    Jet,
+    LinCombOperator,
     OperatorAtPoint,
     OperatorField,
+    PolyOperator,
     PowerOperator,
+    ProductOperator,
     TorsionTensor,
     candidate_verdicts,
     identity_operator,
     is_vanishing,
-    multiplier_blocks,
-    scalar_jet,
+    level_image,
     scalar_jets_plan,
+    scaled,
     torsion_at,
     torsion_many,
 )
@@ -261,6 +269,34 @@ def test_preservation_on_level3_fixture(lta):
     assert rep.passed
 
 
+def test_preservation_builds_two_level_images_per_chunk(lta, monkeypatch):
+    # the level-m images of A and P(A) serve both the identity residual and
+    # the walk, which judges them as it judges whole-sample images
+    a, n_pts, m = lta.operators["L1"], 300, 3
+    p = PolySpec((Var(4), Var(0), const(1)))  # x5 + x1 z + z^2
+    calls = []
+
+    def counted(vals, derivs, level):
+        calls.append(len(vals))
+        return level_image(vals, derivs, level)
+
+    for module in (alg, fl):
+        monkeypatch.setattr(module, "level_image", counted)
+    rep = check_polynomial_preservation(a, p, m, lta.domain, n_pts, 1e-8)
+    sizes = [len(range(n_pts)[part]) for part in fl.chunks(n_pts, lta.chart.dim)]
+    assert len(sizes) == 4
+    assert calls == [size for size in sizes for _ in range(2)]
+
+    pts = sample_points(lta.domain, n_pts)
+    for op, got in ((a, rep.base_report), (PolyOperator(a, p.coeffs), rep.poly_report)):
+        jet = op.jet_many(pts)
+        want = candidate_verdicts(
+            lambda part: [(jet[part].vals, (level_image(*jet[part], m),))],
+            (m,), pts, lta.domain.seed, 1e-8)[0][0]
+        assert (got.max_residual, got.level) == (want.max_residual, m)
+        assert np.array_equal(got.worst_point, want.worst_point)
+
+
 def test_preservation_identity_polynomial(lta):
     a = lta.operators["L2"]
     rep = check_polynomial_preservation(a, PolySpec((const(0), const(1))), 3,
@@ -381,22 +417,21 @@ def _whole_array_worsts(man, m, n_pts, n_combos, seed):
     domain = dataclasses.replace(man.domain, seed=seed)
     ops = [man.operators[name] for name in man.operators]
     pts = sample_points(domain, n_pts)
-    stacks = [op.jet_many(pts).stacked() for op in ops]
-    jets = [Jet.from_stacked(x) for x in stacks]
+    jets = [op.jet_many(pts) for op in ops]
 
     def worst(jet):
-        return candidate_verdicts(lambda part: (jet[part],), m, pts, seed, 1e-8,
-                                  top_only=True)[0][0].max_residual
+        def candidates_at(part):
+            yield jet[part].vals, (level_image(*jet[part], m),)
+        return candidate_verdicts(candidates_at, (m,), pts, seed, 1e-8)[0][0].max_residual
 
     ring = max(worst(a @ b) for a in jets for b in jets)
     rng = np.random.default_rng((seed * 2654435761 + 0x5EED) % (2 ** 63))
     module = 0.0
     for _ in range(n_combos):
         ia, ib = int(rng.integers(0, len(ops))), int(rng.integers(0, len(ops)))
-        f, g = (multiplier_blocks(scalar_jets_plan([alg._random_combo_poly(man.chart, rng)],
-                                                   man.chart.dim)(pts)[:, 0])
+        f, g = (scalar_jets_plan([alg._random_combo_poly(man.chart, rng)], man.chart.dim)(pts)[:, 0]
                 for _ in range(2))
-        module = max(module, worst(alg.combination(f, stacks[ia], g, stacks[ib])))
+        module = max(module, worst(scaled(f, jets[ia]) + scaled(g, jets[ib])))
     return ring, module
 
 
@@ -422,29 +457,35 @@ def test_check_algebra_is_chunk_invariant(fixture, seed, request, monkeypatch):
     assert reports[0]["ring_closed"] and reports[0]["module_closed"]
 
 
-@pytest.mark.parametrize("fixture", ["lfa1", "lta"])
-def test_combination_matches_scalar_jet_products(fixture, request):
-    # F_f X_a + F_g X_b against scalar_jet(f) * K_a + scalar_jet(g) * K_b,
-    # per point, for a != b and a = b
-    man = request.getfixturevalue(fixture)
-    ops = [man.operators[name] for name in sorted(man.operators)]
-    pts = sample_points(man.domain, 23)
-    jets = [op.jet_many(pts) for op in ops]
-    stacks = [jet.stacked() for jet in jets]
-    for x, jet in zip(stacks, jets):
-        back = Jet.from_stacked(x)
-        assert np.array_equal(back.vals, jet.vals) and np.array_equal(back.derivs, jet.derivs)
-    rng = np.random.default_rng(103)
-    for ia, ib in ((0, 1), (2, 0), (1, 1)):
-        f, g = (alg._random_combo_poly(man.chart, rng) for _ in range(2))
-        blocks = multiplier_blocks(scalar_jets_plan([f, g], man.chart.dim)(pts))
-        got = alg.combination(blocks[:, 0], stacks[ia], blocks[:, 1], stacks[ib])
-        want = scalar_jet(f, pts) * jets[ia] + scalar_jet(g, pts) * jets[ib]
-        for part in (got.vals, got.derivs):
-            assert part.base is not None  # views of one product
+@pytest.mark.parametrize("source", ["random", "lfa1", "lta"])
+def test_scalar_rule_matches_the_entrywise_product_rule(source, request):
+    # every composite kind, its scalar factors taken by the one GEMM rule,
+    # against f A and grad f (x) A + f dA entrywise (and einsum products),
+    # per point; its value-only jet is the first row of its 1-jet, bit for bit
+    if source == "random":
+        rng = np.random.default_rng(103)
+        chart = CH3
+        a, b = random_operator(chart, rng), random_operator(chart, rng)
+        pts = rng.uniform(0.5, 1.5, size=(23, 3))
+    else:
+        man = request.getfixturevalue(source)
+        rng = np.random.default_rng(107)
+        chart = man.chart
+        a, b = (man.operators[name] for name in sorted(man.operators)[:2])
+        pts = sample_points(man.domain, 23)
+    f, g, h = (alg._random_combo_poly(chart, rng) for _ in range(3))
+    composites = [LinCombOperator(chart, ((f, a), (g, b))),
+                  LinCombOperator(chart, ((f, a), (g, a), (h, ProductOperator(a, b)))),
+                  ProductOperator(a, b),
+                  PolyOperator(a, (g, f, const(0), h)),
+                  PowerOperator(b, 3)]
+    for op in composites:
+        vals, derivs = op.jet_many(pts)
+        want_vals, want_derivs = composite_jet_reference(op, pts)
         for p in range(len(pts)):
-            assert rel_err(got.vals[p], want.vals[p]) <= 1e-14
-            assert rel_err(got.derivs[p], want.derivs[p]) <= 1e-14
+            assert rel_err(vals[p], want_vals[p]) <= 1e-14
+            assert rel_err(derivs[p], want_derivs[p]) <= 1e-14
+        assert op.values_many(pts).tobytes() == vals.tobytes()
 
 
 def test_check_algebra_memory_does_not_grow_with_candidate_jets(lfa1):

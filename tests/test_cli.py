@@ -211,6 +211,18 @@ def test_unknown_operator_is_an_error(capsys):
     assert "nope" in err
 
 
+@pytest.mark.parametrize("extra", [["torsion"], ["spectrum"], ["algebra"],
+                                   ["blockdiag", "--chart", "y"]])
+def test_repeated_operator_is_an_error(capsys, extra):
+    # a report keyed by check name would merge the two copies' checks
+    code = main([*extra, "--manifest", str(fixture_path("lta.json")), "--operator", "L2",
+                 "--operator", "L1", "--operator", "L2", "--samples", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "operator 'L2' is named twice" in captured.err
+
+
 @pytest.mark.parametrize("command", ["torsion", "algebra"])
 def test_level_below_one_is_an_error(capsys, command):
     code = main([command, "--manifest", str(fixture_path("lta.json")), "--level", "-1"])
@@ -750,8 +762,8 @@ def test_blockdiag_nonfinite_exits_2_naming_the_point(tmp_path, capsys, manifest
 
 def test_torsion_walks_the_tower_once_per_operator(monkeypatch, capsys):
     # one sample per command, shared by the operators; per operator one
-    # evaluation of each plan's point-dependent columns and one walk, whose
-    # chunks each expand both plans and take one Nijenhuis step
+    # evaluation of its 1-jet plan's point-dependent columns and one walk,
+    # whose chunks each expand that plan once and take one Nijenhuis step
     calls = {"sample": 0, "columns": 0, "expand": 0, "nijenhuis": 0, "verdict": 0}
 
     def counted(key, fn):
@@ -775,7 +787,7 @@ def test_torsion_walks_the_tower_once_per_operator(monkeypatch, capsys):
                          "--level", "3", "--samples", str(n_pts)], capsys)
     assert code == 0
     n_ops = len(man.operators)
-    assert calls == {"sample": 1, "columns": 2 * n_ops, "expand": 2 * chunks * n_ops,
+    assert calls == {"sample": 1, "columns": n_ops, "expand": chunks * n_ops,
                      "nijenhuis": chunks * n_ops, "verdict": n_ops}
     for name in man.operators:
         for m in (1, 2, 3):
@@ -836,15 +848,15 @@ def test_algebra_builds_one_tower_per_product_and_per_combo(monkeypatch, capsys)
     # pair K_a K_b (ring law), then one f K_a + g K_b per combo
     walks, per_chunk = [], []
 
-    def counted(candidates_at, m, *args, **kwargs):
-        walks.append(m)
+    def counted(candidates_at, levels, *args, **kwargs):
+        walks.append(tuple(levels))
 
         def counting(part):
             per_chunk.append(0)
             for jet in candidates_at(part):
                 per_chunk[-1] += 1
                 yield jet
-        return candidate_verdicts(counting, m, *args, **kwargs)
+        return candidate_verdicts(counting, levels, *args, **kwargs)
 
     candidate_verdicts = alg.candidate_verdicts
     monkeypatch.setattr(alg, "candidate_verdicts", counted)
@@ -852,7 +864,7 @@ def test_algebra_builds_one_tower_per_product_and_per_combo(monkeypatch, capsys)
                        "--level", "3", "--combos", "2", "--samples", "20"], capsys)
     assert code == 0
     k = len(load_manifest(fixture_path("lta.json")).operators)
-    assert walks == [3]
+    assert walks == [(3,)]
     assert per_chunk == [k * k + 2] == [11]
 
 

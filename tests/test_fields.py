@@ -1,6 +1,7 @@
 """Lie brackets, operator application and the generalized torsion tower."""
 
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from helpers import (
     random_poly_expr,
     rel_err,
     scalar_jet_reference,
+    stacked_jet,
     vanishing_report,
 )
 import torsionlab.fields as fl
@@ -72,8 +74,8 @@ from torsionlab.fields import (
     lie_bracket,
     nijenhuis_at,
     nijenhuis_from_jets,
-    scalar_jet,
     scalar_jets_plan,
+    scaled,
     sigma_power,
     slot_action,
     torsion_at,
@@ -324,8 +326,8 @@ def test_level_max_is_the_point_max_of_a_skew_level():
 
 
 def test_slot_action_contracts_one_index():
-    # out[p, .., x, ..] = sum_l mat[p, x, l] t[p, .., l, ..] at each axis, with
-    # or without an out= buffer; Z, Lambda and M commute
+    # out[p, .., x, ..] = sum_l mat[p, x, l] t[p, .., l, ..] at each axis;
+    # Z, Lambda and M commute
     rng = np.random.default_rng(83)
     specs = {1: "pxl,pljk->pxjk", 2: "pxl,pilk->pixk", 3: "pxl,pijl->pijx"}
     for n in (2, 3, 5):
@@ -334,9 +336,6 @@ def test_slot_action_contracts_one_index():
         for axis, spec in specs.items():
             got = slot_action(mat, t, axis)
             assert rel_err(got, np.einsum(spec, mat, t)) <= 1e-14
-            out = np.empty(t.shape)
-            slot_action(mat, t, axis, out=out)
-            assert np.array_equal(out, got)
         z = lambda u: slot_action(mat, u, 1)
         lam = lambda u: slot_action(mat.swapaxes(1, 2), u, 2)
         mu = lambda u: slot_action(mat.swapaxes(1, 2), u, 3)
@@ -464,7 +463,7 @@ def test_chunked_verdicts_equal_whole_tower_verdicts(n, size, flat, seed):
     pts = rng.uniform(0.5, 1.5, size=(n_pts, n))
     vals = rng.uniform(-2.0, 2.0, size=(n_pts, n, n))
     derivs = rng.uniform(-2.0, 2.0, size=(n_pts, n, n, n)) * (0.0 if flat else 1.0)
-    chunked = tower_verdicts(Jet(vals, derivs).__getitem__, 4, pts, seed, 1e-8)
+    chunked = tower_verdicts(stacked_jet(vals, derivs).__getitem__, 4, pts, seed, 1e-8)
     whole = [vanishing_report(t, vals, level, pts, seed, 1e-8)
              for level, t in enumerate(tower(vals, derivs, 4), start=1)]
     assert len(chunked) == len(whole) == 4
@@ -496,7 +495,7 @@ def test_chunked_walk_names_the_lowest_non_finite_level():
             vanishing_report(t, vals, level, pts, 0, 1e-8)
 
     messages = []
-    jet_at = Jet(vals, derivs).__getitem__
+    jet_at = stacked_jet(vals, derivs).__getitem__
     for walk in (whole_tower, lambda: tower_verdicts(jet_at, 3, pts, 0, 1e-8)):
         with pytest.warns(RuntimeWarning), pytest.raises(EvalDomainError) as info:
             walk()
@@ -518,16 +517,16 @@ def test_candidate_walk_equals_one_candidate_walks(n, size, flat, seed):
     n_pts = size[0] * step + size[1]
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.5, 1.5, size=(n_pts, n))
-    jets = [Jet(rng.uniform(-2.0, 2.0, size=(n_pts, n, n)),
-                rng.uniform(-2.0, 2.0, size=(n_pts, n, n, n)) * (0.0 if f else 1.0))
+    jets = [stacked_jet(rng.uniform(-2.0, 2.0, size=(n_pts, n, n)),
+                        rng.uniform(-2.0, 2.0, size=(n_pts, n, n, n)) * (0.0 if f else 1.0))
             for f in flat]
     parts = []
 
     def candidates_at(part):
         parts.append((part.start, part.stop))
-        return (jet[part] for jet in jets)
+        return ((jet[part].vals, tower(*jet[part], 3)) for jet in jets)
 
-    together = candidate_verdicts(candidates_at, 3, pts, seed, 1e-8)
+    together = candidate_verdicts(candidates_at, range(1, 4), pts, seed, 1e-8)
     assert parts == [(start, start + step) for start in range(0, n_pts, step)]
     assert len(together) == len(jets)
     for got, jet in zip(together, jets):
@@ -557,8 +556,8 @@ def test_candidate_walk_raises_the_candidate_major_error(order):
     pts = rng.uniform(0.5, 1.5, size=(3 * step, n))
 
     def jet():
-        return Jet(rng.uniform(1.0, 2.0, size=(pts.shape[0], n, n)),
-                   rng.uniform(1.0, 2.0, size=(pts.shape[0], n, n, n)))
+        return stacked_jet(rng.uniform(1.0, 2.0, size=(pts.shape[0], n, n)),
+                           rng.uniform(1.0, 2.0, size=(pts.shape[0], n, n, n)))
 
     a, b = jet(), jet()
     a.vals[5] *= 1e50                 # level 4 overflows, level 3 does not
@@ -575,7 +574,8 @@ def test_candidate_walk_raises_the_candidate_major_error(order):
 
     messages = []
     chunk_major = lambda: candidate_verdicts(  # noqa: E731
-        lambda part: (cand[part] for cand in cands), m, pts, 0, 1e-8)
+        lambda part: ((cand[part].vals, tower(*cand[part], m)) for cand in cands),
+        range(1, m + 1), pts, 0, 1e-8)
     for walk in (candidate_major, chunk_major):
         with pytest.warns(RuntimeWarning), pytest.raises(EvalDomainError) as info:
             walk()
@@ -585,6 +585,31 @@ def test_candidate_walk_raises_the_candidate_major_error(order):
                         f"{tuple(pts[point].tolist())}"] * 2
 
 
+def test_candidate_walk_drops_each_candidate_before_the_next():
+    # a caller that builds each candidate's level when the walk asks for it
+    # finds every earlier one freed, so one candidate's level is alive at a time
+    n, m = 3, 2
+    step = CHUNK_BYTES // (8 * n ** 3)
+    rng = np.random.default_rng(89)
+    pts = rng.uniform(0.5, 1.5, size=(2 * step, n))
+    jets = [stacked_jet(rng.uniform(-2.0, 2.0, size=(len(pts), n, n)),
+                        rng.uniform(-2.0, 2.0, size=(len(pts), n, n, n))) for _ in range(3)]
+    built = []
+
+    def candidate(jet):
+        level = level_image(*jet, m)
+        built.append(weakref.ref(level))
+        return jet.vals, (level,)
+
+    def candidates_at(part):
+        for jet in jets:
+            assert all(ref() is None for ref in built)
+            yield candidate(jet[part])
+
+    candidate_verdicts(candidates_at, (m,), pts, 0, 1e-8)
+    assert len(built) == 2 * len(jets)
+
+
 def test_chunked_walk_peak_memory():
     # one verdict walk holds a few chunk-sized levels, not whole (N, n, n, n) ones
     rng = np.random.default_rng(71)
@@ -592,11 +617,12 @@ def test_chunked_walk_peak_memory():
     pts = rng.uniform(0.5, 1.5, size=(n_pts, n))
     vals = rng.uniform(-2.0, 2.0, size=(n_pts, n, n))
     derivs = rng.uniform(-2.0, 2.0, size=(n_pts, n, n, n))
+    jet = stacked_jet(vals, derivs)
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        tower_verdicts(Jet(vals, derivs).__getitem__, 4, pts, 0, 1e-8)
+        tower_verdicts(jet.__getitem__, 4, pts, 0, 1e-8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -871,17 +897,19 @@ def test_composite_jet_overflow_in_a_later_chunk_names_the_whole_jet_point():
 def test_sliced_jet_raises_the_whole_jet_error():
     # 10^302 x1^64 is finite near x1 = 1.19, but its derivative overflows
     # there; values are checked before derivatives, so a later point with an
-    # infinite value is the one named when there is one
+    # infinite value is the one named when there is one, also when a scalar
+    # factor's product rule meets the infinite derivative
     op = op_from_strings(CH2, [[f"{10 ** 302}*x1^64", "0"], ["0", "x2"]])
+    scaled_op = LinCombOperator(CH2, ((Var(1), op),))
     derivative_only = np.array([[1.15, 1.0], [1.19, 1.0], [1.15, 2.0]])
     value_later = np.array([[1.15, 1.0], [1.19, 1.0], [1.15, np.inf]])
     for pts, where in ((derivative_only, "(1.19, 1.0)"), (value_later, "(1.15, inf)")):
         messages = []
-        for jet in (op.jet_many, op.jet_slices):
+        for jet in (op.jet_many, op.jet_slices, scaled_op.jet_many):
             with pytest.warns(RuntimeWarning), pytest.raises(EvalDomainError) as info:
                 jet(pts)
             messages.append(str(info.value))
-        assert messages == [f"operator 1-jet is not finite at point {where}"] * 2
+        assert messages == [f"operator 1-jet is not finite at point {where}"] * 3
 
 
 def test_is_vanishing_memory_does_not_grow_with_the_whole_jet(lfa1):
@@ -935,6 +963,13 @@ def _outcome(jet_fn, coeff, pts):
     return vals.shape, derivs.shape, vals.tobytes(), derivs.tobytes()
 
 
+def _planned_jets(coeffs, pts):
+    """Each coefficient's columns of one :func:`scalar_jets_plan`, shaped as
+    :func:`scalar_jet_reference` gives them."""
+    cols = scalar_jets_plan(coeffs, pts.shape[1])(pts)
+    return [(cols[:, c, :1, None], cols[:, c, 1:, None, None]) for c in range(len(coeffs))]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_raw_ast_strategy(4), st.integers(0, 10_000))
 def test_scalar_jet_equals_every_variable_reference(coeff, salt):
@@ -942,7 +977,8 @@ def test_scalar_jet_equals_every_variable_reference(coeff, salt):
     # which is what evaluating its derivative, Const(0), gives
     rng = np.random.default_rng(salt)
     pts = rng.uniform(-0.5, 2.0, size=(6, 4))
-    assert _outcome(scalar_jet, coeff, pts) == _outcome(scalar_jet_reference, coeff, pts)
+    assert _outcome(lambda c, p: _planned_jets([c], p)[0], coeff, pts) == \
+        _outcome(scalar_jet_reference, coeff, pts)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -957,11 +993,7 @@ def test_scalar_jets_plan_equals_the_reference(coeffs, salt):
         return (np.concatenate([vals for vals, _ in jets], axis=1),
                 np.concatenate([grad for _, grad in jets], axis=2))
 
-    def planned_jets(cols):
-        return [(cols[:, c, :1, None], cols[:, c, 1:, None, None]) for c in range(len(coeffs))]
-
-    planned = _outcome(lambda _, p: joined(planned_jets(scalar_jets_plan(coeffs, 4)(p))),
-                       None, pts)
+    planned = _outcome(lambda _, p: joined(_planned_jets(coeffs, p)), None, pts)
     reference = _outcome(lambda _, p: joined([scalar_jet_reference(c, p) for c in coeffs]),
                          None, pts)
     assert planned == reference
@@ -977,29 +1009,38 @@ def test_scalar_jet_differentiates_only_present_variables(monkeypatch):
     monkeypatch.setattr(fl, "diff", counted)
     coeff = parse_expr("x2*x2 - 3/x4 + 1", Chart(5))
     pts = np.full((3, 5), 1.5)
-    vals, derivs = scalar_jet(coeff, pts)
+    cols = scalar_jets_plan([coeff], 5)(pts)
     assert differentiated == [1, 3]
-    assert derivs[:, :, 0, 0].tolist() == [[0.0, 3.0, 0.0, 3 / 1.5 ** 2, 0.0]] * 3
-    assert vals.shape == (3, 1, 1) and derivs.shape == (3, 5, 1, 1)
+    assert cols[:, 0, 1:].tolist() == [[0.0, 3.0, 0.0, 3 / 1.5 ** 2, 0.0]] * 3
+    assert cols.shape == (3, 1, 6)
+    differentiated.clear()
+    assert scalar_jets_plan([coeff], 0)(pts).tolist() == cols[:, :, :1].tolist()
+    assert differentiated == []
 
 
 def test_jet_slices_are_views_and_products_commute_with_slicing():
     rng = np.random.default_rng(73)
     n_pts, n = 11, 4
-    a = Jet(rng.uniform(-2, 2, (n_pts, n, n)), rng.uniform(-2, 2, (n_pts, n, n, n)))
-    b = Jet(rng.uniform(-2, 2, (n_pts, n, n)), rng.uniform(-2, 2, (n_pts, n, n, n)))
-    f = Jet(rng.uniform(-2, 2, (n_pts, 1, 1)), rng.uniform(-2, 2, (n_pts, n, 1, 1)))
+    a = Jet(rng.uniform(-2, 2, (n_pts, n + 1, n, n)))
+    b = Jet(rng.uniform(-2, 2, (n_pts, n + 1, n, n)))
+    f = rng.uniform(-2, 2, (n_pts, n + 1))
+    assert a.vals.base is a.stack and a.derivs.base is a.stack
+    assert np.array_equal(a.vals, a.stack[:, 0]) and np.array_equal(a.derivs, a.stack[:, 1:])
     for part in (slice(0, 1), slice(3, 8), slice(8, 20), slice(0, n_pts)):
         sliced = a[part]
-        assert sliced.vals.base is a.vals and sliced.derivs.base is a.derivs
+        assert sliced.stack.base is a.stack
         assert np.array_equal(sliced.vals, a.vals[part])
         for whole, parts in (((a @ b)[part], a[part] @ b[part]),
-                             ((f * a)[part], f[part] * a[part]),
-                             ((f * a + f * b)[part], f[part] * a[part] + f[part] * b[part])):
-            assert whole.vals.tobytes() == parts.vals.tobytes()
-            assert whole.derivs.tobytes() == parts.derivs.tobytes()
-    value_only = Jet(a.vals)[2:5]
-    assert value_only.derivs is None and value_only.vals.base is a.vals
+                             (scaled(f, a)[part], scaled(f[part], a[part])),
+                             ((scaled(f, a) + scaled(f, b))[part],
+                              scaled(f[part], a[part]) + scaled(f[part], b[part]))):
+            assert whole.stack.tobytes() == parts.stack.tobytes()
+    # a value-only jet has one row, and its products are the first rows of
+    # the 1-jets' products, bit for bit
+    value_a, value_b = Jet(a.stack[:, :1]), Jet(b.stack[:, :1])
+    assert value_a.derivs.shape == (n_pts, 0, n, n)
+    assert (value_a @ value_b).stack.tobytes() == (a @ b).vals.tobytes()
+    assert scaled(f[:, :1], value_a).stack.tobytes() == scaled(f, a).vals.tobytes()
 
 
 # ---------------------------------------------------------------------------

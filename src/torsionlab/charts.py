@@ -1,11 +1,13 @@
 """Coordinate changes, pushforwards, one-form potentials and block detection.
 
 A coordinate change carries an operator field by similarity with its
-Jacobian, K^(y) = J A J^(-1); exact polynomial one-forms (the annihilator
-generators of characteristic distributions) are integrated along coordinate
-axes, in exact rational arithmetic, to produce the separating coordinate
-functions; block structure of the transported matrices is verified or
-detected over sample points.
+Jacobian, K^(y) = J A J^(-1): numerically at sample points, and symbolically,
+given the inverse map x(y), as K^(y) = ((J A) o x) . dx/dy, since dx/dy is
+J^(-1) at x(y).  Exact polynomial one-forms (the annihilator generators of
+characteristic distributions) are integrated along coordinate axes, in exact
+rational arithmetic, to produce the separating coordinate functions; block
+structure of the transported matrices is verified or detected over sample
+points.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .expr import (
     as_point,
     const,
     diff,
-    div,
     eval_many,
     format_expr,
     mat_mul,
@@ -166,18 +167,27 @@ def _checked_jacobian(c: DiffeoChart, pts: np.ndarray) -> np.ndarray:
     return jac
 
 
-def jacobian_many(c: DiffeoChart, pts: np.ndarray) -> np.ndarray:
-    """J^a_i = dy^a/dx^i at every row of ``pts``: entries and first error as
-    if each component were differentiated along every variable, though along
-    the ones it lacks it is differentiated once, and that tree (the exact zero
-    unless it divides by a constant zero) evaluated only if it is not zero."""
-    n = c.src.dim
-    jac = np.zeros((pts.shape[0], n, n))
-    for a, y in enumerate(c.forward):
+def _jacobian(components: Sequence[Expr], n: int) -> list[list[Expr]]:
+    """d components[a] / dx^i as trees: each component is differentiated along
+    the variables it contains, and once along one it lacks.  That one tree
+    (the exact zero unless the component divides by a constant zero) stands
+    for every lacking variable, as :func:`diff` gives the same tree along each."""
+    rows = []
+    for y in components:
         present = variables(y)
         lacking = diff(y, min(set(range(n)) - set(present))) if len(present) < n else ZERO
-        for i in range(n):
-            d = diff(y, i) if i in present else lacking
+        rows.append([diff(y, i) if i in present else lacking for i in range(n)])
+    return rows
+
+
+def jacobian_many(c: DiffeoChart, pts: np.ndarray) -> np.ndarray:
+    """J^a_i = dy^a/dx^i at every row of ``pts``: entries and first error as
+    if each component were differentiated along every variable, though only
+    the trees of :func:`_jacobian` that are not the exact zero are evaluated."""
+    n = c.src.dim
+    jac = np.zeros((pts.shape[0], n, n))
+    for a, row in enumerate(_jacobian(c.forward, n)):
+        for i, d in enumerate(row):
             if d != ZERO:
                 jac[:, a, i] = eval_many(d, pts)
     return jac
@@ -221,48 +231,21 @@ def pushforward_at(a: OperatorBase, c: DiffeoChart, point) -> np.ndarray:
     return pushforward_many(a, c, p[None, :])[0]
 
 
-def _symbolic_inverse(entries: Sequence[Sequence[Expr]]) -> list[list[Expr]]:
-    """Adjugate-over-determinant inverse of a small symbolic matrix."""
-    n = len(entries)
-
-    def det(mat: list[list[Expr]]) -> Expr:
-        if len(mat) == 1:
-            return mat[0][0]
-        acc: Expr = const(0)
-        for col in range(len(mat)):
-            minor = [row[:col] + row[col + 1:] for row in mat[1:]]
-            term = mul(mat[0][col], det(minor))
-            acc = add(acc, term) if col % 2 == 0 else add(acc, mul(const(-1), term))
-        return acc
-
-    full = [list(row) for row in entries]
-    d = det(full)
-    inv = [[const(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [row[:j] + row[j + 1:] for k, row in enumerate(full) if k != i]
-            cof = det(minor)
-            if (i + j) % 2 == 1:
-                cof = mul(const(-1), cof)
-            inv[j][i] = div(cof, d)
-    return inv
-
-
 def pushforward_field(a: OperatorField, c: DiffeoChart) -> OperatorField:
     """Symbolic operator field in destination coordinates.
 
-    Requires the chart's inverse map: entries of J A J^(-1) are composed
-    with x(y) to become expressions on the destination chart.
+    Requires the chart's inverse map x(y), whose Jacobian dx/dy is J^(-1) at
+    x(y): the entries K^(y) = ((J A) o x) . dx/dy are expressions on the
+    destination chart, with no determinant of J in a denominator.
     """
     if c.inverse is None:
         raise ChartMismatchError("pushforward_field needs the inverse coordinate map")
     if a.chart != c.src:
         raise ChartMismatchError("operator must live on the source chart")
     n = c.src.dim
-    jac = [[diff(c.forward[r], i) for i in range(n)] for r in range(n)]
-    out = mat_mul(mat_mul(jac, a.entries), _symbolic_inverse(jac))
-    return OperatorField(c.dst, tuple(tuple(subst_vars(e, c.inverse) for e in row)
-                                      for row in out))
+    ja = mat_mul(_jacobian(c.forward, n), a.entries)
+    composed = [[subst_vars(e, c.inverse) for e in row] for row in ja]
+    return OperatorField(c.dst, mat_mul(composed, _jacobian(c.inverse, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,13 +26,14 @@ from .charts import DiffeoChart, OneFormExpr
 from .errors import ExprParseError, ManifestError
 from .expr import Chart, Expr, SampleDomain, parse_expr
 from .fields import OperatorField, VectorFieldExpr
+from .spectral import CLUSTER_TOL, RANK_TOL
 
 __all__ = ["Manifest", "SpectrumGolden", "ChainSpec", "load_manifest", "fixture_path"]
 
 DEFAULT_TOLERANCES = {
     "vanish_rel": 1e-8,
-    "rank": 1e-8,
-    "cluster": 1e-4,
+    "rank": RANK_TOL,
+    "cluster": CLUSTER_TOL,
     "block": 1e-8,
 }
 DEFAULT_SAMPLES = 200

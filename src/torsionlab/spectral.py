@@ -33,7 +33,7 @@ from .errors import (
     SpectralError,
     TorsionLabError,
 )
-from .expr import Chart, SampleDomain, as_point, sample_points
+from .expr import SampleDomain, as_point, sample_points
 from .fields import OperatorBase, VectorFieldExpr, given_sample, lie_bracket
 
 __all__ = [

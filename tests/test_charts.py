@@ -24,6 +24,7 @@ from torsionlab.charts import (
     verify_diffeo,
 )
 from torsionlab.errors import (
+    ChartMismatchError,
     DimensionMismatchError,
     EvalDomainError,
     NonPolynomialError,
@@ -41,6 +42,7 @@ from torsionlab.expr import (
     eval_many,
     format_expr,
     mul,
+    neg,
     parse_expr,
     sample_points,
     variables,
@@ -215,6 +217,90 @@ def test_symbolic_pushforward_torsion_covariance(lta):
     assert np.max(norm2) > 1e-3
 
 
+def _normalised_torsion(field, level, ys):
+    """Worst level-``level`` torsion over ``ys``, in the normalisation of
+    test_symbolic_pushforward_torsion_covariance."""
+    t = torsion_many(field, level, ys)
+    vals = field.values_many(ys)
+    return np.max(np.max(np.abs(t), axis=(1, 2, 3))
+                  / (1 + np.max(np.abs(vals), axis=(1, 2)) ** (2 * level - 1)))
+
+
+@pytest.mark.parametrize("name", ["K1", "K2", "K3"])
+def test_symbolic_pushforward_torsion_covariance_lfa1(lfa1, name):
+    # n = 7, through an inverse map with cube roots: level 4 still vanishes
+    # in y-coordinates and level 3 still does not
+    chart = lfa1.charts["y"]
+    op = lfa1.operators[name]
+    pushed = pushforward_field(op, chart)
+    pts = sample_points(lfa1.domain, 25)
+    ys = chart.forward_many(pts)
+    assert rel_err(pushed.values_many(ys), pushforward_many(op, chart, pts)) <= 1e-12
+    assert _normalised_torsion(pushed, 4, ys) <= 1e-8
+    assert _normalised_torsion(pushed, 3, ys) > 1e-3
+
+
+def triangular_chart(n):
+    """y1 = x1, y_i = x_i + x_(i-1)^2, with its exact polynomial inverse."""
+    ch = Chart(n)
+    forward = [Var(0)] + [add(Var(i), mul(Var(i - 1), Var(i - 1))) for i in range(1, n)]
+    inverse = [Var(0)]
+    for i in range(1, n):
+        inverse.append(Var(i) - inverse[-1] ** 2)
+    return DiffeoChart(ch, ch, tuple(forward), tuple(inverse))
+
+
+def test_symbolic_pushforward_through_a_triangular_chart_at_n9():
+    n = 9
+    chart = triangular_chart(n)
+    ch = chart.src
+    rng = np.random.default_rng(5)
+    op = OperatorField(ch, tuple(tuple(
+        add(mul(const(int(rng.integers(-3, 4))), Var((i + j) % n)), const(int(rng.integers(1, 4))))
+        for j in range(n)) for i in range(n)))
+    pts = rng.uniform(-0.5, 0.5, size=(30, n))
+    pushed = pushforward_field(op, chart)
+    assert pushed.chart == chart.dst
+    assert rel_err(pushed.values_many(chart.forward_many(pts)),
+                   pushforward_many(op, chart, pts)) <= 1e-12
+
+
+def test_symbolic_pushforward_with_a_non_constant_determinant():
+    # det J = 1/(1 + x2); the entries under sqrt, cbrt and ^-1 are composed
+    # with the inverse map
+    chart = DiffeoChart(CH3, CH3,
+                        tuple(parse_expr(s, CH3) for s in ("x1/(1 + x2)", "x2", "x3 + x1")),
+                        tuple(parse_expr(s, CH3) for s in
+                              ("x1*(1 + x2)", "x2", "x3 - x1*(1 + x2)")))
+    op = op_from_strings(CH3, [["sqrt(x1 + x3)", "x2^-1", "1"],
+                               ["cbrt(x1 - 2*x3)", "x1*x2", "x3^-2"],
+                               ["0", "sqrt(x2)*x1^-1", "cbrt(x3)"]])
+    pts = np.random.default_rng(2).uniform(0.5, 1.5, size=(40, 3))
+    pushed = pushforward_field(op, chart)
+    assert rel_err(pushed.values_many(chart.forward_many(pts)),
+                   pushforward_many(op, chart, pts)) <= 1e-12
+
+
+def test_symbolic_pushforward_needs_the_inverse_and_the_source_chart(lta):
+    op = lta.operators["L1"]
+    chart = lta.charts["y"]
+    with pytest.raises(ChartMismatchError, match="needs the inverse coordinate map"):
+        pushforward_field(op, DiffeoChart(chart.src, chart.dst, chart.forward))
+    other = identity_chart(CH3)
+    with pytest.raises(ChartMismatchError, match="operator must live on the source chart"):
+        pushforward_field(op, other)
+    with pytest.raises(ChartMismatchError, match="operator must live on the source chart"):
+        pushforward_many(op, other, np.ones((2, 3)))
+
+
+def test_verify_diffeo_rejects_a_wrong_inverse():
+    c = DiffeoChart(CH2, CH2, (Var(0), add(Var(1), mul(Var(0), Var(0)))),
+                    (Var(0), add(Var(1), mul(Var(0), Var(0)))))  # sign of x1^2 flipped
+    pts = np.array([[0.5, 1.0], [1.0, 2.0]])
+    with pytest.raises(ChartMismatchError, match=r"inverse map fails the round trip by 2\.000e\+00"):
+        verify_diffeo(c, pts)
+
+
 # ---------------------------------------------------------------------------
 # one-form integration
 # ---------------------------------------------------------------------------
@@ -252,6 +338,26 @@ def test_integrate_non_polynomial():
     w = OneFormExpr(CH2, (parse_expr("1/x1", CH2), const(0)))
     with pytest.raises(NonPolynomialError):
         integrate_exact_one_form(w)
+
+
+def test_integrate_negated_terms():
+    # a Neg node expands to its argument's monomials with their signs flipped
+    x1, x2 = Var(0), Var(1)
+    assert ch._to_monomials(neg(mul(x1, x2)), 2) == {(1, 1): -1}
+    w = OneFormExpr(CH2, (neg(mul(x1, x2)), neg(mul(const(Fraction(1, 2)), mul(x1, x1)))))
+    assert format_expr(integrate_exact_one_form(w), CH2) == "-(1/2 * x1^2 * x2)"
+
+
+def test_integrate_rejects_a_negative_power():
+    w = OneFormExpr(CH2, (parse_expr("x1^-1", CH2), const(0)))
+    with pytest.raises(NonPolynomialError, match="negative power is not polynomial"):
+        integrate_exact_one_form(w)
+
+
+def test_integrate_the_zero_form():
+    # every coefficient cancels, so the potential has no monomial
+    w = OneFormExpr(CH3, (parse_expr("x1 - x1", CH3), const(0), const(0)))
+    assert integrate_exact_one_form(w) == const(0)
 
 
 def test_integrate_all_fixture_annihilators(lta, lfa1):
@@ -493,6 +599,12 @@ def test_detect_blocks_hint_failure_reported():
     assert residual > 1e-8
     auto, _ = detect_blocks(mats, None, 1e-8)
     assert auto.sizes == (2,)
+
+
+@pytest.mark.parametrize("mats", [[np.zeros((2, 3))], [np.zeros(3)], [np.zeros((1, 2, 2))]])
+def test_detect_blocks_rejects_matrices_that_are_not_square(mats):
+    with pytest.raises(DimensionMismatchError, match="expected a sequence of square matrices"):
+        detect_blocks(mats)
 
 
 def test_detect_blocks_hint_of_the_wrong_dimension_names_both_sizes():

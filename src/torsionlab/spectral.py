@@ -1,20 +1,21 @@
 """Pointwise spectral analysis of operator fields.
 
 Distinct eigenvalues are obtained by clustering the numeric spectrum in the
-complex plane (clusters must average to real values), Riesz indices by rank
-stabilization of powers.  The generalized eigenspace, characteristic space
-and annihilator of each eigenvalue are read off the one singular value
-decomposition of the stabilized power that the rank sequence already
-computed.
+complex plane (clusters must average to real values).  A cluster of g
+eigenvalues has algebraic multiplicity g, so the rank walk over the powers of
+A - lam I stops at the cluster's multiplicity: its first power of rank n - g
+gives the Riesz index rho, and that power's singular value decomposition the
+generalized eigenspace, characteristic space and annihilator.
 
 One batched core, :func:`_spectra`, analyses a stack of points at once: one
 ``eigvals`` call and one vectorized clustering for the whole stack, then per
 eigenvalue slot and per power one ``matmul`` and one ``svd`` over the points
-still raising that power.  Cluster means are ``np.mean`` per cluster.  A
-regularity sweep asks the SVD for singular values only and keeps integer
-digests; :func:`spectrum_at` is the one-point case, the only one that
-computes SVD factors and bases.  It keeps the value it analysed, so the
-minimal polynomial degree is read from it without a second evaluation.
+still raising that power, sum(rho) SVDs per point.  Cluster means are
+``np.mean`` per cluster.  A regularity sweep asks the SVD for singular values
+only and keeps integer digests; :func:`spectrum_at` is the one-point case,
+the only one that computes SVD factors and bases.  It keeps the value it
+analysed, so the minimal polynomial degree is read from it without a second
+evaluation.
 """
 
 from __future__ import annotations
@@ -155,8 +156,9 @@ class SpectrumAtPoint:
         indices.
 
         Cross-checked against the smallest d making {I, A, ..., A^d} linearly
-        dependent (numeric rank of the vectorized powers); a mismatch raises
-        :class:`SpectralError`.
+        dependent (numeric rank of the vectorized powers, each scaled to
+        max 1, so that the test does not change under A -> sA); a mismatch
+        raises :class:`SpectralError`.
         """
         degree = sum(self.riesz)
         n = self.value.shape[0]
@@ -165,7 +167,8 @@ class SpectrumAtPoint:
         dep_degree = n  # Cayley-Hamilton guarantees dependence by degree n
         for d in range(1, n + 1):
             power = power @ self.value
-            rows.append(power.ravel() / max(1.0, np.max(np.abs(power))))
+            top = np.max(np.abs(power))
+            rows.append(power.ravel() / top if top else power.ravel())
             if numeric_rank(np.array(rows), rank_tol) < len(rows):
                 dep_degree = d
                 break
@@ -182,9 +185,10 @@ def _cluster_means(mats: np.ndarray, radius: np.ndarray):
     The eigenvalues of one matrix, sorted by (real, imag), fall into the
     components of the graph ``|e_a - e_b| <= radius``.  A cluster is stored
     at the sorted position of its first member: returns the real and
-    imaginary parts of the means, each (N, n), and the mask of the positions
-    that hold a cluster.  The means are ``np.mean`` per cluster, taken over
-    all clusters of one size and kind (real or complex matrix) at once.
+    imaginary parts of the means, each (N, n), and the member count of each
+    cluster at its position (0 elsewhere), which is its algebraic
+    multiplicity.  The means are ``np.mean`` per cluster, taken over all
+    clusters of one size and kind (real or complex matrix) at once.
     """
     raw = np.linalg.eigvals(mats)
     n_pts, n = raw.shape
@@ -204,7 +208,7 @@ def _cluster_means(mats: np.ndarray, radius: np.ndarray):
     same = label[:, :, None] == label[:, None, :]
     members = np.zeros((n_pts, n, n), dtype=eigs.dtype)  # [point, cluster, member]
     members[rows, label, (same & np.tri(n, k=-1, dtype=bool)).sum(axis=-1)] = eigs
-    size = same.sum(axis=-1)  # at a cluster's position: its member count
+    size = np.where(roots, same.sum(axis=-1), 0)
     cplx = np.repeat(~real_row[:, None], n, axis=1)
     re, im = np.zeros((n_pts, n)), np.zeros((n_pts, n))
     for g, c in set(zip(size[roots].tolist(), cplx[roots].tolist())):
@@ -212,7 +216,7 @@ def _cluster_means(mats: np.ndarray, radius: np.ndarray):
         group = members[at][:, :g]
         mean = np.mean(group if c else group.real, axis=-1)
         re[at], im[at] = mean.real, mean.imag
-    return re, im, roots
+    return re, im, size
 
 
 def _spectra(mats: np.ndarray, pts: np.ndarray, cluster_tol: float, rank_tol: float):
@@ -221,20 +225,19 @@ def _spectra(mats: np.ndarray, pts: np.ndarray, cluster_tol: float, rank_tol: fl
     A generator over eigenvalue slots: slot j holds the j-th distinct
     eigenvalue of each point in ascending order.  It yields
     ``(j, idx, lam, rho, rank, u, vh)`` for the points ``idx`` whose rank
-    sequence in slot j stopped at the Riesz index ``rho``: their eigenvalues,
-    the ranks of the stabilized powers (A - lam I)^rho and, when the stack
-    holds one point, the SVD factors ``u``, ``vh`` of that power (``None`` in
-    a sweep, which needs only singular values).  Points of one slot with
+    walk in slot j stopped at the Riesz index ``rho``: their eigenvalues,
+    the ranks of the last powers (A - lam I)^rho and, when the stack holds
+    one point, the SVD factors ``u``, ``vh`` of that power (``None`` in a
+    sweep, which needs only singular values).  Points of one slot with
     different Riesz indices come in separate yields, ascending in ``rho``.
     Every power of a slot is one ``matmul`` and one ``svd`` over the points
-    still raising it, so a point costs rho + 1 SVD rows per eigenvalue: one
-    per power of the rank sequence, the last of which only confirms that the
-    rank stopped changing.
+    still raising it, and a walk stops at its cluster's multiplicity, so a
+    point costs sum(rho) SVD rows: one per power.
 
     After the last slot the error of the first failing point is raised,
     naming that point.  The checks of one point run in this order: complex
     eigenvalue, then the slots by ascending eigenvalue and their powers in
-    ascending order, then the sum of the generalized eigenspace ranks.
+    ascending order.
     """
     n_pts, n = mats.shape[:2]
     errors: dict[int, TorsionLabError] = {}
@@ -246,39 +249,40 @@ def _spectra(mats: np.ndarray, pts: np.ndarray, cluster_tol: float, rank_tol: fl
             errors[int(i)] = error_type(f"{message} (at sample point {pts[i].tolist()})")
 
     scale = 1.0 + np.max(np.abs(mats), axis=(1, 2))
-    re, im, roots = _cluster_means(mats, cluster_tol * scale)
+    re, im, size = _cluster_means(mats, cluster_tol * scale)
+    roots = size > 0
     nonreal = roots & (np.abs(im) > IMAG_TOL * scale[:, None])
     for i in nonreal.any(axis=1).nonzero()[0]:
         k = np.argmax(nonreal[i])
         fail(i, ComplexEigenvalueError, f"eigenvalue {complex(re[i, k], im[i, k]):.6g} "
              "has non-negligible imaginary part")
-    lams = np.sort(np.where(roots, re, np.inf), axis=1, kind="stable")
+    order = np.argsort(np.where(roots, re, np.inf), axis=1, kind="stable")
+    lams = np.take_along_axis(re, order, axis=1)
+    sizes = np.take_along_axis(size, order, axis=1)
     count = np.sum(roots, axis=1)
 
-    dims = np.zeros((n_pts, n), dtype=int)  # generalized eigenspace dimension per slot
     for j in range(n):
         idx = ((count > j) & ~failed).nonzero()[0]
         if not idx.size:
             break
-        yield from _rank_walk(mats, j, idx, lams[idx, j], dims, rank_tol, fail)
-
-    for i in (dims.sum(axis=1) != n).nonzero()[0]:
-        fail(i, SpectralError, f"generalized eigenspace ranks {dims[i, :count[i]].tolist()} "
-             f"do not sum to dimension {n}")
+        yield from _rank_walk(mats, j, idx, lams[idx, j], sizes[idx, j], rank_tol, fail)
     if errors:
         raise errors[min(errors)]
 
 
 def _rank_walk(mats: np.ndarray, j: int, idx: np.ndarray, lam: np.ndarray,
-               dims: np.ndarray, rank_tol: float, fail):
-    """Rank sequences of the powers of ``mats[idx] - lam I`` in slot ``j`` of
+               size: np.ndarray, rank_tol: float, fail):
+    """Rank walks over the powers of ``mats[idx] - lam I`` in slot ``j`` of
     :func:`_spectra`, all points at once.
 
-    Yields ``(j, idx, lam, rho, rank, u, vh)`` for the points whose rank
-    stopped falling at the Riesz index ``rho``, with the rank and (for a
-    one-point stack) the SVD factors of the stabilized power, and records
-    the generalized eigenspace dimension in ``dims[idx, j]``; a point that
-    fails goes to ``fail(point, error type, message)`` instead.
+    The walk of a cluster of ``size`` g stops at the cluster's multiplicity,
+    the first power of rank n - g, whose exponent is the Riesz index ``rho``.
+    Yields ``(j, idx, lam, rho, rank, u, vh)`` for the points that stopped
+    there, with the rank and (for a one-point stack) the SVD factors of that
+    power.  A point fails, through ``fail(point, error type, message)``, on
+    an ambiguous cut, a full-rank first power (no eigenvalue), or a rank
+    that falls below n - g or stops falling above it.  Ranks fall strictly
+    until n - g, so every walk ends within g <= n powers.
     """
     n = mats.shape[1]
     eye = np.eye(n)
@@ -287,33 +291,28 @@ def _rank_walk(mats: np.ndarray, j: int, idx: np.ndarray, lam: np.ndarray,
     # the whole stack, so its factors need no indexing
     svd = (np.linalg.svd if mats.shape[0] == 1
            else lambda m: (None, np.linalg.svd(m, compute_uv=False), None))
-    # per point still raising the power: rank (and SVD factors) of the last
-    # power whose rank dropped
-    rank, u, vh = np.full(idx.size, n), None, None
+    rank = np.full(idx.size, n)  # per point still raising the power: its last rank
     power = eye
-    for rho in range(n + 1):
+    for rho in range(1, n + 1):
         power = power @ shifted
-        pu, s, pvh = svd(power)
+        u, s, vh = svd(power)
         cut, ambiguous = _rank_cut(s, rank_tol)
-        leave = ambiguous | (cut == rank)
-        if leave.any():
-            for k in ambiguous.nonzero()[0]:
-                fail(idx[k], RankAmbiguousError, _ambiguity(s[k], cut[k], rank_tol))
-            stop = leave & ~ambiguous
-            if rho == 0:
-                for k in stop.nonzero()[0]:
-                    fail(idx[k], SpectralError, f"cluster value {lam[k]:.6g} is not an eigenvalue")
-            elif stop.any():
-                dims[idx[stop], j] = n - rank[stop]
-                yield j, idx[stop], lam[stop], rho, rank[stop], u, vh
-            stay = ~leave
-            if not stay.any():
-                return
-            idx, lam, shifted = idx[stay], lam[stay], shifted[stay]
-            power, cut = power[stay], cut[stay]
-        rank, u, vh = cut, pu, pvh
-    for i in idx:
-        fail(i, SpectralError, "rank sequence failed to stabilize")
+        stop = ~ambiguous & (cut == n - size)
+        wrong = ~ambiguous & ~stop & ((cut < n - size) | (cut >= rank))
+        for k in ambiguous.nonzero()[0]:
+            fail(idx[k], RankAmbiguousError, _ambiguity(s[k], cut[k], rank_tol))
+        for k in wrong.nonzero()[0]:
+            fail(idx[k], SpectralError,
+                 f"cluster value {lam[k]:.6g} is not an eigenvalue" if cut[k] == n else
+                 f"generalized eigenspace of cluster value {lam[k]:.6g} has dimension "
+                 f"{n - cut[k]}, not its multiplicity {size[k]}")
+        if stop.any():
+            yield j, idx[stop], lam[stop], rho, cut[stop], u, vh
+        stay = ~(ambiguous | stop | wrong)
+        if not stay.any():
+            return
+        idx, lam, size, rank = idx[stay], lam[stay], size[stay], cut[stay]
+        shifted, power = shifted[stay], power[stay]
 
 
 def spectrum_at(a: OperatorBase, point, cluster_tol: float = CLUSTER_TOL,
@@ -326,7 +325,7 @@ def spectrum_at(a: OperatorBase, point, cluster_tol: float = CLUSTER_TOL,
 def _spectrum(mat: np.ndarray, p: np.ndarray, cluster_tol: float,
               rank_tol: float) -> SpectrumAtPoint:
     """Spectrum of the value ``mat`` of an operator at the point ``p``: the
-    one-point case of :func:`_spectra`, whose SVD of each stabilized power
+    one-point case of :func:`_spectra`, whose SVD of each walk's last power
     gives the generalized eigenspace, the characteristic space and the
     annihilator."""
     n = mat.shape[0]

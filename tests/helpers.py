@@ -326,8 +326,8 @@ def spectrum_oracle(mat: np.ndarray, cluster_tol: float, rank_tol: float) -> tup
 
     Returns ``(eigenvalues, riesz, ranks, eig_bases, char_bases, annihilators)``:
     eigenvalues are the ``np.mean`` of the union-find clusters, and each Riesz
-    index is the first power of ``A - l I`` whose rank stops falling, with the
-    bases read from the SVD of the stabilized power.
+    index is the first power of ``A - l I`` whose rank is n - g, for a
+    cluster of g members, with the bases read from the SVD of that power.
     """
     n = mat.shape[0]
     scale = 1.0 + float(np.max(np.abs(mat)))
@@ -337,32 +337,27 @@ def spectrum_oracle(mat: np.ndarray, cluster_tol: float, rank_tol: float) -> tup
         if abs(mean.imag) > IMAG_TOL * scale:
             raise ComplexEigenvalueError(
                 f"eigenvalue {mean:.6g} has non-negligible imaginary part")
-        lams.append(mean.real)
-    lams.sort()
+        lams.append((mean.real, len(grp)))
+    lams.sort(key=lambda item: item[0])
     out = ([], [], [], [], [], [])
-    for lam in lams:
+    for lam, g in lams:
         shifted = mat - lam * np.eye(n)
-        rank, u, vh = n, None, None
+        rank, rho = n, 0
         power = np.eye(n)
-        rho = 0
-        while True:
+        while rank != n - g:
             power = power @ shifted
             rho += 1
-            pu, s, pvh = np.linalg.svd(power)
+            u, s, vh = np.linalg.svd(power)
             cut = rank_oracle(s, rank_tol)
-            if cut == rank:
-                rho -= 1
-                break
-            rank, u, vh = cut, pu, pvh
-            if rho > n:
-                raise SpectralError("rank sequence failed to stabilize")
-        if rho == 0:
-            raise SpectralError(f"cluster value {lam:.6g} is not an eigenvalue")
+            if cut == n:
+                raise SpectralError(f"cluster value {lam:.6g} is not an eigenvalue")
+            if cut != n - g and (cut < n - g or cut >= rank):
+                raise SpectralError(
+                    f"generalized eigenspace of cluster value {lam:.6g} has dimension "
+                    f"{n - cut}, not its multiplicity {g}")
+            rank = cut
         for lst, item in zip(out, (lam, rho, n - rank, vh[rank:].T, u[:, :rank], u[:, rank:].T)):
             lst.append(item)
-    if sum(out[2]) != n:
-        raise SpectralError(
-            f"generalized eigenspace ranks {out[2]} do not sum to dimension {n}")
     return tuple(tuple(lst) for lst in out)
 
 

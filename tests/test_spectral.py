@@ -130,15 +130,32 @@ def count_svd_calls(monkeypatch):
     return count_calls(monkeypatch, "svd")
 
 
-@pytest.mark.parametrize("fixture, name, expected", [("lfa1", "K1", 12), ("lta", "L1", 9)])
+@pytest.mark.parametrize("fixture, name, expected", [("lfa1", "K1", 7), ("lta", "L1", 5)])
 def test_one_svd_per_power(request, monkeypatch, fixture, name, expected):
-    # rho + 1 powers per eigenvalue; the subspaces come from the SVD of the
-    # stabilized power that the rank sequence already made
+    # rho powers per eigenvalue: the walk stops at the cluster's multiplicity,
+    # and the subspaces come from the SVD of the last power it made
     man = request.getfixturevalue(fixture)
     p = sample_points(man.domain, 1)[0]
     calls = count_svd_calls(monkeypatch)
     spec = spectrum_at(man.operators[name], p, man.tolerances["cluster"], man.tolerances["rank"])
-    assert len(calls) == sum(rho + 1 for rho in spec.riesz) == expected
+    assert len(calls) == sum(spec.riesz) == expected
+
+
+@pytest.mark.parametrize("fixture, expected", [("lfa1", 4242), ("lta", 3030)])
+def test_spectrum_svd_budget(monkeypatch, capsys, fixture, expected):
+    # every matrix one `spectrum` invocation hands to the SVD: the one-point
+    # walks, the minimal polynomial rank tests and the regularity sweeps
+    matrices = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert main(["spectrum", "--manifest", f"{fixture}.json"]) == 0
+    capsys.readouterr()
+    assert sum(matrices) == expected
 
 
 def test_annihilator_duality(lta):
@@ -212,6 +229,31 @@ def test_minimal_poly_degree_mismatch_fails_the_spectrum_check(lta, monkeypatch,
     out = capsys.readouterr().out
     for name in lta.operators:
         assert f"| {name} spectrum | FAIL | `{{\"error\": \"minimal polynomial degree mismatch" in out
+
+
+@pytest.mark.parametrize("fixture", ["lfa1", "lta"])
+def test_digest_and_degree_do_not_change_under_scaling(request, fixture):
+    # A -> sA scales every eigenvalue and every power; each power's row of the
+    # minimal polynomial rank test is scaled to max 1 by its own maximum
+    man = request.getfixturevalue(fixture)
+    cluster, rank_tol = man.tolerances["cluster"], man.tolerances["rank"]
+    pts = sample_points(man.domain, 20)
+    for op in man.operators.values():
+        for p, mat in zip(pts, op.values_many(pts)):
+            spec = _spectrum(mat, p, cluster, rank_tol)
+            want = (spec.digest, spec.minimal_poly_degree(rank_tol))
+            for s in (1e-2, 1e-1, 1e2, 1e4):
+                scaled = _spectrum(s * mat, p, cluster, rank_tol)
+                assert (scaled.digest, scaled.minimal_poly_degree(rank_tol)) == want
+
+
+@pytest.mark.parametrize("mat, degree", [(np.diag([1.0], k=1), 2), (np.zeros((2, 2)), 1)])
+@pytest.mark.parametrize("s", [1.0, 1e-2, 1e4])
+def test_minimal_poly_degree_of_a_nilpotent_and_the_zero_operator(mat, degree, s):
+    # a power that is exactly zero stays a zero row: no division by its maximum
+    spec = _spectrum(s * mat, np.zeros(2), CLUSTER_TOL, RANK_TOL)
+    assert spec.riesz == (degree,)
+    assert spec.minimal_poly_degree() == degree
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +453,15 @@ def test_cluster_means_match_numpy_mean(kind, members):
     mats = np.stack([cluster_matrix(rng, members, kind) for _ in range(6)]
                     + [cluster_matrix(rng, members, "real" if kind == "complex" else "complex")])
     radius = CLUSTER_TOL * (1.0 + np.max(np.abs(mats), axis=(1, 2)))
-    re, im, roots = _cluster_means(mats, radius)
+    re, im, size = _cluster_means(mats, radius)
     biggest = 0
     for i, mat in enumerate(mats):
         groups = cluster_eigenvalues(np.linalg.eigvals(mat), radius[i])
         means = np.array([complex(np.mean(g)) for g in groups])
-        assert same_bits(re[i][roots[i]], means.real)
-        assert same_bits(im[i][roots[i]], means.imag)
+        roots = size[i] > 0
+        assert same_bits(re[i][roots], means.real)
+        assert same_bits(im[i][roots], means.imag)
+        assert size[i][roots].tolist() == [len(g) for g in groups]
         biggest = max(biggest, max(len(g) for g in groups))
     assert biggest == members
 
@@ -442,10 +486,11 @@ def test_clusters_are_closed_under_chains():
     # through the members between them
     mats = np.diag([1.0018, 1.0, 9.0, 1.0006, 1.0012])[None]
     radius = CLUSTER_TOL * (1.0 + np.max(np.abs(mats), axis=(1, 2)))
-    re, im, roots = _cluster_means(mats, radius)
+    re, im, size = _cluster_means(mats, radius)
     groups = cluster_eigenvalues(np.linalg.eigvals(mats[0]), radius[0])
     assert [len(g) for g in groups] == [4, 1]
-    assert same_bits(re[0][roots[0]], np.array([np.mean(g) for g in groups]))
+    assert size[0].tolist() == [4, 0, 0, 0, 1]
+    assert same_bits(re[0][size[0] > 0], np.array([np.mean(g) for g in groups]))
 
 
 def test_ragged_sweep_matches_the_oracle():
@@ -463,6 +508,42 @@ def test_ragged_sweep_matches_the_oracle():
     assert_matches_oracle(mats, pts)
     assert _sweep(mats, pts, CLUSTER_TOL, RANK_TOL) == [
         (2, (1, 1), (1, 2)), (3, (1, 1, 1), (1, 1, 1)), (2, (1, 2), (1, 2))]
+
+
+def planted_collision(seed: int, d: float) -> np.ndarray:
+    """Q diag(J3(0), d, 1, 2, 5) Q^T for a random orthogonal Q: a simple
+    eigenvalue d next to a Jordan block of Riesz index 3."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((7, 7)))
+    jordan = np.diag([0.0, 0.0, 0.0, d, 1.0, 2.0, 5.0]) + np.diag([1.0, 1.0, 0, 0, 0, 0], k=1)
+    return q @ jordan @ q.T
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.floats(0.015, 0.04))
+def test_a_simple_eigenvalue_next_to_a_jordan_block_keeps_its_direction(seed, d):
+    # a fourth power of the block's shift would cut the direction of d, whose
+    # singular value d^4 falls below 1e-8 * 5^4 for d < 0.05; the walk of the
+    # block stops at its third power, of rank 7 - 3
+    mat, p = planted_collision(seed, d), np.array([d])
+    want = (5, (1, 1, 1, 1, 3), (1, 1, 1, 1, 3))
+    assert _spectrum(mat, p, CLUSTER_TOL, RANK_TOL).digest == want
+    assert _sweep(mat[None], p[None], CLUSTER_TOL, RANK_TOL) == [want]
+    assert_matches_oracle(mat[None], p[None])
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_a_block_whose_last_power_cuts_a_neighbour_names_the_point(seed):
+    # at d = 0.005 the third power already cuts d^3 below 1e-8 * 5^3: its rank
+    # falls below 7 - 3, which is an error, never a digest
+    mat, p = planted_collision(seed, 0.005), np.array([0.005])
+    message = (r"^generalized eigenspace of cluster value \S+ has dimension 4, "
+               r"not its multiplicity 3 \(at sample point \[0\.005\]\)$")
+    with pytest.raises(SpectralError, match=message):
+        _spectrum(mat, p, CLUSTER_TOL, RANK_TOL)
+    with pytest.raises(SpectralError, match=message):
+        _sweep(mat[None], p[None], CLUSTER_TOL, RANK_TOL)
+    assert_matches_oracle(mat[None], p[None])
 
 
 # four-dimensional values that fail in different ways

@@ -65,11 +65,12 @@ from .fields import (
     chunks,
     identity_operator,
     level_image,
+    relative,
     scalar_jets_plan,
     scaled,
     slot_action,
 )
-from .spectral import CLUSTER_TOL, RANK_TOL, _commutator_rule, minimal_poly_degree_at
+from .spectral import CLUSTER_TOL, RANK_TOL, minimal_poly_degree_at
 
 __all__ = [
     "PolySpec",
@@ -324,7 +325,7 @@ def check_polynomial_preservation(a: OperatorBase, p: PolySpec, m: int,
     base_at, poly_at = a.jet_slices(pts), PolyOperator(a, p.coeffs).jet_slices(pts)
     identity_max = np.array(-np.inf)
 
-    def candidates_at(part: slice) -> tuple[tuple[np.ndarray, tuple[np.ndarray]], ...]:
+    def candidates_at(part: slice) -> tuple[tuple[Jet, tuple[np.ndarray]], ...]:
         base, poly = base_at(part), poly_at(part)
         vals = base.vals
         t_base, t_poly = level_image(*base, m), level_image(*poly, m)
@@ -341,7 +342,7 @@ def check_polynomial_preservation(a: OperatorBase, p: PolySpec, m: int,
         denom = 1.0 + amplification * (1.0 + _point_max(t_base))
         resid = _point_max(t_poly - rhs) / denom
         np.maximum(identity_max, np.max(resid), out=identity_max)
-        return (vals, (t_base,)), (poly.vals, (t_poly,))
+        return (base, (t_base,)), (poly, (t_poly,))
 
     base_rep, poly_rep = (reports[0] for reports in candidate_verdicts(
         candidates_at, (m,), pts, domain.seed, tol))
@@ -406,7 +407,9 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
                   n_pts: int, n_random_combos: int, tol: float) -> AlgebraCheckReport:
     """Sample the closure laws of a generalized torsion-free operator family.
 
-    Checks pairwise commutativity at sampled points and level-m vanishing of
+    Checks pairwise commutativity at sampled points, by the residual
+    :func:`~torsionlab.fields.relative` (max|K_a K_b - K_b K_a|, max|K_a|
+    max|K_b|) over the sample, and level-m vanishing of
     K_a K_b for every ordered pair (a, b), K_a^2 included (ring law), then
     draws random function pairs (f, g) and operator pairs (K_a, K_b) and
     verifies level-m vanishing of f K_a + g K_b (module law).  One walk
@@ -437,10 +440,10 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
     val_max = np.zeros(k)
     comm_max = np.zeros((k, k))
 
-    def level_m(jet: Jet) -> tuple[np.ndarray, tuple[np.ndarray]]:
-        return jet.vals, (level_image(*jet, m),)
+    def level_m(jet: Jet) -> tuple[Jet, tuple[np.ndarray]]:
+        return jet, (level_image(*jet, m),)
 
-    def candidates_at(part: slice) -> Iterator[tuple[np.ndarray, tuple[np.ndarray]]]:
+    def candidates_at(part: slice) -> Iterator[tuple[Jet, tuple[np.ndarray]]]:
         gens = [jet_at(part) for jet_at in generators]
         for ia, a in enumerate(gens):
             val_max[ia] = max(val_max[ia], np.max(np.abs(a.vals)))
@@ -462,7 +465,7 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
     commute_worst = 0.0
     for ia in range(k):
         for ib in range(ia + 1, k):
-            rel = _commutator_rule(comm_max[ia, ib], val_max[ia], val_max[ib])
+            rel = float(relative(comm_max[ia, ib], val_max[ia] * val_max[ib]))
             commute_worst = max(commute_worst, rel)
             commute[ia][ib] = commute[ib][ia] = rel <= tol
 

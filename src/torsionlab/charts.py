@@ -52,7 +52,7 @@ from .expr import (
     subst_vars,
     variables,
 )
-from .fields import OperatorBase, OperatorField, _require_finite
+from .fields import OperatorBase, OperatorField, _require_finite, relative
 
 __all__ = [
     "DiffeoChart",
@@ -382,16 +382,17 @@ def detect_blocks(mats: Sequence[np.ndarray], hint: BlockPartition | None = None
                   tol: float = 1e-8) -> tuple[BlockPartition, float]:
     """Find or verify a contiguous block-diagonal partition over sample matrices.
 
-    With a ``hint``, returns it together with the largest off-block entry
-    magnitude relative to the overall scale.  Without one, returns the finest
-    contiguous partition whose off-block entries stay below ``tol * scale``
-    for every supplied matrix.
+    The scale is the largest entry magnitude max|M| over every supplied
+    matrix.  With a ``hint``, returns it together with the largest off-block
+    entry magnitude, :func:`~torsionlab.fields.relative` to that scale.
+    Without one, returns the finest contiguous partition whose off-block
+    entries stay within ``tol * scale`` for every supplied matrix.
     """
     stack = np.stack([np.asarray(m, dtype=float) for m in mats])
     if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
         raise DimensionMismatchError("expected a sequence of square matrices")
     n = stack.shape[1]
-    scale = max(1.0, float(np.max(np.abs(stack))))
+    scale = float(np.max(np.abs(stack)))
 
     if hint is not None:
         if hint.dim != n:
@@ -406,5 +407,5 @@ def detect_blocks(mats: Sequence[np.ndarray], hint: BlockPartition | None = None
         partition = BlockPartition(tuple(np.diff([0, *cuts, n])))
     block_of = partition.block_of()
     off = block_of[:, None] != block_of[None, :]
-    residual = float(np.max(np.abs(stack[:, off]))) / scale if off.any() else 0.0
+    residual = float(relative(np.max(np.abs(stack[:, off])), scale)) if off.any() else 0.0
     return partition, residual

@@ -277,8 +277,8 @@ def cmd_blockdiag(args) -> Report:
         if name in golden:
             expected = ch.values_at_image(fl.OperatorField(chart.dst, golden[name]),
                                           chart, pts)
-            scale = 1.0 + np.max(np.abs(expected))
-            err = float(np.max(np.abs(mats - expected)) / scale)
+            scale = max(np.max(np.abs(mats)), np.max(np.abs(expected)))
+            err = float(fl.relative(np.max(np.abs(mats - expected)), scale))
             report.add(f"{name} matches printed matrix", err <= tol, residual=err)
     return report
 

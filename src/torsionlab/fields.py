@@ -108,6 +108,7 @@ __all__ = [
     "torsion_at",
     "torsion_many",
     "is_vanishing",
+    "relative",
     "eigenchain_formula_rhs",
 ]
 
@@ -721,6 +722,16 @@ def chunks(n_pts: int, n: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, n_pts, step))
 
 
+def relative(residual, bound) -> np.ndarray:
+    """``residual / bound`` elementwise, where a check's bound is built from
+    its own inputs: 0/0 reads 0 and x/0 reads inf, which fails every tolerance."""
+    residual, bound = np.asarray(residual, dtype=float), np.asarray(bound, dtype=float)
+    zero = bound == 0
+    if not zero.any():  # skip the selections: the verdict walk calls this per chunk
+        return residual / bound
+    return np.where(zero, np.where(residual == 0, 0.0, np.inf), residual / np.where(zero, 1.0, bound))
+
+
 def _point_max(arr: np.ndarray) -> np.ndarray:
     """max |arr| over every axis but the point axis 0."""
     return np.abs(arr).reshape(arr.shape[0], -1).max(axis=1)
@@ -737,36 +748,24 @@ def _level_max(level: np.ndarray) -> np.ndarray:
     return np.abs(level.reshape(level.shape[0], -1).max(axis=1))
 
 
-def _verdict(max_residual: float, worst_point: np.ndarray, m: int, n_pts: int,
-             seed: int, tol_rel: float) -> VanishingReport:
-    return VanishingReport(
-        level=m,
-        n_points=n_pts,
-        seed=seed,
-        tol_rel=tol_rel,
-        max_residual=max_residual,
-        vanishing=bool(max_residual <= tol_rel),
-        worst_point=worst_point,
-    )
-
-
-def candidate_verdicts(candidates_at: Callable[[slice], Iterable[tuple[np.ndarray, Iterable]]],
+def candidate_verdicts(candidates_at: Callable[[slice], Iterable[tuple[Jet, Iterable]]],
                        levels: Sequence[int], pts: np.ndarray, seed: int,
                        tol_rel: float) -> list[list[VanishingReport]]:
     """Verdicts on the torsion ``levels`` of each of several candidates at ``pts``.
 
     ``candidates_at(part)`` yields, for every candidate in the same order for
-    every part, ``(vals, tensors)``: its n-by-n values at ``pts[part]``,
-    n = ``pts.shape[1]``, and its torsions there at each of ``levels`` in
-    turn, e.g. :func:`tower` or ``(level_image(..),)``.  The walk calls it
-    once per chunk of :func:`chunks`, in point order, and asks for the next
-    candidate only when it is done with the one before, so work the
-    candidates share is done once per chunk and one candidate's torsions are
-    alive at a time.  Per candidate and level it keeps only the running
-    worst residual, its first point and the first non-finite points.
+    every part, ``(jet, tensors)``: its 1-jet at ``pts[part]``, n =
+    ``pts.shape[1]``, and its torsions there at each of ``levels`` in turn,
+    e.g. :func:`tower` or ``(level_image(..),)``.  The walk calls it once per
+    chunk of :func:`chunks`, in point order, and asks for the next candidate
+    only when it is done with the one before, so work the candidates share
+    is done once per chunk and one candidate's torsions are alive at a time.
+    Per candidate and level it keeps only the running worst residual, its
+    first point and the first non-finite points.
 
     List c holds candidate c's reports on ``levels``: level l is judged by
-    the residual max|T^(l)| / (1 + max|A|^(2l-1)) per point, over all of
+    the residual :func:`relative` (max|T^(l)|, max|A|^(2l-1) max|dA|) per
+    point (T^(l) is of degree 2l - 1 in A and linear in dA), over all of
     ``pts``, and names the first worst point.  An :class:`EvalDomainError`
     names, of the lowest candidate with a non-finite level, the lowest such
     level and its first point, as walking the candidates one after another,
@@ -775,30 +774,30 @@ def candidate_verdicts(candidates_at: Callable[[slice], Iterable[tuple[np.ndarra
     n_pts, n = pts.shape
     levels = np.asarray(levels)
     rows = np.arange(len(levels))
-    powers = 2 * levels[:, None] - 1  # of max|A| in each level's rule
+    powers = 2 * levels[:, None] - 1  # of max|A| in each level's bound
     # per candidate, by level: the worst residual, its point and the first
-    # points where the torsion norm and the rule's denominator are not finite
+    # points where the torsion norm and the rule's bound are not finite
     worst: list[np.ndarray] = []
     worst_at: list[np.ndarray] = []
     first_bad: list[np.ndarray] = []
     for part in chunks(n_pts, n):
         start, cand = part.start, 0
-        for vals, tensors in candidates_at(part):
+        for jet, tensors in candidates_at(part):
             if cand == len(worst):  # the first chunk
                 worst.append(np.full(len(levels), -np.inf))
                 worst_at.append(np.zeros(len(levels), dtype=np.intp))
                 first_bad.append(np.full((len(levels), 2), n_pts))
             tor = np.array([_level_max(t) for t in tensors])
-            denom = 1.0 + _point_max(vals) ** powers
+            bound = _point_max(jet.vals) ** powers * _point_max(jet.derivs)
             # drop the candidate before the caller builds the next one (an
             # enumerate would keep it alive in its reused result tuple)
-            del vals, tensors
-            if not (np.isfinite(tor).all() and np.isfinite(denom).all()):
-                for k, arr in enumerate((tor, denom)):
+            del jet, tensors
+            if not (np.isfinite(tor).all() and np.isfinite(bound).all()):
+                for k, arr in enumerate((tor, bound)):
                     bad = ~np.isfinite(arr)
                     first = np.where(bad.any(axis=1), start + bad.argmax(axis=1), n_pts)
                     np.minimum(first_bad[cand][:, k], first, out=first_bad[cand][:, k])
-            res = tor / denom
+            res = relative(tor, bound)
             at = res.argmax(axis=1)
             top = res[rows, at]
             better = top > worst[cand]  # strictly: ties keep the earlier point
@@ -809,7 +808,9 @@ def candidate_verdicts(candidates_at: Callable[[slice], Iterable[tuple[np.ndarra
     if hits.size:
         cand, row, k = hits[0]
         raise _not_finite(f"level-{levels[row]} torsion", pts[first_bad[cand][row, k]])
-    return [[_verdict(float(w), pts[i], int(level), n_pts, seed, tol_rel)
+    return [[VanishingReport(level=int(level), n_points=n_pts, seed=seed, tol_rel=tol_rel,
+                             max_residual=float(w), vanishing=bool(w <= tol_rel),
+                             worst_point=pts[i])
              for level, w, i in zip(levels, w_row, at_row)]
             for w_row, at_row in zip(worst, worst_at)]
 
@@ -819,9 +820,9 @@ def tower_verdicts(jet_at: Callable[[slice], Jet], m: int, pts: np.ndarray,
     """Verdicts on levels 1..m of one operator's 1-jet at the points ``pts``:
     :func:`candidate_verdicts` of the :func:`tower` of ``jet_at(part)``, e.g.
     ``jet.__getitem__`` or :meth:`OperatorBase.jet_slices`."""
-    def candidates_at(part: slice) -> Iterator[tuple[np.ndarray, Iterator[np.ndarray]]]:
+    def candidates_at(part: slice) -> Iterator[tuple[Jet, Iterator[np.ndarray]]]:
         jet = jet_at(part)
-        yield jet.vals, tower(*jet, m)
+        yield jet, tower(*jet, m)
 
     return candidate_verdicts(candidates_at, range(1, m + 1), pts, seed, tol_rel)[0]
 
@@ -919,15 +920,16 @@ def _matrix_powers(mat: np.ndarray, top: int) -> list[np.ndarray]:
 
 def _check_chain(ap: np.ndarray, lam: float,
                  chain: Sequence[VectorFieldExpr], p: np.ndarray) -> None:
+    """Check A X_g = lam X_g + X_(g-1) along the chain at one point, relative
+    to the bound (max|A| + |lam|) max|X_g| + max|X_(g-1)|."""
     if not chain:
         raise ChainConditionError("chain must contain at least one field")
     prev = np.zeros(ap.shape[0])
-    scale = (1.0 + np.max(np.abs(ap)))
+    scale = np.max(np.abs(ap)) + abs(lam)
     for g, field in enumerate(chain, start=1):
         xv = field.at(p)
-        scale_g = scale * (1.0 + np.max(np.abs(xv)))
         resid = np.max(np.abs(ap @ xv - lam * xv - prev))
-        if resid > 1e-8 * scale_g:
+        if relative(resid, scale * np.max(np.abs(xv)) + np.max(np.abs(prev))) > 1e-8:
             raise ChainConditionError(
                 f"chain relation fails at slot {g}: residual {resid:.3e}")
         prev = xv

@@ -35,7 +35,7 @@ from .errors import (
     TorsionLabError,
 )
 from .expr import SampleDomain, as_point, sample_points
-from .fields import OperatorBase, VectorFieldExpr, given_sample, lie_bracket
+from .fields import OperatorBase, VectorFieldExpr, given_sample, lie_bracket, relative
 
 __all__ = [
     "SpectrumAtPoint",
@@ -56,16 +56,6 @@ RANK_GAP_FACTOR = 10.0
 CLUSTER_TOL = 1e-4
 IMAG_TOL = 1e-8
 COMMUTE_TOL = 1e-8
-
-
-def _commutator_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """max|AB - BA| / ((1 + max|A|)(1 + max|B|)) over one matrix or a stack."""
-    return _commutator_rule(np.max(np.abs(a @ b - b @ a)), np.max(np.abs(a)), np.max(np.abs(b)))
-
-
-def _commutator_rule(comm_max: float, a_max: float, b_max: float) -> float:
-    """The commutator residual from max|AB - BA|, max|A| and max|B|."""
-    return float(comm_max / ((1.0 + a_max) * (1.0 + b_max)))
 
 
 # ---------------------------------------------------------------------------
@@ -156,22 +146,20 @@ class SpectrumAtPoint:
         indices.
 
         Cross-checked against the smallest d making {I, A, ..., A^d} linearly
-        dependent (numeric rank of the vectorized powers, each scaled to
-        max 1, so that the test does not change under A -> sA); a mismatch
-        raises :class:`SpectralError`.
+        dependent: past the first dependent power the span stops growing, so
+        d is the numeric rank of the whole stack of vectorized powers
+        I, A, ..., A^n (Cayley-Hamilton), each row scaled to max 1 so that
+        the test does not change under A -> sA.  A mismatch raises
+        :class:`SpectralError`.
         """
         degree = sum(self.riesz)
         n = self.value.shape[0]
-        rows = [np.eye(n).ravel()]
-        power = np.eye(n)
-        dep_degree = n  # Cayley-Hamilton guarantees dependence by degree n
-        for d in range(1, n + 1):
-            power = power @ self.value
-            top = np.max(np.abs(power))
-            rows.append(power.ravel() / top if top else power.ravel())
-            if numeric_rank(np.array(rows), rank_tol) < len(rows):
-                dep_degree = d
-                break
+        powers = [np.eye(n)]
+        for _ in range(n):
+            powers.append(powers[-1] @ self.value)
+        rows = np.array(powers).reshape(n + 1, n * n)
+        top = np.max(np.abs(rows), axis=1, keepdims=True)
+        dep_degree = numeric_rank(np.divide(rows, top, out=rows, where=top > 0), rank_tol)
         if dep_degree != degree:
             raise SpectralError(
                 f"minimal polynomial degree mismatch: rank test gives {dep_degree}, "
@@ -479,15 +467,19 @@ def _intersect(basis_a: np.ndarray, basis_b: np.ndarray,
 def joint_refinement(ops: Sequence[OperatorBase], point,
                      cluster_tol: float = CLUSTER_TOL,
                      rank_tol: float = RANK_TOL) -> JointRefinement:
-    """Simultaneous block decomposition data for pairwise commuting operators."""
+    """Simultaneous block decomposition data for pairwise commuting operators.
+
+    Values A, B at the point commute when max|AB - BA| / (max|A| max|B|) is
+    at most ``COMMUTE_TOL``; else :class:`NonCommutingError` is raised."""
     if not ops:
         raise ValueError("need at least one operator")
     chart = ops[0].chart
     p = as_point(chart, point)
     mats = [op.values_many(p[None, :])[0] for op in ops]
-    for ia in range(len(ops)):
-        for ib in range(ia + 1, len(ops)):
-            residual = _commutator_residual(mats[ia], mats[ib])
+    for ia, a in enumerate(mats):
+        for ib, b in enumerate(mats[ia + 1:], start=ia + 1):
+            residual = float(relative(np.max(np.abs(a @ b - b @ a)),
+                                      np.max(np.abs(a)) * np.max(np.abs(b))))
             if residual > COMMUTE_TOL:
                 raise NonCommutingError(
                     f"operators {ia} and {ib} do not commute at the point "

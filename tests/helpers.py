@@ -16,7 +16,8 @@ matrix powers, where production applies it by Horner over slot actions.
 The monomial oracle reads coefficients off exact Taylor derivatives at the
 origin, where production expands the expression tree term by term.  The
 verdict reference judges a whole tower level at once, where production folds
-chunk after chunk into running maxima.
+chunk after chunk into running maxima, and the residual references read each
+ratio entry by entry (:func:`relative_oracle`).
 """
 
 from __future__ import annotations
@@ -131,29 +132,49 @@ def level_up_oracle(t: np.ndarray, a: np.ndarray) -> np.ndarray:
             - np.einsum("pil,plmk,pmj->pijk", a, t, a))
 
 
-def vanishing_report(torsions: np.ndarray, vals: np.ndarray, m: int,
+def relative_oracle(residual, bound) -> np.ndarray:
+    """residual / bound entry by entry, with 0/0 read as 0 and x/0 as inf."""
+    residual, bound = np.broadcast_arrays(np.asarray(residual, dtype=float),
+                                          np.asarray(bound, dtype=float))
+    out = [0.0 if r == 0 else (np.inf if b == 0 else r / b)
+           for r, b in zip(residual.ravel().tolist(), bound.ravel().tolist())]
+    return np.array(out).reshape(residual.shape)
+
+
+def vanishing_report(torsions: np.ndarray, vals: np.ndarray, derivs: np.ndarray, m: int,
                      pts: np.ndarray, seed: int, tol_rel: float) -> VanishingReport:
     """Verdict on a whole level-m tower, from the residual rule on whole arrays.
 
-    The residual at each point is max|T^(m)| / (1 + max|A|^(2m-1)); the
-    report names the first point of the largest, and an ``EvalDomainError``
-    names the first point where the torsion norm or the rule's denominator
-    is not finite.  Production folds the same rule chunk by chunk.
+    T^(m) is of degree 2m - 1 in A and linear in dA, so the residual at each
+    point is max|T^(m)| / (max|A|^(2m-1) max|dA|), read by
+    :func:`relative_oracle`; the report names the first point of the largest,
+    and an ``EvalDomainError`` names the first point where the torsion norm
+    or the rule's bound is not finite.  Production folds the same rule chunk
+    by chunk.
     """
     n_pts = pts.shape[0]
     tor_norm = np.abs(torsions).reshape(n_pts, -1).max(axis=1)
-    denom = 1.0 + np.abs(vals).reshape(n_pts, -1).max(axis=1) ** (2 * m - 1)
-    for arr in (tor_norm, denom):
+    bound = (np.abs(vals).reshape(n_pts, -1).max(axis=1) ** (2 * m - 1)
+             * np.abs(derivs).reshape(n_pts, -1).max(axis=1))
+    for arr in (tor_norm, bound):
         if not np.isfinite(arr).all():
             point = pts[int(np.argmax(~np.isfinite(arr)))]
             raise EvalDomainError(
                 f"level-{m} torsion is not finite at point {tuple(point.tolist())}")
-    residuals = tor_norm / denom
+    residuals = relative_oracle(tor_norm, bound)
     worst = int(np.argmax(residuals))
     return VanishingReport(level=m, n_points=n_pts, seed=seed, tol_rel=tol_rel,
                            max_residual=float(residuals[worst]),
                            vanishing=bool(residuals[worst] <= tol_rel),
                            worst_point=pts[worst])
+
+
+def commutator_oracle(a: np.ndarray, b: np.ndarray) -> float:
+    """max|AB - BA| / (max|A| max|B|) over one matrix pair or a stack of
+    pairs, with the products written out by ``np.einsum``."""
+    comm = np.einsum("...ij,...jk->...ik", a, b) - np.einsum("...ij,...jk->...ik", b, a)
+    return float(relative_oracle(np.max(np.abs(comm)),
+                                 np.max(np.abs(a)) * np.max(np.abs(b))))
 
 
 def rep_oracle(terms, t: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -440,10 +461,10 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
 
 def finest_block_partition(mats: np.ndarray, tol: float) -> tuple[int, ...]:
     """Block sizes of the finest contiguous partition of ``mats`` (N, n, n)
-    whose off-block entries all stay within ``tol * max(1, max|entry|)``,
-    found by trying all 2^(n-1) sets of cut positions."""
+    whose off-block entries all stay within ``tol * max|entry|``, found by
+    trying all 2^(n-1) sets of cut positions."""
     n = mats.shape[1]
-    bound = tol * max(1.0, float(np.max(np.abs(mats))))
+    bound = tol * float(np.max(np.abs(mats)))
     best: tuple[int, ...] = (n,)
     for count in range(1, n):
         for cuts in combinations(range(1, n), count):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    commutator_oracle,
     composite_jet_reference,
     random_operator,
     random_poly_expr,
@@ -291,7 +292,7 @@ def test_preservation_builds_two_level_images_per_chunk(lta, monkeypatch):
     for op, got in ((a, rep.base_report), (PolyOperator(a, p.coeffs), rep.poly_report)):
         jet = op.jet_many(pts)
         want = candidate_verdicts(
-            lambda part: [(jet[part].vals, (level_image(*jet[part], m),))],
+            lambda part: [(jet[part], (level_image(*jet[part], m),))],
             (m,), pts, lta.domain.seed, 1e-8)[0][0]
         assert (got.max_residual, got.level) == (want.max_residual, m)
         assert np.array_equal(got.worst_point, want.worst_point)
@@ -398,16 +399,27 @@ def test_commute_worst_is_the_scaled_commutator(lta):
     family = [lta.operators["L1"], lta.operators["L2"], op_from_strings(lta.chart, rows)]
     pts = sample_points(lta.domain, 20)
     vals = [op.values_many(pts) for op in family]
-    expected = 0.0
-    for ia in range(len(vals)):
-        for ib in range(ia + 1, len(vals)):
-            comm = vals[ia] @ vals[ib] - vals[ib] @ vals[ia]
-            scale = (1.0 + np.max(np.abs(vals[ia]))) * (1.0 + np.max(np.abs(vals[ib])))
-            expected = max(expected, float(np.max(np.abs(comm)) / scale))
+    expected = max(commutator_oracle(vals[ia], vals[ib])
+                   for ia in range(len(vals)) for ib in range(ia + 1, len(vals)))
     rep = check_algebra(family, 1, lta.domain, 20, 1, 1e-8)
     assert expected > 1e-8
     assert rep.commute_worst == expected
     assert not rep.commute_ok
+
+
+@pytest.mark.parametrize("s", ["1/10000", "1", "10000"])
+def test_a_scaled_pair_is_judged_by_its_own_scale(s):
+    # A = s [[1, 1], [0, 2]] and B = s [[0, 0], [1, 0]]: AB - BA = s^2 [[1, 0],
+    # [1, -1]] against max|A| max|B| = 2 s^2, residual 1/2 at every s
+    a = op_from_strings(CH2, [[s, s], ["0", f"2*{s}"]])
+    b = op_from_strings(CH2, [["0", "0"], [s, "0"]])
+    dom = SampleDomain(box=((0.5, 1.5),) * 2, seed=3)
+    rep = check_algebra([a, b], 1, dom, 10, 2, 1e-8)
+    pts = sample_points(dom, 10)
+    assert rep.commute_worst == pytest.approx(0.5, rel=1e-12)
+    assert rep.commute_worst == commutator_oracle(a.values_many(pts), b.values_many(pts))
+    assert not rep.commute_ok and not rep.passed
+    assert rep.ring_worst == 0.0  # products of constant operators: T = 0 and dA = 0
 
 
 def _whole_array_worsts(man, m, n_pts, n_combos, seed):
@@ -421,7 +433,7 @@ def _whole_array_worsts(man, m, n_pts, n_combos, seed):
 
     def worst(jet):
         def candidates_at(part):
-            yield jet[part].vals, (level_image(*jet[part], m),)
+            yield jet[part], (level_image(*jet[part], m),)
         return candidate_verdicts(candidates_at, (m,), pts, seed, 1e-8)[0][0].max_residual
 
     ring = max(worst(a @ b) for a in jets for b in jets)

@@ -77,6 +77,20 @@ def test_torsion_identity_manifest(tmp_path, capsys):
     assert "PASS" in out
 
 
+def test_torsion_of_a_constant_operator_reads_zero_at_every_level(tmp_path, capsys):
+    # dA = 0: each level is 0 against a bound of 0, which reads 0, and the
+    # report stays valid JSON
+    man = dict(IDENTITY_MANIFEST, operators={"C": [["2", "1"], ["0", "3"]]})
+    out_json = tmp_path / "out.json"
+    code, _ = run_cli(["torsion", "--manifest", write_manifest(tmp_path, man), "--level", "3",
+                       "--samples", "20", "--json", str(out_json)], capsys)
+    assert code == 0
+    checks = json.loads(out_json.read_text())["checks"]
+    assert [(c["name"], c["residual"], c["vanishing"]) for c in checks[:3]] == \
+        [(f"C tau^({level})", 0.0, True) for level in (1, 2, 3)]
+    assert checks[3]["first_vanishing_level"] == 1
+
+
 def test_torsion_lta_first_vanishing_level(tmp_path, capsys):
     path = str(fixture_path("lta.json"))
     code, out = run_cli(["torsion", "--manifest", path, "--operator", "L1",

@@ -1,5 +1,6 @@
 """Lie brackets, operator application and the generalized torsion tower."""
 
+import functools
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -18,6 +19,7 @@ from helpers import (
     random_operator,
     random_poly_expr,
     rel_err,
+    relative_oracle,
     scalar_jet_reference,
     stacked_jet,
     vanishing_report,
@@ -83,6 +85,7 @@ from torsionlab.fields import (
     tower,
     tower_verdicts,
 )
+from torsionlab.manifest import fixture_path, load_manifest
 
 CH2 = Chart(2)
 CH3 = Chart(3)
@@ -464,7 +467,7 @@ def test_chunked_verdicts_equal_whole_tower_verdicts(n, size, flat, seed):
     vals = rng.uniform(-2.0, 2.0, size=(n_pts, n, n))
     derivs = rng.uniform(-2.0, 2.0, size=(n_pts, n, n, n)) * (0.0 if flat else 1.0)
     chunked = tower_verdicts(stacked_jet(vals, derivs).__getitem__, 4, pts, seed, 1e-8)
-    whole = [vanishing_report(t, vals, level, pts, seed, 1e-8)
+    whole = [vanishing_report(t, vals, derivs, level, pts, seed, 1e-8)
              for level, t in enumerate(tower(vals, derivs, 4), start=1)]
     assert len(chunked) == len(whole) == 4
     for got, want in zip(chunked, whole):
@@ -492,7 +495,7 @@ def test_chunked_walk_names_the_lowest_non_finite_level():
 
     def whole_tower():
         for level, t in enumerate(tower(vals, derivs, 3), start=1):
-            vanishing_report(t, vals, level, pts, 0, 1e-8)
+            vanishing_report(t, vals, derivs, level, pts, 0, 1e-8)
 
     messages = []
     jet_at = stacked_jet(vals, derivs).__getitem__
@@ -524,14 +527,14 @@ def test_candidate_walk_equals_one_candidate_walks(n, size, flat, seed):
 
     def candidates_at(part):
         parts.append((part.start, part.stop))
-        return ((jet[part].vals, tower(*jet[part], 3)) for jet in jets)
+        return ((jet[part], tower(*jet[part], 3)) for jet in jets)
 
     together = candidate_verdicts(candidates_at, range(1, 4), pts, seed, 1e-8)
     assert parts == [(start, start + step) for start in range(0, n_pts, step)]
     assert len(together) == len(jets)
     for got, jet in zip(together, jets):
         alone = tower_verdicts(jet.__getitem__, 3, pts, seed, 1e-8)
-        whole = [vanishing_report(t, jet.vals, level, pts, seed, 1e-8)
+        whole = [vanishing_report(t, *jet, level, pts, seed, 1e-8)
                  for level, t in enumerate(tower(*jet, 3), start=1)]
         for g, a, w in zip(got, alone, whole, strict=True):
             for want in (a, w):
@@ -570,11 +573,11 @@ def test_candidate_walk_raises_the_candidate_major_error(order):
     def candidate_major():
         for cand in cands:
             for level, t in enumerate(tower(*cand, m), start=1):
-                vanishing_report(t, cand.vals, level, pts, 0, 1e-8)
+                vanishing_report(t, *cand, level, pts, 0, 1e-8)
 
     messages = []
     chunk_major = lambda: candidate_verdicts(  # noqa: E731
-        lambda part: ((cand[part].vals, tower(*cand[part], m)) for cand in cands),
+        lambda part: ((cand[part], tower(*cand[part], m)) for cand in cands),
         range(1, m + 1), pts, 0, 1e-8)
     for walk in (candidate_major, chunk_major):
         with pytest.warns(RuntimeWarning), pytest.raises(EvalDomainError) as info:
@@ -599,7 +602,7 @@ def test_candidate_walk_drops_each_candidate_before_the_next():
     def candidate(jet):
         level = level_image(*jet, m)
         built.append(weakref.ref(level))
-        return jet.vals, (level,)
+        return jet, (level,)
 
     def candidates_at(part):
         for jet in jets:
@@ -681,6 +684,74 @@ def test_identity_is_level1_vanishing():
     dom = SampleDomain(box=((0.5, 1.5),) * 3, seed=5)
     rep = is_vanishing(identity_operator(CH3), 1, dom, 20, 1e-8)
     assert rep.vanishing
+
+
+# ---------------------------------------------------------------------------
+# scale-free residuals
+# ---------------------------------------------------------------------------
+
+def test_relative_reads_zero_over_zero_as_zero_and_x_over_zero_as_inf():
+    residual = np.array([0.0, 2.0, 3.0, 0.0, 1e-300])
+    bound = np.array([0.0, 0.0, 4.0, 5.0, 0.0])
+    got = fl.relative(residual, bound)
+    assert got.tolist() == [0.0, np.inf, 0.75, 0.0, np.inf]
+    assert got.tolist() == relative_oracle(residual, bound).tolist()
+    assert fl.relative(residual, 0.0).tolist() == [0.0, np.inf, np.inf, 0.0, np.inf]
+    assert float(fl.relative(0.0, 0.0)) == 0.0
+    assert float(fl.relative(1.0, 0.0)) == np.inf
+    assert not fl.relative(1.0, 0.0) <= 1e-8  # x/0 fails every tolerance
+
+
+def test_a_constant_operator_has_zero_residual_at_every_level():
+    # dA = 0: every level is 0 against a bound of 0
+    dom = SampleDomain(box=((0.5, 1.5),) * 3, seed=5)
+    a = op_from_strings(CH3, [["2", "1", "0"], ["0", "3", "-1"], ["5", "0", "1/2"]])
+    rep = is_vanishing(a, 4, dom, 30, 1e-8)
+    assert [r.max_residual for r in (*rep.lower, rep)] == [0.0] * 4
+    assert all(r.vanishing for r in (*rep.lower, rep))
+
+
+FIXTURE_OPERATORS = [("lfa1", name) for name in ("K1", "K2", "K3")] + \
+    [("lta", name) for name in ("L1", "L2", "L3")]
+
+
+@functools.lru_cache(maxsize=None)
+def _fixture_tower(fixture, name):
+    """The manifest level, 200 manifest-seed points, the operator's 1-jet
+    there and its verdicts on levels 1..level."""
+    man = load_manifest(fixture_path(f"{fixture}.json"))
+    pts = sample_points(man.domain, 200)
+    jet = man.operators[name].jet_many(pts)
+    return man.level, pts, jet, tower_verdicts(jet.__getitem__, man.level, pts, 0, 1e-8)
+
+
+def _assert_scaled_verdicts(case, scale):
+    """The verdicts on the jet ``Jet(scale * stack)`` are those on the jet."""
+    m, pts, jet, want = _fixture_tower(*case)
+    got = tower_verdicts(Jet(scale * jet.stack).__getitem__, m, pts, 0, 1e-8)
+    assert [r.vanishing for r in got] == [r.vanishing for r in want]
+    first = [next((r.level for r in reps if r.vanishing), None) for reps in (got, want)]
+    assert first[0] == first[1] is not None
+    for g, w in zip(got, want):
+        if not w.vanishing:
+            assert abs(g.max_residual - w.max_residual) <= 1e-12 * w.max_residual
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(FIXTURE_OPERATORS), exponent=st.floats(-8.0, 8.0))
+def test_tower_verdicts_do_not_change_when_the_derivatives_are_scaled(case, exponent):
+    # dA -> c dA, as the coordinate change x -> x / c gives it: T^(l) is
+    # linear in dA
+    scale = np.ones((1, _fixture_tower(*case)[1].shape[1] + 1, 1, 1))
+    scale[:, 1:] = 10.0 ** exponent
+    _assert_scaled_verdicts(case, scale)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=st.sampled_from(FIXTURE_OPERATORS), exponent=st.floats(-4.0, 4.0))
+def test_tower_verdicts_do_not_change_when_the_operator_is_scaled(case, exponent):
+    # A -> sA scales A and dA, so T^(l) by s^(2l)
+    _assert_scaled_verdicts(case, 10.0 ** exponent)
 
 
 # ---------------------------------------------------------------------------

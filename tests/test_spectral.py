@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torsionlab.spectral as spectral
-from helpers import basis_field, cluster_eigenvalues, spectrum_oracle
+from helpers import basis_field, cluster_eigenvalues, commutator_oracle, spectrum_oracle
 from torsionlab.cli import main
 from torsionlab.errors import (
     ComplexEigenvalueError,
@@ -141,7 +141,7 @@ def test_one_svd_per_power(request, monkeypatch, fixture, name, expected):
     assert len(calls) == sum(spec.riesz) == expected
 
 
-@pytest.mark.parametrize("fixture, expected", [("lfa1", 4242), ("lta", 3030)])
+@pytest.mark.parametrize("fixture, expected", [("lfa1", 4224), ("lta", 3018)])
 def test_spectrum_svd_budget(monkeypatch, capsys, fixture, expected):
     # every matrix one `spectrum` invocation hands to the SVD: the one-point
     # walks, the minimal polynomial rank tests and the regularity sweeps
@@ -216,9 +216,10 @@ def test_minimal_poly_degree_is_read_from_the_analysed_value(lfa1):
 
 
 def test_minimal_poly_degree_mismatch_fails_the_spectrum_check(lta, monkeypatch, capsys):
-    # a rank test that finds {I, A} dependent disagrees with the Riesz sum 5
-    # of each of L1..L3 at the first manifest point
-    monkeypatch.setattr(spectral, "numeric_rank", lambda mat, rank_tol=RANK_TOL: 0)
+    # a rank test that finds the powers of A spanning one dimension (so {I, A}
+    # dependent) disagrees with the Riesz sum 5 of each of L1..L3 at the first
+    # manifest point
+    monkeypatch.setattr(spectral, "numeric_rank", lambda mat, rank_tol=RANK_TOL: 1)
     p = sample_points(lta.domain, 1)[0]
     message = "minimal polynomial degree mismatch: rank test gives 1, Riesz indices give 5"
     with pytest.raises(SpectralError, match=f"^{message}$"):
@@ -694,11 +695,24 @@ def test_joint_refinement_commuting_diagonals():
 def test_joint_refinement_rejects_noncommuting():
     a = op_from_strings(CH2, [["1", "1"], ["0", "2"]])
     b = op_from_strings(CH2, [["1", "0"], ["1", "2"]])
-    # AB - BA = [[1, 1], [1, -1]], scale (1 + 2)(1 + 2): residual 1/9
+    # AB - BA = [[1, 1], [1, -1]], bound max|A| max|B| = 2 * 2: residual 1/4
     with pytest.raises(NonCommutingError,
                        match=r"operators 0 and 1 do not commute at the point "
-                             r"\(residual 1\.111e-01\)"):
+                             r"\(residual 2\.500e-01\)"):
         joint_refinement([a, b], (0.0, 0.0))
+
+
+@pytest.mark.parametrize("s", ["1/10000", "1", "10000"])
+def test_joint_refinement_judges_a_scaled_pair_by_its_own_scale(s):
+    # A = s [[1, 1], [0, 2]] and B = s [[0, 0], [1, 0]]: AB - BA = s^2 [[1, 0],
+    # [1, -1]] against max|A| max|B| = 2 s^2, residual 1/2 at every s
+    a = op_from_strings(CH2, [[s, s], ["0", f"2*{s}"]])
+    b = op_from_strings(CH2, [["0", "0"], [s, "0"]])
+    p = (0.0, 0.0)
+    assert commutator_oracle(a.at(p).matrix, b.at(p).matrix) == pytest.approx(0.5, rel=1e-12)
+    with pytest.raises(NonCommutingError, match=r"operators 0 and 1 do not commute at the "
+                                                r"point \(residual 5\.000e-01\)"):
+        joint_refinement([a, b], p)
 
 
 def test_intersect_uses_the_shared_rank_rule():

@@ -6,6 +6,7 @@ from .algebra import (
     PolySpec,
     PreservationReport,
     TriPoly,
+    bezout_identity_residual,
     bezout_quotient,
     check_algebra,
     check_polynomial_preservation,

@@ -15,11 +15,12 @@ Every verdict here is one chunk-major walk
 (:func:`torsionlab.fields.candidate_verdicts`) over the chunks of
 :func:`torsionlab.fields.chunks`, and every candidate is judged at level m
 alone, on the factored image :func:`torsionlab.fields.level_image`, built
-here and dropped before the next.  The preservation check judges the images
-of A and P(A) and keeps the Bezout identity residual, from the same two
-images, as a running maximum; :func:`bezout_identity_residual` walks the
-same chunks.  The closure check judges every K_a K_b and f K_a + g K_b: per
-chunk each generator's stacked 1-jet [K_a; dK_a] is expanded once, every
+here and dropped before the next.  The preservation check and
+:func:`bezout_identity_residual` share one walk over A and P(A), which keeps
+the Bezout identity residual as a running maximum by two rules: relative to
+the magnitudes of the inputs, for a vanishing base, and to the larger side,
+for a generic one.  The closure check judges every K_a K_b and f K_a + g K_b:
+per chunk each generator's stacked 1-jet [K_a; dK_a] is expanded once, every
 coefficient f and g is evaluated from one plan differentiated once, and the
 candidates come from the two product rules of :class:`torsionlab.fields.Jet`:
 ``@`` for K_a K_b, and :func:`torsionlab.fields.scaled` for each f K_a,
@@ -62,7 +63,6 @@ from .fields import (
     VanishingReport,
     _point_max,
     candidate_verdicts,
-    chunks,
     identity_operator,
     level_image,
     relative,
@@ -80,6 +80,7 @@ __all__ = [
     "PreservationReport",
     "rep_apply",
     "bezout_quotient",
+    "bezout_identity_residual",
     "poly_of_operator",
     "check_polynomial_preservation",
     "check_algebra",
@@ -251,10 +252,11 @@ def poly_of_operator(a: OperatorField, p: PolySpec) -> OperatorField:
 class PreservationReport:
     """Vanishing preservation plus the Bezout-representation identity.
 
-    The identity residual is normalized by the amplification bound (sum of
-    |s_ijk| ||A||^(i+j+k) times the torsion magnitude): with a vanishing base
-    torsion both sides are pure roundoff.  For generic operators the raw
-    two-sided residual is :func:`bezout_identity_residual`.
+    The identity residual max|T^(m)_{P(A)} - R_S T^(m)_A| is relative to the
+    magnitudes of the inputs, |Q_P|(beta, beta)^(2m) max|A|^(2m-1) max|dA| +
+    max|P(A)|^(2m-1) max|dP(A)|, beta = max(||A||_1, ||A||_inf), since with a
+    vanishing base both sides are roundoff; :func:`bezout_identity_residual`
+    judges a generic base by the larger side.
     """
 
     level: int
@@ -289,73 +291,62 @@ def _quotient_image(q: Mapping[tuple[int, int], np.ndarray], m: int, t_base: np.
     return out
 
 
-def bezout_identity_residual(a: OperatorBase, p: PolySpec, m: int,
-                             pts: np.ndarray) -> float:
-    """Max relative deviation of T^(m)_{P(A)} from the quotient representation
-    R_{Q_P(z,l)^m Q_P(z,mu)^m} T^(m)_A over the given points, chunk by chunk."""
-    if m < 2:
-        raise ValueError("the quotient identity applies for levels m >= 2")
+def _bezout_walk(a: OperatorBase, p: PolySpec, m: int, pts: np.ndarray, seed: int,
+                 tol: float) -> tuple[VanishingReport, VanishingReport, float, float]:
+    """One walk's level-m reports on A and P(A), and the worst identity
+    residual by the rule of :class:`PreservationReport` and by the larger side.
+    Each of Z, Lambda and M multiplies max|T| by at most beta, so |R_S T| <=
+    sum |s_ijk| beta^(i+j+k) max|T| <= |Q_P|(beta, beta)^(2m) max|T|."""
     q = bezout_quotient(p)
     base_at, poly_at = a.jet_slices(pts), PolyOperator(a, p.coeffs).jet_slices(pts)
-    worst = -np.inf
-    for part in chunks(*pts.shape):
-        vals, derivs = base_at(part)
-        rhs = _quotient_image(q.eval_coeffs_many(pts[part]), m,
-                              level_image(vals, derivs, m), vals)
-        t_poly = level_image(*poly_at(part), m)
-        scale = np.maximum(1.0, np.maximum(_point_max(t_poly), _point_max(rhs)))
-        worst = np.maximum(worst, np.max(_point_max(t_poly - rhs) / scale))
-    return float(worst)
+    worst = np.full(2, -np.inf)
+
+    def candidates_at(part: slice) -> tuple[tuple[Jet, tuple[np.ndarray]], ...]:
+        base, poly = base_at(part), poly_at(part)
+        t_base, t_poly = level_image(*base, m), level_image(*poly, m)
+        q_at = q.eval_coeffs_many(pts[part])
+        rhs = _quotient_image(q_at, m, t_base, base.vals)
+        beta = np.maximum(*(np.abs(base.vals).sum(axis=ax).max(axis=1) for ax in (1, 2)))
+        q_abs = sum(np.abs(c) * beta ** (i + j) for (i, j), c in q_at.items())
+        sizes = [_point_max(j.vals) ** (2 * m - 1) * _point_max(j.derivs) for j in (base, poly)]
+        gap = _point_max(t_poly - rhs)
+        rules = (relative(gap, q_abs ** (2 * m) * sizes[0] + sizes[1]),
+                 relative(gap, np.maximum(_point_max(t_poly), _point_max(rhs))))
+        np.maximum(worst, np.max(rules, axis=1), out=worst)
+        return (base, (t_base,)), (poly, (t_poly,))
+
+    base_rep, poly_rep = (reports[0] for reports in candidate_verdicts(
+        candidates_at, (m,), pts, seed, tol))
+    return base_rep, poly_rep, float(worst[0]), float(worst[1])
+
+
+def bezout_identity_residual(a: OperatorBase, p: PolySpec, m: int,
+                             pts: np.ndarray) -> float:
+    """Max deviation of T^(m)_{P(A)} from R_{Q_P(z,l)^m Q_P(z,mu)^m} T^(m)_A
+    over the given points, relative to the larger side at each point.
+
+    Meant for a base whose level-m torsion does not vanish: where it does,
+    both sides are roundoff, which :class:`PreservationReport`'s rule judges.
+    A non-finite torsion raises :class:`EvalDomainError` naming its point.
+    """
+    if m < 2:
+        raise ValueError("the quotient identity applies for levels m >= 2")
+    return _bezout_walk(a, p, m, pts, 0, 0.0)[3]
 
 
 def check_polynomial_preservation(a: OperatorBase, p: PolySpec, m: int,
                                   domain: SampleDomain, n_pts: int,
                                   tol: float) -> PreservationReport:
-    """Verify that P(A) inherits the vanishing level-m torsion of A.
-
-    Precondition: A itself passes the level-m vanishing test.  Also checks
-    the pointwise identity through the Bezout quotient, normalized by the
-    representation's amplification bound (see :class:`PreservationReport`).
-    One walk (:func:`~torsionlab.fields.candidate_verdicts`) judges A and P(A)
-    at level m alone, and the identity residual is a running maximum over
-    the same chunk jets.
-    """
+    """Verify that P(A) inherits the vanishing level-m torsion of A, which A
+    must pass, and the Bezout identity of :class:`PreservationReport`, in one
+    walk judging A and P(A) at level m alone."""
     pts = sample_points(domain, n_pts)
-    q = bezout_quotient(p)
-    base_at, poly_at = a.jet_slices(pts), PolyOperator(a, p.coeffs).jet_slices(pts)
-    identity_max = np.array(-np.inf)
-
-    def candidates_at(part: slice) -> tuple[tuple[Jet, tuple[np.ndarray]], ...]:
-        base, poly = base_at(part), poly_at(part)
-        vals = base.vals
-        t_base, t_poly = level_image(*base, m), level_image(*poly, m)
-        q_at = q.eval_coeffs_many(pts[part])
-        rhs = _quotient_image(q_at, m, t_base, vals)
-        # the amplification sums |s_ijk| beta^(i+j+k) over S's terms, per point
-        q_m = {(0, 0): np.ones(vals.shape[0])}
-        for _ in range(m):
-            q_m = poly_mul(q_m, q_at)
-        terms = poly_mul({(i, j, 0): c for (i, j), c in q_m.items()},
-                         {(i, 0, j): c for (i, j), c in q_m.items()})
-        beta = np.maximum(1.0, np.max(np.sum(np.abs(vals), axis=2), axis=1))
-        amplification = sum(np.abs(c) * beta ** sum(key) for key, c in terms.items())
-        denom = 1.0 + amplification * (1.0 + _point_max(t_base))
-        resid = _point_max(t_poly - rhs) / denom
-        np.maximum(identity_max, np.max(resid), out=identity_max)
-        return (base, (t_base,)), (poly, (t_poly,))
-
-    base_rep, poly_rep = (reports[0] for reports in candidate_verdicts(
-        candidates_at, (m,), pts, domain.seed, tol))
+    base_rep, poly_rep, identity, _ = _bezout_walk(a, p, m, pts, domain.seed, tol)
     if not base_rep.vanishing:
         raise PreconditionError(
             f"operator is not level-{m} vanishing (residual {base_rep.max_residual:.3e})")
-    return PreservationReport(
-        level=m,
-        base_report=base_rep,
-        poly_report=poly_rep,
-        identity_max_residual=float(identity_max),
-        identity_tol=tol,
-    )
+    return PreservationReport(level=m, base_report=base_rep, poly_report=poly_rep,
+                              identity_max_residual=identity, identity_tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -928,8 +928,9 @@ def _check_chain(ap: np.ndarray, lam: float,
     scale = np.max(np.abs(ap)) + abs(lam)
     for g, field in enumerate(chain, start=1):
         xv = field.at(p)
-        resid = np.max(np.abs(ap @ xv - lam * xv - prev))
-        if relative(resid, scale * np.max(np.abs(xv)) + np.max(np.abs(prev))) > 1e-8:
-            raise ChainConditionError(
-                f"chain relation fails at slot {g}: residual {resid:.3e}")
+        bound = scale * np.max(np.abs(xv)) + np.max(np.abs(prev))
+        rel = relative(np.max(np.abs(ap @ xv - lam * xv - prev)), bound)
+        if rel > 1e-8:
+            raise ChainConditionError(f"chain relation fails at slot {g}: relative residual "
+                                      f"{rel:.3e} exceeds 1e-08 at point {tuple(p.tolist())}")
         prev = xv

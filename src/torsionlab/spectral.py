@@ -35,7 +35,7 @@ from .errors import (
     TorsionLabError,
 )
 from .expr import SampleDomain, as_point, sample_points
-from .fields import OperatorBase, VectorFieldExpr, given_sample, lie_bracket, relative
+from .fields import OperatorBase, VectorFieldExpr, given_sample, relative, scalar_jets_plan
 
 __all__ = [
     "SpectrumAtPoint",
@@ -402,10 +402,12 @@ def involutivity_check(fields: Sequence[VectorFieldExpr], domain: SampleDomain,
                        n_pts: int, tol: float) -> InvolutivityReport:
     """Check that all pairwise brackets stay in the pointwise span of ``fields``.
 
-    One batched SVD of the (N, n, k) frame decides its rank at every point by
-    the shared rule of :func:`_rank_cut`, so the verdict does not change when
-    the fields are rescaled; the brackets are projected onto the frame's left
-    singular vectors.  Raises, naming the first failing point,
+    The fields' 1-jets are evaluated once; one batched SVD of the (N, n, k)
+    frame decides its rank at every point by the shared rule of
+    :func:`_rank_cut`.  Each bracket [X, Y] = (dY) X - (dX) Y is projected
+    onto the frame's left singular vectors, and what is left is judged against
+    max(|dY||X| + |dX||Y|) per point, so no rescaling of the fields or the
+    coordinates moves the verdict.  Raises, naming the first failing point,
     :class:`RankAmbiguousError` on an ambiguous cut and
     :class:`DependentSpanningSetError` where the fields do not span k dimensions.
     """
@@ -415,9 +417,11 @@ def involutivity_check(fields: Sequence[VectorFieldExpr], domain: SampleDomain,
     if any(f.chart != chart for f in fields):
         raise ChartMismatchError("all fields must live on one chart")
     pts = sample_points(domain, n_pts)
-    frame = np.stack([f.eval_many(pts) for f in fields], axis=2)  # (N, n, k)
-    k = len(fields)
-    u, s, _ = np.linalg.svd(frame, full_matrices=False)
+    k, n = len(fields), chart.dim
+    plan = scalar_jets_plan([e for f in fields for e in f.components], n)
+    jets = plan(pts).reshape(n_pts, k, n, n + 1)  # field c's X^i, d_1 X^i, .., d_n X^i
+    vecs, grads = jets[..., :1], jets[..., 1:]  # (N, k, n, 1) and (N, k, n, n)
+    u, s, _ = np.linalg.svd(jets[..., 0].transpose(0, 2, 1), full_matrices=False)
     rank, ambiguous = _rank_cut(s, RANK_TOL)
     bad = ambiguous | (rank < k)
     if bad.any():
@@ -426,13 +430,14 @@ def involutivity_check(fields: Sequence[VectorFieldExpr], domain: SampleDomain,
         if ambiguous[idx]:
             raise RankAmbiguousError(f"{_ambiguity(s[idx], int(rank[idx]), RANK_TOL)} ({where})")
         raise DependentSpanningSetError(f"fields dependent {where}")
-    worst = 0.0
-    worst_pair = (0, 0)
+    worst, worst_pair = 0.0, (0, 0)
     for ia in range(k):
         for ib in range(ia + 1, k):
-            bracket = lie_bracket(fields[ia], fields[ib]).eval_many(pts)[..., None]
+            x, y, dx, dy = vecs[:, ia], vecs[:, ib], grads[:, ia], grads[:, ib]
+            bracket = dy @ x - dx @ y
             resid = np.max(np.abs(bracket - u @ (u.transpose(0, 2, 1) @ bracket)), axis=(1, 2))
-            rel = float(np.max(resid / (1.0 + np.max(np.abs(bracket), axis=(1, 2)))))
+            bound = np.max(np.abs(dy) @ np.abs(x) + np.abs(dx) @ np.abs(y), axis=(1, 2))
+            rel = float(np.max(relative(resid, bound)))
             if rel > worst:
                 worst, worst_pair = rel, (ia, ib)
     return InvolutivityReport(involutive=bool(worst <= tol), max_residual=float(worst),

@@ -22,12 +22,14 @@ ratio entry by entry (:func:`relative_oracle`).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, prod
 
 import numpy as np
 
+from torsionlab.algebra import PolySpec
 from torsionlab.errors import (
     ComplexEigenvalueError,
     DomainExhaustedError,
@@ -52,6 +54,7 @@ from torsionlab.expr import (
     diff,
     eval_at,
     eval_many,
+    subst_vars,
 )
 from torsionlab.fields import (
     Jet,
@@ -141,6 +144,28 @@ def relative_oracle(residual, bound) -> np.ndarray:
     return np.array(out).reshape(residual.shape)
 
 
+def tower_bound(vals: np.ndarray, derivs: np.ndarray, m: int) -> np.ndarray:
+    """max|A|^(2m-1) max|dA| per point (axis 0), the magnitude of a level-m
+    torsion from the 1-jet that gives it."""
+    n_pts = vals.shape[0]
+    return (np.abs(vals).reshape(n_pts, -1).max(axis=1) ** (2 * m - 1)
+            * np.abs(derivs).reshape(n_pts, -1).max(axis=1))
+
+
+def bounded_err(a, b, bound) -> float:
+    """max|a - b| relative to ``bound``, a magnitude of the inputs that gave
+    a and b, by :func:`relative_oracle`."""
+    return float(relative_oracle(np.max(np.abs(np.asarray(a) - np.asarray(b))), bound))
+
+
+def chain_bound(a, m: int, point, x: VectorFieldExpr, y: VectorFieldExpr) -> float:
+    """max|A|^(2m-1) max|dA| max|X| max|Y| at ``point``, the magnitude of the
+    contraction T^(m)(X, Y) that the chain formula reproduces."""
+    vals, derivs = a.jet_many(np.asarray(point, dtype=float)[None])
+    return float(tower_bound(vals, derivs, m)[0] * np.max(np.abs(x.at(point)))
+                 * np.max(np.abs(y.at(point))))
+
+
 def vanishing_report(torsions: np.ndarray, vals: np.ndarray, derivs: np.ndarray, m: int,
                      pts: np.ndarray, seed: int, tol_rel: float) -> VanishingReport:
     """Verdict on a whole level-m tower, from the residual rule on whole arrays.
@@ -154,8 +179,7 @@ def vanishing_report(torsions: np.ndarray, vals: np.ndarray, derivs: np.ndarray,
     """
     n_pts = pts.shape[0]
     tor_norm = np.abs(torsions).reshape(n_pts, -1).max(axis=1)
-    bound = (np.abs(vals).reshape(n_pts, -1).max(axis=1) ** (2 * m - 1)
-             * np.abs(derivs).reshape(n_pts, -1).max(axis=1))
+    bound = tower_bound(vals, derivs, m)
     for arr in (tor_norm, bound):
         if not np.isfinite(arr).all():
             point = pts[int(np.argmax(~np.isfinite(arr)))]
@@ -448,15 +472,54 @@ def random_operator(chart: Chart, rng: np.random.Generator) -> OperatorField:
     return OperatorField(chart, entries)
 
 
+def generic_identity_draws(
+        rng: np.random.Generator) -> list[tuple[OperatorField, PolySpec, np.ndarray]]:
+    """8 generic operators on 3 or 4 dims, each with 4 points of [0.5, 1.5]^n
+    and a P of degree 1 to 3, drawn in that order."""
+    draws = []
+    for trial in range(8):
+        dim = 3 + trial % 2
+        chart = Chart(dim)
+        a = random_operator(chart, rng)
+        pts = rng.uniform(0.5, 1.5, size=(4, dim))
+        p = PolySpec(tuple(random_poly_expr(chart, rng) for _ in range(2 + trial % 3)))
+        draws.append((a, p, pts))
+    return draws
+
+
 def random_vector_field(chart: Chart, rng: np.random.Generator) -> VectorFieldExpr:
     return VectorFieldExpr(
         chart, tuple(random_poly_expr(chart, rng, max_terms=2) for _ in range(chart.dim)))
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
+    """max|a - b| relative to the larger of max|a| and max|b|, with no floor:
+    two zero arrays read 0, and any difference from zero reads inf."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    return float(np.max(np.abs(a - b)) / scale)
+    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    return float(relative_oracle(np.max(np.abs(a - b)), scale))
+
+
+def rescaled(e: Expr, c: Fraction, n: int) -> Expr:
+    """``e`` in the coordinates y = c x of an n-dim chart: every x_i replaced
+    by y_i / c, as a product with the exact constant 1/c."""
+    return subst_vars(e, [Var(i) * const(1 / c) for i in range(n)])
+
+
+def rescaled_operator(a: OperatorField, c: Fraction) -> OperatorField:
+    n = a.chart.dim
+    return OperatorField(a.chart, tuple(tuple(rescaled(e, c, n) for e in row) for row in a.entries))
+
+
+def rescaled_domain(domain: SampleDomain, c: Fraction) -> SampleDomain:
+    """The box scaled by c and every guard in the coordinates y = c x.
+
+    With c a power of two, :func:`~torsionlab.expr.sample_points` draws c
+    times the points it draws in ``domain``, exactly, and every guard reads
+    the same values there."""
+    n = domain.dim
+    return replace(domain, box=tuple((float(c) * lo, float(c) * hi) for lo, hi in domain.box),
+                   guards=tuple(rescaled(g, c, n) for g in domain.guards))
 
 
 def finest_block_partition(mats: np.ndarray, tol: float) -> tuple[int, ...]:

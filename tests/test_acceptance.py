@@ -8,11 +8,15 @@ import numpy as np
 import pytest
 
 from helpers import (
+    bounded_err,
+    chain_bound,
+    generic_identity_draws,
     haantjes_oracle,
     nijenhuis_oracle,
     random_operator,
     random_poly_expr,
     rel_err,
+    tower_bound,
 )
 from torsionlab.algebra import (
     PolySpec,
@@ -177,10 +181,12 @@ def test_criterion_06_sigma_raises_level():
         a = random_operator(chart, rng)
         p = rng.uniform(0.5, 1.5, size=dim)
         ap = a.at(p)
+        vals, derivs = a.jet_many(p[None])
         for m in (1, 2, 3, 4):
             lhs = rep_apply(sigma, torsion_at(a, m, p), ap).components
             rhs = torsion_at(a, m + 1, p).components
-            worst = max(worst, rel_err(lhs, rhs))
+            # relative to level m + 1's bound: it vanishes in dim 2
+            worst = max(worst, bounded_err(lhs, rhs, tower_bound(vals, derivs, m + 1)[0]))
     verdict(6, worst <= 1e-9,
             f"R_sigma tau^(m) = tau^(m+1), m=1..4: worst rel err {worst:.2e} "
             f"(25 random operators, dim 2-5)")
@@ -190,13 +196,7 @@ def test_criterion_07_polynomial_preservation(lta, lfa1):
     rng = np.random.default_rng(1007)
     # (a) the quotient-representation identity on generic operators, m=2,3
     worst_identity = 0.0
-    for trial in range(8):
-        dim = 3 + trial % 2
-        chart = Chart(dim)
-        a = random_operator(chart, rng)
-        pts = rng.uniform(0.5, 1.5, size=(4, dim))
-        degree = 1 + trial % 3  # N <= 3
-        p = PolySpec(tuple(random_poly_expr(chart, rng) for _ in range(degree + 1)))
+    for a, p, pts in generic_identity_draws(rng):  # deg P <= 3
         for m in (2, 3):
             worst_identity = max(worst_identity, bezout_identity_residual(a, p, m, pts))
     ok = worst_identity <= 1e-9
@@ -277,7 +277,7 @@ def test_criterion_10_eigenchain_formula(lta):
         rhs = eigenchain_formula_rhs(jordan, (Var(0), [e1, e2]), (Var(0), [e1]), m, p)
         t = torsion_at(jordan, m, p)
         contraction = np.einsum("ijk,j,k->i", t.components, e2.at(p), e1.at(p))
-        worst = max(worst, rel_err(rhs, contraction))
+        worst = max(worst, bounded_err(rhs, contraction, chain_bound(jordan, m, p, e2, e1)))
     # the 5-dim family's rank-2 chain
     spec = lta.chains["D4"]
     pts = sample_points(lta.domain, 5)
@@ -290,7 +290,8 @@ def test_criterion_10_eigenchain_formula(lta):
                 rhs = eigenchain_formula_rhs(a, (mu, [f1, f2]), (mu, [f1]), m, p)
                 t = torsion_at(a, m, p)
                 contraction = np.einsum("ijk,j,k->i", t.components, f2.at(p), f1.at(p))
-                worst = max(worst, rel_err(rhs, contraction))
+                # level 3 vanishes: both sides are roundoff of the chain's bound
+                worst = max(worst, bounded_err(rhs, contraction, chain_bound(a, m, p, f2, f1)))
     verdict(10, worst <= 1e-8,
             f"chain formula vs torsion contraction (Jordan block + rank-2 chain, "
             f"m=2,3): worst rel err {worst:.2e}")

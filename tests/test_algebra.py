@@ -1,18 +1,26 @@
 """Representation calculus, Bezout quotients and closure-law checks."""
 
 import dataclasses
+import functools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     commutator_oracle,
     composite_jet_reference,
+    generic_identity_draws,
     random_operator,
     random_poly_expr,
     rel_err,
     rep_oracle,
+    rescaled,
+    rescaled_domain,
+    rescaled_operator,
 )
 import torsionlab.algebra as alg
 import torsionlab.fields as fl
@@ -26,7 +34,7 @@ from torsionlab.algebra import (
     poly_of_operator,
     rep_apply,
 )
-from torsionlab.errors import PreconditionError
+from torsionlab.errors import EvalDomainError, PreconditionError
 from torsionlab.expr import (
     Chart,
     SampleDomain,
@@ -54,6 +62,7 @@ from torsionlab.fields import (
     torsion_at,
     torsion_many,
 )
+from torsionlab.manifest import fixture_path, load_manifest
 
 CH2 = Chart(2)
 CH3 = Chart(3)
@@ -181,6 +190,29 @@ def test_factored_bezout_image_matches_expanded_oracle(deg, m):
     got = alg._quotient_image(q, m, t, vals)
     want = rep_oracle(_expanded_quotient_terms(q, m, n_pts), t, vals)
     assert rel_err(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("deg", [1, 2, 3])
+def test_factored_magnitude_bounds_the_bezout_image(deg, m):
+    # |R_S T| <= sum |s_ijk| beta^(i+j+k) max|T| <= |Q_P|(beta, beta)^(2m) max|T|
+    # with beta = max(||A||_1, ||A||_inf): the preservation rule's bound
+    # needs no expansion of S
+    rng = np.random.default_rng(100 + 10 * deg + m)
+    n_pts = 6
+    pts = rng.uniform(0.5, 1.5, size=(n_pts, 3))
+    vals = rng.uniform(-1.5, 1.5, size=(n_pts, 3, 3))
+    t = rng.standard_normal((n_pts, 3, 3, 3))
+    p = PolySpec(tuple(random_poly_expr(CH3, rng) for _ in range(deg + 1)))
+    q = bezout_quotient(p).eval_coeffs_many(pts)
+    beta = np.maximum(np.abs(vals).sum(axis=1).max(axis=1), np.abs(vals).sum(axis=2).max(axis=1))
+    expanded = sum(np.abs(c) * beta ** sum(key)
+                   for key, c in _expanded_quotient_terms(q, m, n_pts).items())
+    factored = sum(np.abs(c) * beta ** (i + j) for (i, j), c in q.items()) ** (2 * m)
+    image = np.abs(alg._quotient_image(q, m, t, vals)).reshape(n_pts, -1).max(axis=1)
+    t_max = np.abs(t).reshape(n_pts, -1).max(axis=1)
+    assert np.all(image <= expanded * t_max * (1 + 1e-12))
+    assert np.all(expanded <= factored * (1 + 1e-12))
 
 
 def test_bezout_image_peak_memory():
@@ -325,6 +357,103 @@ def test_quotient_identity_without_vanishing():
                           random_poly_expr(CH3, rng)))
         assert bezout_identity_residual(a, p_var, 2, pts) <= 1e-9
         assert bezout_identity_residual(a, p_var, 3, pts) <= 1e-9
+
+
+def test_bezout_identity_residual_names_a_non_finite_torsion():
+    # A and P(A) = A^2 are finite, but A's level-2 torsion, of degree 3 in A
+    # and 1 in dA, overflows at the third point
+    a = op_from_strings(CH2, [["x2^64*x2^36", "0"], ["0", "x1^64*x1^36"]])
+    pts = np.array([[1.0, 1.1], [1.2, 1.3], [10.0, 11.0], [12.0, 13.0]])
+    p = PolySpec((const(0), const(0), const(1)))
+    with pytest.warns(RuntimeWarning), pytest.raises(
+            EvalDomainError, match=r"^level-2 torsion is not finite at point \(10\.0, 11\.0\)$"):
+        alg.bezout_identity_residual(a, p, 2, pts)
+
+
+# ---------------------------------------------------------------------------
+# the Bezout identity through a whole substituted input
+# ---------------------------------------------------------------------------
+# x -> y / c with c = 2^k, substituted into the operator's entries, the
+# guards, the coefficients of P and the box (and the points, for given
+# ones): every value and derivative of the rescaled inputs is the original
+# one times a power of two, exactly
+
+def _rescaled_poly(p: PolySpec, c, n: int) -> PolySpec:
+    return PolySpec(tuple(rescaled(e, c, n) for e in p.coeffs))
+
+
+@functools.lru_cache(maxsize=None)
+def _preservation_cases():
+    """(manifest, operator, level, sample size, P): lta's L1 with
+    x5 + x1 z + z^2 and three random P of degree 2, lfa1's K1 with three more."""
+    rng = np.random.default_rng(1007)
+    cases = []
+    for fixture, name, level, n_pts in (("lta", "L1", 3, 100), ("lfa1", "K1", 4, 60)):
+        man = load_manifest(fixture_path(f"{fixture}.json"))
+        ps = [PolySpec((Var(4), Var(0), const(1)))] if fixture == "lta" else []
+        ps += [PolySpec(tuple(random_poly_expr(man.chart, rng) for _ in range(3))) for _ in range(3)]
+        cases += [(man, name, level, n_pts, p) for p in ps]
+    return tuple(cases)
+
+
+@functools.lru_cache(maxsize=None)
+def _rescaled_preservation(case: int, k: int):
+    man, name, level, n_pts, p = _preservation_cases()[case]
+    c, n = Fraction(2) ** k, man.chart.dim
+    return check_polynomial_preservation(
+        rescaled_operator(man.operators[name], c), _rescaled_poly(p, c, n), level,
+        rescaled_domain(man.domain, c), n_pts, 1e-8)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(k=st.integers(-26, 26))
+@example(k=-26)
+@example(k=26)
+def test_preservation_does_not_change_under_a_coordinate_rescaling(k):
+    # both sides of the identity and its bound are linear in the derivatives,
+    # so each residual is bitwise the unscaled one
+    for case in range(len(_preservation_cases())):
+        want, got = _rescaled_preservation(case, 0), _rescaled_preservation(case, k)
+        assert got.identity_ok and got.passed
+        assert got.identity_max_residual == want.identity_max_residual
+        for g, w in ((got.base_report, want.base_report), (got.poly_report, want.poly_report)):
+            assert (g.max_residual, g.vanishing) == (w.max_residual, w.vanishing)
+
+
+_QUOTIENT_IMAGE = alg._quotient_image
+
+
+def _extra_factor_image(q, m, t_base, vals):
+    """A wrong identity: one more factor Q_P(Z, M) than R_S applies."""
+    z, _, mu = alg._actions(vals)
+    return alg._horner(q, (z, mu), _QUOTIENT_IMAGE(q, m, t_base, vals))
+
+
+@functools.lru_cache(maxsize=None)
+def _generic_identity_residuals(k: int, wrong: bool) -> tuple[float, ...]:
+    """bezout_identity_residual on criterion 7a's draws at m = 2, 3, in
+    coordinates rescaled by 2^k, of the identity or of the wrong one."""
+    c = Fraction(2) ** k
+    with pytest.MonkeyPatch.context() as patch:
+        if wrong:
+            patch.setattr(alg, "_quotient_image", _extra_factor_image)
+        return tuple(alg.bezout_identity_residual(rescaled_operator(a, c),
+                                                  _rescaled_poly(p, c, a.chart.dim), m, float(c) * pts)
+                     for a, p, pts in generic_identity_draws(np.random.default_rng(1007))
+                     for m in (2, 3))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(k=st.integers(-26, 26))
+@example(k=-26)
+@example(k=26)
+def test_generic_identity_rule_catches_a_wrong_identity_at_every_scale(k):
+    # relative to the larger side, a right identity reads roundoff and one
+    # extra factor reads O(1), bitwise alike in every coordinate scale
+    right = _generic_identity_residuals(k, False)
+    assert right == _generic_identity_residuals(0, False)
+    assert max(right) <= 1e-9
+    assert min(_generic_identity_residuals(k, True)) >= 0.1
 
 
 def test_variable_coefficients_break_level1_only():

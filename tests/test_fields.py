@@ -7,11 +7,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     basis_field,
+    bounded_err,
+    chain_bound,
     haantjes_oracle,
     jet_reference,
     level_up_oracle,
@@ -20,8 +22,11 @@ from helpers import (
     random_poly_expr,
     rel_err,
     relative_oracle,
+    rescaled_domain,
+    rescaled_operator,
     scalar_jet_reference,
     stacked_jet,
+    tower_bound,
     vanishing_report,
 )
 import torsionlab.fields as fl
@@ -249,7 +254,9 @@ def test_sigma_power_step_matches_definition_oracle(lfa1):
         ap = OperatorAtPoint(vals[p], point)
         for m in (1, 2, 3):
             image = rep_apply(TriPoly.sigma(), TorsionTensor(m, point, levels[m - 1][p]), ap)
-            assert rel_err(levels[m][p], image.components) <= 1e-12
+            # level 4 vanishes: both sides are roundoff of the level's bound
+            bound = tower_bound(vals[p:p + 1], derivs[p:p + 1], m + 1)[0]
+            assert bounded_err(levels[m][p], image.components, bound) <= 1e-12
 
 
 def _nijenhuis_definition(vals, derivs):
@@ -754,6 +761,31 @@ def test_tower_verdicts_do_not_change_when_the_operator_is_scaled(case, exponent
     _assert_scaled_verdicts(case, 10.0 ** exponent)
 
 
+@functools.lru_cache(maxsize=None)
+def _rescaled_tower(fixture, name, k):
+    """The manifest-level verdicts on the operator in the coordinates y = c x,
+    c = 2^k, substituted into its entries, the guards and the box."""
+    man = load_manifest(fixture_path(f"{fixture}.json"))
+    c = Fraction(2) ** k
+    rep = is_vanishing(rescaled_operator(man.operators[name], c), man.level,
+                       rescaled_domain(man.domain, c), 200, 1e-8)
+    return c, (*rep.lower, rep)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(k=st.integers(-26, 26))
+@example(k=-26)
+@example(k=26)
+def test_tower_verdicts_do_not_change_under_a_whole_manifest_rescaling(k):
+    # every value and derivative of the rescaled manifest is the original
+    # one times a power of two, so every residual is bitwise the unscaled one
+    for case in FIXTURE_OPERATORS:
+        (_, want), (c, got) = _rescaled_tower(*case, 0), _rescaled_tower(*case, k)
+        for g, w in zip(got, want):
+            assert (g.level, g.vanishing, g.max_residual) == (w.level, w.vanishing, w.max_residual)
+            assert np.array_equal(g.worst_point, float(c) * w.worst_point)
+
+
 # ---------------------------------------------------------------------------
 # 1-jets of symbolic operators
 # ---------------------------------------------------------------------------
@@ -1210,13 +1242,17 @@ def test_eigenchain_lta_d4_chain(lta):
                 rhs = eigenchain_formula_rhs(a, (mu, [x1, x2]), (mu, [x1]), m, p)
                 t = torsion_at(a, m, p)
                 contraction = np.einsum("ijk,j,k->i", t.components, x2.at(p), x1.at(p))
-                assert rel_err(rhs, contraction) <= 1e-8
+                # level 3 vanishes: both sides are roundoff of the chain's bound
+                assert bounded_err(rhs, contraction, chain_bound(a, m, p, x2, x1)) <= 1e-8
 
 
 def test_eigenchain_rejects_broken_chain():
     a = op_from_strings(CH2, [["x1", "1"], ["0", "x1"]])
     bad_chain = (Var(0), [basis_field(CH2, 1)])  # not an eigenvector
-    with pytest.raises(ChainConditionError):
+    # A e2 - x1 e2 = e1: residual 1 against the bound (1 + 1) * 1
+    message = (r"^chain relation fails at slot 1: relative residual 5\.000e-01 "
+               r"exceeds 1e-08 at point \(1\.0, 1\.0\)$")
+    with pytest.raises(ChainConditionError, match=message):
         eigenchain_formula_rhs(a, bad_chain, bad_chain, 2, (1.0, 1.0))
 
 

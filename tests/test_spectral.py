@@ -7,11 +7,18 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import torsionlab.spectral as spectral
-from helpers import basis_field, cluster_eigenvalues, commutator_oracle, spectrum_oracle
+from helpers import (
+    basis_field,
+    cluster_eigenvalues,
+    commutator_oracle,
+    rescaled,
+    rescaled_domain,
+    spectrum_oracle,
+)
 from torsionlab.cli import main
 from torsionlab.errors import (
     ComplexEigenvalueError,
@@ -620,6 +627,47 @@ def test_non_involutive_pair_detected():
     rep = involutivity_check([x, y], dom, 10, 1e-9)
     assert not rep.involutive
     assert rep.max_residual > 1e-2
+
+
+def _contact_pair(s):
+    """s d1 and s (d2 + x1 d3), whose bracket s^2 d3 leaves their span."""
+    return [VectorFieldExpr(CH3, (const(s), const(0), const(0))),
+            VectorFieldExpr(CH3, (const(0), const(s), const(s) * Var(0)))]
+
+
+CONTACT_DOMAIN = SampleDomain(box=((0.5, 1.5),) * 3, seed=6)
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 10 ** 5), Fraction(1, 1000), 1, 10 ** 5])
+def test_non_involutive_pair_reads_the_same_at_every_field_scale(s):
+    # the bracket and its bound |dY||X| + |dX||Y| both scale by s^2; a bound
+    # floored at 1 read the pair as involutive at s = 1e-5
+    want = involutivity_check(_contact_pair(1), CONTACT_DOMAIN, 10, 1e-9)
+    rep = involutivity_check(_contact_pair(s), CONTACT_DOMAIN, 10, 1e-9)
+    assert not rep.involutive
+    assert abs(rep.max_residual - want.max_residual) <= 1e-12 * want.max_residual
+    assert want.max_residual > 0.5
+
+
+def _rescaled_fields(fields, c):
+    """The fields in the coordinates y = c x: X^i d/dx^i = c X^i(y / c) d/dy^i."""
+    n = fields[0].chart.dim
+    return [VectorFieldExpr(f.chart, tuple(const(c) * rescaled(e, c, n) for e in f.components))
+            for f in fields]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(k=st.integers(-26, 26))
+@example(k=-26)
+@example(k=26)
+def test_involutivity_does_not_change_under_a_coordinate_rescaling(lta, k):
+    c = Fraction(2) ** k
+    for fields, domain in ((_contact_pair(1), CONTACT_DOMAIN),
+                           (list(lta.fields["D4_span"]), lta.domain)):
+        want = involutivity_check(fields, domain, 10, 1e-9)
+        got = involutivity_check(_rescaled_fields(fields, c), rescaled_domain(domain, c), 10, 1e-9)
+        assert (got.involutive, got.max_residual, got.worst_pair) == \
+            (want.involutive, want.max_residual, want.worst_pair)
 
 
 def test_dependent_fields_rejected():

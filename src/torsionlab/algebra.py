@@ -20,8 +20,9 @@ here and dropped before the next.  The preservation check and
 the Bezout identity residual as a running maximum by two rules: relative to
 the magnitudes of the inputs, for a vanishing base, and to the larger side,
 for a generic one.  The closure check judges every K_a K_b and f K_a + g K_b:
-per chunk each generator's stacked 1-jet [K_a; dK_a] is expanded once, every
-coefficient f and g is evaluated from one plan differentiated once, and the
+per chunk each generator's stacked 1-jet [K_a; dK_a] is expanded once, the
+1-jets of all coefficients f and g, random polynomials of degree <= 2 drawn
+as numbers, not expressions, take a few array operations together, and the
 candidates come from the two product rules of :class:`torsionlab.fields.Jet`:
 ``@`` for K_a K_b, and :func:`torsionlab.fields.scaled` for each f K_a,
 the small matrix [[f, 0], [grad f, f I]] times the flat jet, which is also
@@ -33,17 +34,14 @@ outlives a chunk, so memory does not grow with the sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, PreconditionError
 from .expr import (
-    Chart,
     Expr,
     SampleDomain,
-    Var,
     add,
     const,
     eval_at,
@@ -66,7 +64,6 @@ from .fields import (
     identity_operator,
     level_image,
     relative,
-    scalar_jets_plan,
     scaled,
     slot_action,
 )
@@ -379,19 +376,79 @@ class AlgebraCheckReport:
         return self.commute_ok and self.module_closed and self.ring_closed
 
 
-def _random_combo_poly(chart: Chart, rng: np.random.Generator) -> Expr:
-    """Random degree-<=2 polynomial with rational coefficients in [-3, 3]."""
-    def coeff() -> Expr:
-        num = int(rng.integers(-6, 7)) or 1
-        return const(Fraction(num, 2))
+# a combination coefficient c0 + sum_t c_t x_i x_j: (c0, ((c_t, i, j), ..)), where
+# j = n, the column of ones of :func:`_combo_jets_plan`, marks a linear term c_t x_i
+_ComboPoly = tuple[float, tuple[tuple[float, int, int], ...]]
 
-    e: Expr = coeff()
+
+def _draw_combo_poly(n: int, rng: np.random.Generator) -> _ComboPoly:
+    """Random degree-<=2 polynomial on an n-dim chart, with one or two terms
+    and half-integer coefficients in [-3, 3]."""
+    def coeff() -> float:
+        return (int(rng.integers(-6, 7)) or 1) / 2
+
+    c0 = coeff()
+    terms = []
     for _ in range(int(rng.integers(1, 3))):
-        term = mul(coeff(), Var(int(rng.integers(0, chart.dim))))
-        if rng.random() < 0.5:
-            term = mul(term, Var(int(rng.integers(0, chart.dim))))
-        e = add(e, term)
-    return e
+        c, i = coeff(), int(rng.integers(0, n))
+        terms.append((c, i, int(rng.integers(0, n)) if rng.random() < 0.5 else n))
+    return c0, tuple(terms)
+
+
+def _combo_jets_plan(polys: Sequence[_ComboPoly], n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """``pts -> cols``, the 1-jets (N, len(polys), n + 1) of the polynomials,
+    bit for bit those :func:`~torsionlab.fields.scalar_jets_plan` gives for
+    their expression trees (c0 + t_1) + t_2, each term t = c x_i or (c x_i) x_j.
+
+    Each gradient entry is the sum over the terms, in draw order, of their
+    derivatives along its variable, skipping the terms without that variable:
+    c for a linear term; c x_j along x_i and c x_i along x_j for i != j; and
+    c x_i + c x_i for i = j, as the folded derivative trees evaluate.  So
+    every point of the chunk takes the same few array operations, whatever
+    the number of polynomials.
+    """
+    n_c, width = len(polys), n + 1
+    # the first term of every polynomial, then the second terms, each with its polynomial
+    order = [(c, 0) for c in range(n_c)] + [(c, 1) for c, p in enumerate(polys) if len(p[1]) > 1]
+    terms = [polys[c][1][t] for c, t in order]
+    coef = np.array([ct for ct, _, _ in terms])
+    vi, vj = (np.array([t[s] for t in terms], dtype=np.intp) for s in (1, 2))
+    c0 = np.array([p[0] for p in polys])
+    seconds = np.array([c for c, _ in order[n_c:]], dtype=np.intp)
+    # each term's derivative pieces as (flat column, coefficient, source column,
+    # doubled): set where no earlier term has one, then added where one has
+    fresh, repeat, taken = [], [], set()
+    for (c, _), (ct, i, j) in zip(order, terms):
+        for l, src, dbl in ([(i, i, True)] if i == j else
+                            [(i, j, False)] + ([(j, i, False)] if j < n else [])):
+            col = c * width + 1 + l
+            (repeat if col in taken else fresh).append((col, ct, src, dbl))
+            taken.add(col)
+    pieces, n_set = fresh + repeat, len(fresh)
+    target, src = (np.array([p[k] for p in pieces], dtype=np.intp) for k in (0, 2))
+    scale = np.array([p[1] for p in pieces])
+    doubled = np.flatnonzero([p[3] for p in pieces])
+
+    def cols_at(pts: np.ndarray) -> np.ndarray:
+        n_pts = pts.shape[0]
+        ext = np.ones((n_pts, width))
+        ext[:, :n] = pts
+        out = np.zeros((n_pts, n_c * width))
+        term = ext[:, vi]
+        term *= coef
+        term *= ext[:, vj]
+        value = out[:, ::width]
+        np.add(c0, term[:, :n_c], out=value)
+        value[:, seconds] += term[:, n_c:]
+        del term  # so the chunk holds the terms or the gradient pieces, never both
+        grad = ext[:, src]
+        grad *= scale
+        grad[:, doubled] += grad[:, doubled]
+        out[:, target[:n_set]] = grad[:, :n_set]
+        out[:, target[n_set:]] += grad[:, n_set:]
+        return out.reshape(n_pts, n_c, width)
+
+    return cols_at
 
 
 def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
@@ -403,7 +460,10 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
     max|K_b|) over the sample, and level-m vanishing of
     K_a K_b for every ordered pair (a, b), K_a^2 included (ring law), then
     draws random function pairs (f, g) and operator pairs (K_a, K_b) and
-    verifies level-m vanishing of f K_a + g K_b (module law).  One walk
+    verifies level-m vanishing of f K_a + g K_b (module law).  The
+    polynomials f and g are drawn as numbers, and their 1-jets come per
+    chunk from :func:`_combo_jets_plan`, equal bit for bit to those of their
+    expression trees, with no symbolic work.  One walk
     judges every candidate at level m alone, ring products first, then the
     combinations in draw order; a non-finite level-m torsion names the lowest
     such candidate and its first point.  Every generator's 1-jet comes chunk
@@ -424,8 +484,8 @@ def check_algebra(ops: Sequence[OperatorBase], m: int, domain: SampleDomain,
     pairs, coeffs = [], []  # (a, b) and then f, g of each combination
     for _ in range(n_random_combos):
         pairs.append((int(rng.integers(0, k)), int(rng.integers(0, k))))
-        coeffs += [_random_combo_poly(chart, rng), _random_combo_poly(chart, rng)]
-    coeffs_at = scalar_jets_plan(coeffs, n)
+        coeffs += [_draw_combo_poly(n, rng), _draw_combo_poly(n, rng)]
+    coeffs_at = _combo_jets_plan(coeffs, n)
 
     # running max|K_a| and max|K_a K_b - K_b K_a| (a < b) over the chunks
     val_max = np.zeros(k)

@@ -248,8 +248,10 @@ def scalar_jets_plan(coeffs: Sequence[Expr], n: int) -> Callable[[np.ndarray], n
 
     The coefficients are differentiated here, once, into one
     :class:`_EntryPlan` of all their values and gradients, so a caller
-    evaluating them chunk by chunk neither differentiates them again nor
-    fills one plan per coefficient per chunk.
+    evaluating them chunk by chunk, as the composite operators and the
+    involutivity check do, neither differentiates them again nor fills one
+    plan per coefficient per chunk.  (The random combination coefficients of
+    :func:`torsionlab.algebra.check_algebra` are numeric and never reach it.)
     """
     plan = _EntryPlan.of([e for coeff in coeffs for (e,) in _jet_rows([coeff], n)])
     return lambda pts: plan.fill(pts, (len(coeffs), n + 1))

@@ -464,6 +464,23 @@ def random_poly_expr(chart: Chart, rng: np.random.Generator, max_terms: int = 3)
     return e
 
 
+def random_combo_poly(chart: Chart, rng: np.random.Generator) -> Expr:
+    """The expression tree of one ``check_algebra`` combination coefficient,
+    drawn from ``rng`` as the check draws it: a degree-<=2 polynomial with one
+    or two terms and half-integer coefficients in [-3, 3]."""
+    def coeff() -> Expr:
+        num = int(rng.integers(-6, 7)) or 1
+        return const(Fraction(num, 2))
+
+    e: Expr = coeff()
+    for _ in range(int(rng.integers(1, 3))):
+        term = coeff() * Var(int(rng.integers(0, chart.dim)))
+        if rng.random() < 0.5:
+            term = term * Var(int(rng.integers(0, chart.dim)))
+        e = e + term
+    return e
+
+
 def random_operator(chart: Chart, rng: np.random.Generator) -> OperatorField:
     n = chart.dim
     entries = tuple(

@@ -5,7 +5,6 @@ on success).
 """
 
 import numpy as np
-import pytest
 
 from helpers import (
     bounded_err,
@@ -36,7 +35,6 @@ from torsionlab.expr import (
     diff,
     eval_at,
     eval_many,
-    parse_expr,
     sample_points,
 )
 from torsionlab.fields import (

@@ -14,6 +14,7 @@ from helpers import (
     commutator_oracle,
     composite_jet_reference,
     generic_identity_draws,
+    random_combo_poly,
     random_operator,
     random_poly_expr,
     rel_err,
@@ -570,7 +571,7 @@ def _whole_array_worsts(man, m, n_pts, n_combos, seed):
     module = 0.0
     for _ in range(n_combos):
         ia, ib = int(rng.integers(0, len(ops))), int(rng.integers(0, len(ops)))
-        f, g = (scalar_jets_plan([alg._random_combo_poly(man.chart, rng)], man.chart.dim)(pts)[:, 0]
+        f, g = (scalar_jets_plan([random_combo_poly(man.chart, rng)], man.chart.dim)(pts)[:, 0]
                 for _ in range(2))
         module = max(module, worst(scaled(f, jets[ia]) + scaled(g, jets[ib])))
     return ring, module
@@ -598,6 +599,74 @@ def test_check_algebra_is_chunk_invariant(fixture, seed, request, monkeypatch):
     assert reports[0]["ring_closed"] and reports[0]["module_closed"]
 
 
+@pytest.mark.parametrize("seed", [0, 3, 42])
+@pytest.mark.parametrize("n", [1, 5, 7])
+def test_combination_jets_equal_the_symbolic_reference(n, seed):
+    # the numeric draws consume the generator as the expression trees do, and
+    # their jets are the reference plan's columns bit for bit, signed zeros
+    # included; the draws cover x_i^2, single-term polynomials and c = 1
+    chart, count = Chart(n), 100
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    polys = [alg._draw_combo_poly(n, rng) for _ in range(count)]
+    exprs = [random_combo_poly(chart, ref_rng) for _ in range(count)]
+    assert rng.integers(0, 2 ** 62) == ref_rng.integers(0, 2 ** 62)
+    terms = [t for _, ts in polys for t in ts]
+    assert any(i == j for _, i, j in terms)
+    assert any(len(ts) == 1 for _, ts in polys)
+    assert any(c == 1 for c, _, _ in terms)
+    pts = np.random.default_rng(seed + 1).uniform(-2, 2, size=(31, n))
+    pts[0] = 0.0
+    pts[1] = -0.0
+    cols = alg._combo_jets_plan(polys, n)(pts)
+    want = scalar_jets_plan(exprs, n)(pts)
+    assert cols.shape == want.shape == (31, count, n + 1)
+    assert cols.tobytes() == want.tobytes()
+
+
+def test_no_combinations_leave_the_ring_law_alone(lfa1):
+    # with no draws the coefficient block is empty, the module law holds
+    # vacuously and the ring law is judged as with draws
+    pts = sample_points(lfa1.domain, 5)
+    n = lfa1.chart.dim
+    assert alg._combo_jets_plan([], n)(pts).tobytes() == scalar_jets_plan([], n)(pts).tobytes()
+    assert alg._combo_jets_plan([], n)(pts).shape == (5, 0, n + 1)
+    ops = [lfa1.operators[name] for name in lfa1.operators]
+    rep = check_algebra(ops, lfa1.level, lfa1.domain, 20, 0, 1e-8)
+    ring, _ = _whole_array_worsts(lfa1, lfa1.level, 20, 0, lfa1.domain.seed)
+    assert (rep.module_closed, rep.module_worst, rep.ring_worst) == (True, 0.0, ring)
+    assert rep.ring_worst == check_algebra(ops, lfa1.level, lfa1.domain, 20, 3, 1e-8).ring_worst
+
+
+def test_check_algebra_does_no_coefficient_expression_work_in_the_walk(lfa1, monkeypatch):
+    # the coefficients are drawn as numbers: evaluations and derivatives of
+    # expressions do not grow with the draws or with the number of chunks
+    import sys
+
+    import torsionlab.expr as ex
+
+    counts = {"eval_many": 0, "diff": 0}
+    for name in counts:
+        orig = getattr(ex, name)
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "torsionlab" and getattr(mod, name, None) is orig:
+                monkeypatch.setattr(mod, name, counted)
+    ops = [lfa1.operators[name] for name in sorted(lfa1.operators)]
+    check_algebra(ops, lfa1.level, lfa1.domain, 12, 1, 1e-8)  # build the cached plans
+    seen = []
+    for chunk_bytes in (fl.CHUNK_BYTES, 1):
+        monkeypatch.setattr(fl, "CHUNK_BYTES", chunk_bytes)
+        for combos in (1, 50):
+            counts.update(eval_many=0, diff=0)
+            check_algebra(ops, lfa1.level, lfa1.domain, 12, combos, 1e-8)
+            seen.append(dict(counts))
+    assert all(c == seen[0] for c in seen), seen
+
+
 @pytest.mark.parametrize("source", ["random", "lfa1", "lta"])
 def test_scalar_rule_matches_the_entrywise_product_rule(source, request):
     # every composite kind, its scalar factors taken by the one GEMM rule,
@@ -614,7 +683,7 @@ def test_scalar_rule_matches_the_entrywise_product_rule(source, request):
         chart = man.chart
         a, b = (man.operators[name] for name in sorted(man.operators)[:2])
         pts = sample_points(man.domain, 23)
-    f, g, h = (alg._random_combo_poly(chart, rng) for _ in range(3))
+    f, g, h = (random_combo_poly(chart, rng) for _ in range(3))
     composites = [LinCombOperator(chart, ((f, a), (g, b))),
                   LinCombOperator(chart, ((f, a), (g, a), (h, ProductOperator(a, b)))),
                   ProductOperator(a, b),

@@ -23,11 +23,8 @@ from torsionlab.expr import (
     Const,
     Div,
     Mul,
-    Neg,
     Pow,
     SampleDomain,
-    Sqrt,
-    Sub,
     Var,
     add,
     const,

@@ -526,7 +526,7 @@ def planted_collision(seed: int, d: float) -> np.ndarray:
     return q @ jordan @ q.T
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), d=st.floats(0.015, 0.04))
 def test_a_simple_eigenvalue_next_to_a_jordan_block_keeps_its_direction(seed, d):
     # a fourth power of the block's shift would cut the direction of d, whose
@@ -539,7 +539,7 @@ def test_a_simple_eigenvalue_next_to_a_jordan_block_keeps_its_direction(seed, d)
     assert_matches_oracle(mat[None], p[None])
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_a_block_whose_last_power_cuts_a_neighbour_names_the_point(seed):
     # at d = 0.005 the third power already cuts d^3 below 1e-8 * 5^3: its rank
@@ -583,7 +583,7 @@ def test_sweep_names_the_earlier_of_two_errors(first, second):
 POOL = REGULAR + list(FAILING.values())
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(choice=st.lists(st.sampled_from(range(len(POOL))), min_size=2, max_size=10),
        data=st.data())
 def test_sweep_follows_a_reordering_of_its_points(choice, data):
